@@ -11,7 +11,7 @@ import json
 import sys
 from itertools import combinations
 
-from .core import Attack, dump_system, is_blocking, minimal_quorums, sorted_ids
+from .core import Attack, dump_system, is_blocking, minimal_quorums, parse_id, sorted_ids
 from .errors import HqsError
 from .fixtures import resolve_system
 from .graph import build_graph, condense, sink_components, to_dot, well_behaved_sink
@@ -29,13 +29,8 @@ from .sim import canon
 
 
 def _ids(raw: str):
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(int(tok) if tok.lstrip("-").isdigit() else tok)
-    return frozenset(out)
+    tokens = (tok.strip() for tok in raw.split(","))
+    return frozenset(parse_id(tok) for tok in tokens if tok)
 
 
 def cmd_check(args) -> int:

@@ -190,10 +190,14 @@ def is_system_quorum(qs: QuorumSystem, attack: Attack, s: Iterable[ProcessId]) -
     return any(m <= s for m in minimal_quorums(qs, attack))
 
 
+def blocks(quorums: Iterable[Quorum], s: frozenset) -> bool:
+    """True iff ``s`` intersects every quorum in ``quorums`` (vacuously if none)."""
+    return all(q & s for q in quorums)
+
+
 def is_blocking(qs: QuorumSystem, p: ProcessId, set_p: Iterable[ProcessId]) -> bool:
     """True iff ``set_p`` intersects every quorum of ``p``."""
-    set_p = frozenset(set_p)
-    return all(q & set_p for q in qs.quorums_of(p))
+    return blocks(qs.quorums_of(p), frozenset(set_p))
 
 
 def is_active_blocking(qs, p, set_p, left) -> bool:
@@ -287,7 +291,8 @@ def apply_reconfig(qs: QuorumSystem, op: ReconfigOp) -> QuorumSystem:
     return QuorumSystem(universe, active, quorums, qs.diagnostics)
 
 
-def _parse_id(raw: str) -> ProcessId:
+def parse_id(raw: str) -> ProcessId:
+    """A process id from its text form: an integer if it parses as one."""
     try:
         return int(raw)
     except ValueError:
@@ -299,7 +304,7 @@ def system_from_json(data: dict) -> tuple:
     universe = data.get("universe")
     active = data["active"]
     byz = data.get("byzantine", [])
-    decls = {_parse_id(k): [frozenset(q) for q in v]
+    decls = {parse_id(k): [frozenset(q) for q in v]
              for k, v in data.get("quorums", {}).items()}
     qs = new_quorum_system(
         active,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .core import system_from_json
+from .core import load_system, system_from_json
 from .errors import ScenarioError
 
 FIXTURE_NAMES = (
@@ -39,5 +39,4 @@ def resolve_system(ref: str):
     """Accept either a fixture name or a path to a system JSON file."""
     if ref in FIXTURE_NAMES:
         return load_fixture(ref)
-    with open(ref, "r", encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))
+    return load_system(ref)

@@ -18,20 +18,11 @@ class QuorumGraph:
     vertices: frozenset
     edges: frozenset  # of (p, p') pairs
 
-    def successors(self, p) -> list:
-        return sorted_ids(p2 for (p1, p2) in self.edges if p1 == p)
-
 
 @dataclass(frozen=True)
 class Condensation:
     components: tuple        # of frozensets, deterministic order
     dag_edges: frozenset     # of (component index, component index)
-
-    def component_of(self, p) -> int:
-        for i, comp in enumerate(self.components):
-            if p in comp:
-                return i
-        raise UnknownProcess(f"{p!r} is not a vertex")
 
 
 def build_graph(qs: QuorumSystem) -> QuorumGraph:

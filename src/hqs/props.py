@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .core import Attack, QuorumSystem, sorted_ids
 from .errors import BadSubset, TooLarge
@@ -137,15 +137,6 @@ def check_consistency(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
     return PropertyReport(CONSISTENCY, w is None, w)
 
 
-def check_consistency_raw(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
-    """Consistency at an arbitrary (not necessarily well-behaved) set.
-
-    Internal helper; the definition-faithful checker is check_consistency.
-    """
-    w = consistency_witness(_wb_quorum_map(qs, attack), frozenset(at_p))
-    return PropertyReport(CONSISTENCY, w is None, w)
-
-
 def check_availability(qs: QuorumSystem, for_p, at_p) -> PropertyReport:
     for_p = frozenset(for_p)
     quorums = {p: qs.quorums_of(p) for p in for_p}  # raises UnknownProcess
@@ -216,13 +207,14 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack, size_bound: int = 12
     """All inclusion-maximal outlived subsets of the active well-behaved set.
 
     Exhaustive enumeration, descending by size, pruned by the availability
-    conjunct; capped because the search is exponential.
+    conjunct; capped because the search is exponential.  The empty set is
+    outlived only when no active well-behaved process declares a quorum.
     """
     wb = sorted_ids(qs.active & attack.well_behaved)
     if len(wb) > size_bound:
         raise TooLarge(f"{len(wb)} well-behaved processes exceed bound {size_bound}")
     found = []
-    for size in range(len(wb), 0, -1):
+    for size in range(len(wb), -1, -1):
         for combo in combinations(wb, size):
             cand = frozenset(combo)
             if any(cand <= prev for prev in found):
@@ -232,15 +224,3 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack, size_bound: int = 12
             if check_outlived(qs, attack, cand).holds:
                 found.append(cand)
     return found
-
-
-def check_for_attacks(checker, qs: QuorumSystem, attacks: Iterable[Attack],
-                      *args, **kwargs) -> PropertyReport:
-    """Lift a checker over a set of attacks: AND of the per-attack results."""
-    last = None
-    for attack in attacks:
-        rep = checker(qs, attack, *args, **kwargs)
-        if not rep.holds:
-            return rep
-        last = rep
-    return last if last is not None else PropertyReport("Lifted", True, None)

@@ -13,24 +13,27 @@ One node class hosts the four client operations:
 * Add, in three phases: inclusion check, intersection check through the
   tentative sets, and a signed commit/success/fail update.
 
-Handlers are pure state transitions driven by the kernel; a node freezes
-(stops handling anything) once its own leave completes.
+Handlers are pure state transitions driven by the kernel.  A node that
+completes Leave or Remove enters the departed set through ``api.depart()``;
+a leaver also freezes (stops handling anything).
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import antichain, sorted_ids
+from .core import antichain, blocks, sorted_ids
 from .sim import Node
 
 AC = "ac"
 PC = "pc"
 
 
-def _blocks(target_quorums, s) -> bool:
-    """s intersects every quorum in target_quorums (vacuously true if none)."""
-    return all(q & s for q in target_quorums)
+def _pairs_block(domain, basis, drop) -> bool:
+    """Every pairwise intersection of ``domain`` quorums (a quorum paired with
+    itself included), minus ``drop``, intersects every quorum in ``basis``."""
+    return all(blocks(basis, (q1 & q2) - drop) for q1, q2 in
+               combinations_with_replacement(sorted(domain, key=sorted_ids), 2))
 
 
 class ReconfigNode(Node):
@@ -48,7 +51,6 @@ class ReconfigNode(Node):
         self.succeeded = {}               # (requester, q_c) -> bool
         self.fail_completed = set()
         self._echoed_fail = set()
-        self.frozen = False
         self.pending = None
         self.add_req = None
         self._acks = {}                   # (requester, q_c) -> CheckAck senders
@@ -72,9 +74,25 @@ class ReconfigNode(Node):
         self.add_req = None
         api.respond(response)
 
-    def _depart(self, api):
+    def _notify_left(self, api):
+        for p in sorted_ids(self.followers):
+            api.send(p, ("Left",))
+
+    def _leave_done(self, api):
+        self._finish(api, "LeaveComplete")
+        self._notify_left(api)
+        api.depart()
         self.frozen = True
         self.touch()
+
+    def _remove_done(self, api, quorum):
+        self._set_quorums(self.quorums - {quorum})
+        self._finish(api, "RemoveComplete")
+        api.depart()
+        if self.mode != PC:
+            # followers purge the remover just like a leaver: it may have
+            # lost its own availability and must not be counted on
+            self._notify_left(api)
 
     def state_summary(self) -> dict:
         return {
@@ -108,20 +126,11 @@ class ReconfigNode(Node):
 
     def _request_leave(self, api):
         self.pending = ("Leave",)
-        if self.mode == PC:
-            for p in sorted_ids(self.followers):
-                api.send(p, ("Left",))
-            self._finish(api, "LeaveComplete")
-            self._depart(api)
-            return
-        if self.in_sink is False:
-            # outside the sink: departing cannot endanger quorum intersection
-            self._finish(api, "LeaveComplete")
-            for p in sorted_ids(self.followers):
-                api.send(p, ("Left",))
-            self._depart(api)
-            return
-        if self._local_leave_check(self.quorums, api.me):
+        if self.mode == PC or self.in_sink is False:
+            # followers drop whole quorums (pc), or the leaver sits outside
+            # the sink, where departing cannot endanger quorum intersection
+            self._leave_done(api)
+        elif _pairs_block(self.quorums, self.quorums, {api.me}):
             api.tob(("LeaveCheck", tuple(sorted(self.quorums, key=sorted_ids))))
         else:
             self._finish(api, "LeaveFail")
@@ -131,74 +140,37 @@ class ReconfigNode(Node):
             api.respond("RemoveFail")
             return
         self.pending = ("Remove", quorum)
-        if self.mode == PC:
-            self._set_quorums(self.quorums - {quorum})
-            self._finish(api, "RemoveComplete")
-            return
-        if self.in_sink is False:
-            self._set_quorums(self.quorums - {quorum})
-            self._finish(api, "RemoveComplete")
-            for p in sorted_ids(self.followers):
-                api.send(p, ("Left",))
-            return
-        # the remover may drop out of the outlived set, so the check covers
-        # its full current quorum set, exactly as for a departure
-        if self._local_leave_check(self.quorums, api.me):
+        if self.mode == PC or self.in_sink is False:
+            self._remove_done(api, quorum)
+        elif _pairs_block(self.quorums, self.quorums, {api.me}):
+            # the remover may drop out of the outlived set, so the check covers
+            # its full current quorum set, exactly as for a departure
             api.tob(("RemoveCheck", quorum,
                      tuple(sorted(self.quorums, key=sorted_ids))))
         else:
             self._finish(api, "RemoveFail")
 
-    def _local_leave_check(self, pair_domain, me, blocking_basis=None) -> bool:
-        basis = self.quorums if blocking_basis is None else blocking_basis
-        for q1, q2 in combinations_with_replacement(sorted(pair_domain, key=sorted_ids), 2):
-            if not _blocks(basis, (q1 & q2) - {me}):
-                return False
-        return True
-
-    def _distributed_check_fails(self, requester, declared) -> bool:
-        """The tob-ordered Check condition: some pair's intersection, minus
-        the requester and the tomb, fails to block the requester."""
+    def on_tob(self, api, src, payload):
+        """The tob-ordered Check: every pair's intersection, minus the
+        requester and the tomb, must still block the requester."""
+        tag = payload[0]
+        if tag not in ("LeaveCheck", "RemoveCheck"):
+            return
+        declared = [frozenset(q) for q in payload[-1]]
         domain = set(declared)
         if self.combined_checks:
             domain |= set(self._tentative_quorums())
-        drop = {requester} | self.tomb
-        for q1, q2 in combinations_with_replacement(sorted(domain, key=sorted_ids), 2):
-            if not _blocks(declared, (q1 & q2) - drop):
-                return True
-        return False
-
-    def on_tob(self, api, src, payload):
-        tag = payload[0]
-        if tag == "LeaveCheck":
-            declared = [frozenset(q) for q in payload[1]]
-            if self._distributed_check_fails(src, declared):
-                if src == api.me:
-                    self._finish(api, "LeaveFail")
-                return
-            self.tomb.add(src)
-            self.touch()
+        if not _pairs_block(domain, declared, {src} | self.tomb):
             if src == api.me:
-                self._finish(api, "LeaveComplete")
-                for p in sorted_ids(self.followers):
-                    api.send(p, ("Left",))
-                self._depart(api)
-        elif tag == "RemoveCheck":
-            removed = frozenset(payload[1])
-            remaining = [frozenset(q) for q in payload[2]]
-            if self._distributed_check_fails(src, remaining):
-                if src == api.me:
-                    self._finish(api, "RemoveFail")
-                return
-            self.tomb.add(src)
-            self.touch()
-            if src == api.me:
-                self._set_quorums(self.quorums - {removed})
-                self._finish(api, "RemoveComplete")
-                # followers purge the remover just like a leaver: it may have
-                # lost its own availability and must not be counted on
-                for p in sorted_ids(self.followers):
-                    api.send(p, ("Left",))
+                self._finish(api, "LeaveFail" if tag == "LeaveCheck" else "RemoveFail")
+            return
+        self.tomb.add(src)
+        self.touch()
+        if src == api.me:
+            if tag == "LeaveCheck":
+                self._leave_done(api)
+            else:
+                self._remove_done(api, frozenset(payload[1]))
 
     def _on_left(self, api, src):
         if self.mode == PC:
@@ -249,7 +221,7 @@ class ReconfigNode(Node):
     def _on_add_check(self, api, src, requester, q_c):
         domain = set(self._tentative_quorums()) | self.quorums
         drop = self.tomb if self.combined_checks else set()
-        ok = all(_blocks(self.quorums, (q_c & q) - drop) for q in domain)
+        ok = all(blocks(self.quorums, (q_c & q) - drop) for q in domain)
         api.send(src, (("CheckAck" if ok else "CheckNack"), requester, q_c))
 
     def _on_check_reply(self, api, src, requester, q_c, ack):
@@ -265,7 +237,7 @@ class ReconfigNode(Node):
             senders = self._nacks.setdefault(key, set())
             senders.add(src)
             if (key not in self._aborted and senders
-                    and _blocks(self.quorums, senders) and self.quorums):
+                    and blocks(self.quorums, senders) and self.quorums):
                 self._aborted.add(key)
                 api.send(requester, ("Abort", q_c))
 

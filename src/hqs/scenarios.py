@@ -20,6 +20,7 @@ from .core import (
     followers,
     minimal_quorums,
     new_quorum_system,
+    parse_id,
     sorted_ids,
 )
 from .discovery import DiscoveryNode, oracle_validq, threshold_validq
@@ -298,8 +299,7 @@ ADVERSARIES = {
     "check_spammer": lambda spec: CheckSpammer(),
     "add_equivocator": lambda spec: AddEquivocator(**spec["args"]),
     "join_responder": lambda spec: JoinResponder(
-        {int(k) if str(k).lstrip("-").isdigit() else k: v
-         for k, v in spec["args"]["declarations"].items()}),
+        {parse_id(k): v for k, v in spec["args"]["declarations"].items()}),
     "brb_byzantine": lambda spec: BrbByzantine(**spec.get("args", {})),
 }
 
@@ -368,7 +368,7 @@ def current_system(world, base: QuorumSystem) -> QuorumSystem:
             if base.declares(pid):
                 decls[pid] = base.quorums_of(pid)
             active.add(pid)
-        elif isinstance(node, ReconfigNode) and node.frozen:
+        elif node.frozen:
             continue
         elif node.quorums:
             decls[pid] = tuple(node.quorums)
@@ -453,6 +453,9 @@ def run_scenario(spec, seed_override=None):
 
     for req in spec.get("requests", ()):
         node = req["node"]
+        if node not in world.nodes:
+            raise ScenarioError(f"request for {node!r}, which is not a "
+                                f"well-behaved node of this world")
         op = req["op"]
         at = req.get("at", 1)
         if op == "Leave":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import Attack, QuorumSystem, sorted_ids
-from .errors import ForgedSender, ForgedSigner
+from .errors import ForgedSender, ForgedSigner, ScenarioError
 
 RANDOM_FAIR = "RandomFair"
 ADVERSARIAL = "AdversarialReorder"
@@ -34,6 +34,14 @@ class SchedulePolicy:
     fairness_bound: int = 6
     tob_order: tuple = ()  # scripted mode: preferred src order for sequencing
 
+    def __post_init__(self):
+        if self.mode not in (RANDOM_FAIR, ADVERSARIAL, SCRIPTED):
+            raise ScenarioError(f"unknown schedule mode {self.mode!r}; known: "
+                                f"{RANDOM_FAIR}, {ADVERSARIAL}, {SCRIPTED}")
+        if not isinstance(self.fairness_bound, int) or self.fairness_bound < 1:
+            raise ScenarioError(f"fairness_bound must be an integer >= 1, "
+                                f"got {self.fairness_bound!r}")
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -44,10 +52,8 @@ class Signature:
 @dataclass
 class Envelope:
     src: object
-    dst: object
-    channel: str  # "APL" or "TOB"
+    dst: object  # None for a total-order broadcast
     payload: tuple
-    seq: int
 
 
 def canon(obj):
@@ -69,7 +75,15 @@ def fingerprint(obj) -> str:
 
 
 class Node:
-    """Base class for protocol state machines driven by the kernel."""
+    """Base class for protocol state machines driven by the kernel.
+
+    A node enters the departed set L by calling ``api.depart()``.  A node
+    that sets ``frozen`` receives nothing more: its messages are recorded
+    as frozen deliveries, and its timers, requests and tob deliveries are
+    skipped.
+    """
+
+    frozen = False
 
     def __init__(self, pid):
         self.pid = pid
@@ -116,7 +130,7 @@ class Adversary:
 
     def delay(self, world, env) -> Optional[int]:
         """Delay for a message touching a Byzantine endpoint; None drops it."""
-        return None if env is None else world.rng.randint(1, world.policy.fairness_bound)
+        return world.rng.randint(1, world.policy.fairness_bound)
 
     def reorder(self, world, env) -> int:
         """Delay for well-behaved traffic in AdversarialReorder mode (clamped)."""
@@ -152,10 +166,9 @@ class World:
         self.nodes = {}
         self.trace = Trace()
         self.probes = []
-        self.l_set = set()          # ids holding a LeaveComplete/RemoveComplete
+        self.l_set = set()          # ids that called api.depart()
         self._queue = []
         self._seq = 0
-        self._link_seq = {}
         self._signed = set()
         self._pending_tob = []
         self._tob_order = []
@@ -184,18 +197,15 @@ class World:
     def send(self, src, dst, payload):
         if src in self.attack.well_behaved and src not in self.nodes:
             raise ForgedSender(f"no node owns well-behaved id {src!r}")
-        env = self._make_env(src, dst, "APL", payload)
-        self._route(env)
+        self._route(Envelope(src, dst, payload))
 
     def adversary_send(self, src, dst, payload):
         if src not in self.attack.byzantine:
             raise ForgedSender(f"adversary cannot send as well-behaved {src!r}")
-        env = self._make_env(src, dst, "APL", payload)
-        self._route(env)
+        self._route(Envelope(src, dst, payload))
 
     def tob_broadcast(self, src, payload):
-        env = self._make_env(src, None, "TOB", payload)
-        self._pending_tob.append(env)
+        self._pending_tob.append(Envelope(src, None, payload))
         self._push(self.step + 1, "tob_seq", None)
 
     def adversary_tob(self, src, payload):
@@ -226,16 +236,13 @@ class World:
         self.trace.responses.append((self.step, pid, response))
         self._record({"step": self.step, "kind": "response", "node": pid,
                       "response": response})
-        if response in ("LeaveComplete", "RemoveComplete"):
-            self.l_set.add(pid)
 
     # -- internals -----------------------------------------------------------
 
-    def _make_env(self, src, dst, channel, payload) -> Envelope:
-        key = (src, dst, channel)
-        seq = self._link_seq.get(key, 0)
-        self._link_seq[key] = seq + 1
-        return Envelope(src, dst, channel, payload, seq)
+    def _live(self, pid) -> Optional[Node]:
+        """The node that handles deliveries for ``pid``; None if absent or frozen."""
+        node = self.nodes.get(pid)
+        return None if node is None or node.frozen else node
 
     def _route(self, env: Envelope):
         byz = self.attack.byzantine
@@ -291,12 +298,12 @@ class World:
     def _deliver_tob(self, pid, index):
         buf = self._tob_buffer[pid]
         buf[index] = self._tob_order[index]
-        node = self.nodes.get(pid)
-        while node is not None and self._tob_next[pid] in buf:
+        while self._tob_next[pid] in buf:
             i = self._tob_next[pid]
             env = buf.pop(i)
             self._tob_next[pid] = i + 1
-            if getattr(node, "frozen", False):
+            node = self._live(pid)
+            if node is None:
                 continue
             self._record({"step": self.step, "kind": "tob", "dst": pid,
                           "index": i, "src": env.src, "msg": env.payload})
@@ -335,8 +342,8 @@ class World:
                                   "dst": env.dst, "msg": env.payload, "byz": True})
                     self.adversary.on_deliver(self, env)
                 else:
-                    node = self.nodes.get(env.dst)
-                    if node is None or getattr(node, "frozen", False):
+                    node = self._live(env.dst)
+                    if node is None:
                         self._record({"step": self.step, "kind": "apl", "src": env.src,
                                       "dst": env.dst, "msg": env.payload, "frozen": True})
                     else:
@@ -349,15 +356,15 @@ class World:
                 self._deliver_tob(*data)
             elif kind == "timer":
                 pid, tag = data
-                node = self.nodes.get(pid)
-                if node is not None and not getattr(node, "frozen", False):
+                node = self._live(pid)
+                if node is not None:
                     self._record({"step": self.step, "kind": "timer", "node": pid,
                                   "tag": tag})
                     node.on_timer(self._api_for(node), tag)
             elif kind == "request":
                 pid, request = data
-                node = self.nodes.get(pid)
-                if node is not None and not getattr(node, "frozen", False):
+                node = self._live(pid)
+                if node is not None:
                     self._record({"step": self.step, "kind": "request", "node": pid,
                                   "request": request})
                     node.on_request(self._api_for(node), request)
@@ -410,6 +417,10 @@ class NodeApi:
 
     def respond(self, response):
         self.world.respond(self.node.pid, response)
+
+    def depart(self):
+        """Enter the departed set L; the node keeps receiving unless frozen."""
+        self.world.l_set.add(self.node.pid)
 
     def timer(self, tag, delay):
         self.world.set_timer(self.node.pid, tag, delay)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hqs.cli import main
 from hqs.core import dump_system, load_system, system_from_json
 from hqs.fixtures import fixture_json, load_fixture
@@ -131,3 +133,23 @@ def test_attack_override(capsys):
     code, out, _ = run_cli(capsys, "check", "--system", "fig1",
                            "--attack", "", "--consistency")
     assert code == 0
+
+
+@pytest.mark.parametrize("policy, node", [
+    ({"seed": 0, "mode": "Typo"}, 99),
+    ({"seed": 0, "mode": "Typo"}, 5),
+    ({"seed": 0, "fairness_bound": 0}, 5),
+    ({"seed": 0}, 99),
+    ({"seed": 0}, 4),  # Byzantine in fig1: the adversary owns it
+])
+def test_simulate_rejects_scenarios_that_would_pass_vacuously(capsys, tmp_path,
+                                                              policy, node):
+    spec = {"system": "fig1", "protocol": "ac", "policy": policy,
+            "requests": [{"at": 1, "node": node, "op": "Leave"}],
+            "probes": ["intersection"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

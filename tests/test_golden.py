@@ -50,9 +50,9 @@ def test_named_scenario_digest(name):
     assert digest(trace) == NAMED[name]
 
 
-def reconfig_trace(qs, attack, requests, *, seed=0, mode="ac", sink_info=None,
+def reconfig_trace(qs, attack, requests, *, mode="ac", sink_info=None,
                    tob_order=(), outlived=None):
-    policy = SchedulePolicy(seed=seed, mode=SCRIPTED if tob_order else RANDOM_FAIR,
+    policy = SchedulePolicy(seed=0, mode=SCRIPTED if tob_order else RANDOM_FAIR,
                             tob_order=tuple(tob_order))
     world = make_reconfig_world(
         qs, attack, policy, mode=mode, sink_info=sink_info,

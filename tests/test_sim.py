@@ -1,12 +1,13 @@
 import pytest
 
 from hqs.core import Attack
-from hqs.errors import ForgedSender, ForgedSigner
+from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.sim import (
     ADVERSARIAL,
     Adversary,
     Node,
+    NodeApi,
     SchedulePolicy,
     World,
     canon,
@@ -218,3 +219,35 @@ def test_canon_sorts_sets_deterministically():
     assert canon(frozenset({3, 1, 2})) == [1, 2, 3]
     assert canon(("x", frozenset({"b", "a"}))) == ["x", ["a", "b"]]
     assert fingerprint({"k": frozenset({2, 1})}) == fingerprint({"k": frozenset({1, 2})})
+
+
+def test_depart_enters_l_and_the_node_keeps_receiving():
+    world = small_world()
+    NodeApi(world, world.nodes[3]).depart()
+    world.request(1, 2, ("send", 3, ("ping",)))
+    world.run()
+    assert world.l_set == {3}
+    assert (2, ("ping",)) in world.nodes[3].inbox
+    assert (3, ("pong",)) in world.nodes[2].inbox
+
+
+def test_frozen_node_gets_no_delivery_timer_request_or_tob():
+    world = small_world(seed=2)
+    world.nodes[3].frozen = True
+    world.request(1, 2, ("send", 3, ("ping",)))
+    world.request(1, 3, ("send", 2, ("ping",)))
+    world.set_timer(3, "tick", 2)
+    world.tob_broadcast(2, ("hello",))
+    trace = world.run()
+    to_3 = [e for e in trace.events if e.get("dst") == 3 or e.get("node") == 3]
+    assert [e["kind"] for e in to_3] == ["apl"]
+    assert to_3[0]["frozen"] is True
+    assert world.nodes[3].inbox == [] and world.nodes[3].tob_inbox == []
+    assert world.nodes[2].tob_inbox == [(2, ("hello",))]
+    assert world.l_set == set()
+
+
+@pytest.mark.parametrize("field", [{"mode": "Typo"}, {"fairness_bound": 0}])
+def test_schedule_policy_rejects_unknown_mode_and_bad_bound(field):
+    with pytest.raises(ScenarioError):
+        SchedulePolicy(seed=0, **field)
