@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import (
     EmptyDeclaration,
     EmptyQuorum,
+    MalformedInput,
     PreconditionViolated,
     UnknownMember,
     UnknownProcess,
@@ -299,19 +300,49 @@ def parse_id(raw: str) -> ProcessId:
         return raw
 
 
-def system_from_json(data: dict) -> tuple:
-    """Decode the on-disk schema into a (QuorumSystem, Attack) pair."""
+def _type_name(value) -> str:
+    return {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+            type(None): "null"}.get(type(value), "a number")
+
+
+def _id_list(value, path: str) -> list:
+    """``value`` as a list of process ids (integers or strings)."""
+    if not isinstance(value, list):
+        raise MalformedInput(f"{path}: expected a list of process ids, "
+                             f"got {_type_name(value)}")
+    for i, p in enumerate(value):
+        if isinstance(p, bool) or not isinstance(p, (int, str)):
+            raise MalformedInput(f"{path}[{i}]: expected a process id, "
+                                 f"got {_type_name(p)}")
+    return value
+
+
+def system_from_json(data) -> tuple:
+    """Decode the on-disk schema into a (QuorumSystem, Attack) pair.
+
+    A value of the wrong shape raises :class:`MalformedInput` naming its
+    field path, e.g. ``quorums.1[0][2]``.
+    """
+    if not isinstance(data, dict):
+        raise MalformedInput(f"system: expected an object, got {_type_name(data)}")
+    if "active" not in data:
+        raise MalformedInput("active: required field is missing")
+    active = _id_list(data["active"], "active")
     universe = data.get("universe")
-    active = data["active"]
-    byz = data.get("byzantine", [])
-    decls = {parse_id(k): [frozenset(q) for q in v]
-             for k, v in data.get("quorums", {}).items()}
-    qs = new_quorum_system(
-        active,
-        decls,
-        universe=universe if universe is not None else None,
-        byzantine=byz,
-    )
+    if universe is not None:
+        universe = _id_list(universe, "universe")
+    byz = _id_list(data.get("byzantine", []), "byzantine")
+    raw_quorums = data.get("quorums", {})
+    if not isinstance(raw_quorums, dict):
+        raise MalformedInput(f"quorums: expected an object, got {_type_name(raw_quorums)}")
+    decls = {}
+    for k, v in raw_quorums.items():
+        if not isinstance(v, list):
+            raise MalformedInput(f"quorums.{k}: expected a list of quorums, "
+                                 f"got {_type_name(v)}")
+        decls[parse_id(k)] = [frozenset(_id_list(q, f"quorums.{k}[{i}]"))
+                              for i, q in enumerate(v)]
+    qs = new_quorum_system(active, decls, universe=universe, byzantine=byz)
     attack = Attack.of(qs.universe, byz)
     return qs, attack
 

@@ -5,6 +5,10 @@ class HqsError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MalformedInput(HqsError):
+    """An input file has the wrong shape; the message names the field path."""
+
+
 class EmptyQuorum(HqsError):
     """A declared quorum is the empty set."""
 

@@ -68,14 +68,23 @@ def _wb_quorum_map(qs: QuorumSystem, attack: Attack) -> dict:
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
 
 def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
-    """First pair of quorums whose intersection misses ``at_p``, else None."""
-    decls = [(p, q) for p in sorted_ids(wb_quorums) for q in wb_quorums[p]]
-    for (p1, q1), (p2, q2) in combinations(decls, 2):
-        if not (q1 & q2 & at_p):
-            return q1, q2
-    for p, q in decls:
-        if not (q & at_p):
-            return q, q
+    """First pair of declarations, in declaration order, whose quorums'
+    intersection misses ``at_p`` (a lone declaration pairs with itself);
+    else None.
+
+    Only distinct quorums are compared.  A quorum that misses ``at_p`` on
+    its own fails with every partner, so it can only be reached as the first
+    distinct quorum; its witness partner is then the second declaration.
+    """
+    decls = [q for p in sorted_ids(wb_quorums) for q in wb_quorums[p]]
+    distinct = list(dict.fromkeys(decls))
+    for i, q1 in enumerate(distinct):
+        inside = q1 & at_p
+        if not inside:
+            return q1, decls[1] if len(decls) > 1 else q1
+        for q2 in distinct[i + 1:]:
+            if not (inside & q2):
+                return q1, q2
     return None
 
 

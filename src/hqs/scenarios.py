@@ -50,58 +50,72 @@ SCENARIO_NAMES = (
 # --- probes -----------------------------------------------------------------
 
 
-def _wb_node_quorums(world) -> dict:
+def _wb_node_quorums(world) -> tuple:
+    """(pid, quorums) of every well-behaved protocol node, as a value.
+
+    Each quorum set is copied into a tuple in its iteration order, so a
+    probe computed from the copy returns the witness it would return from
+    the live sets, and a later in-place change cannot alter the copy.
+    """
     wb = world.attack.well_behaved
-    return {pid: node.quorums for pid, node in world.nodes.items()
-            if pid in wb and isinstance(node, ReconfigNode)}
+    return tuple([(pid, tuple(node.quorums)) for pid, node in world.nodes.items()
+                  if pid in wb and isinstance(node, ReconfigNode)])
+
+
+def _memoized(inputs, check):
+    """A probe that re-runs ``check(*inputs(world))`` only when the inputs
+    differ by value from the ones its last result was computed from; an
+    unchanged violation is returned (and so recorded) again."""
+    last_inputs, last_result = None, None
+
+    def fn(world):
+        nonlocal last_inputs, last_result
+        current = inputs(world)
+        if current != last_inputs:
+            w = check(*current)
+            last_inputs, last_result = current, None if w is None else canon(w)
+        return last_result
+
+    return fn
 
 
 def probe_intersection(outlived):
     outlived = frozenset(outlived)
-
-    def fn(world):
-        at = outlived - world.l_set
-        w = consistency_witness(_wb_node_quorums(world), at)
-        return None if w is None else canon(w)
-
-    return fn
+    return _memoized(
+        lambda world: (_wb_node_quorums(world), outlived - world.l_set),
+        lambda quorums, at: consistency_witness(dict(quorums), at))
 
 
 def probe_active_inclusion(outlived):
     outlived = frozenset(outlived)
-
-    def fn(world):
-        quorums = _wb_node_quorums(world)
-        w = inclusion_witness(quorums, outlived, world.attack.well_behaved,
-                              left=frozenset(world.l_set))
-        return None if w is None else canon(w)
-
-    return fn
+    return _memoized(
+        lambda world: (_wb_node_quorums(world), frozenset(world.l_set),
+                       world.attack.well_behaved),
+        lambda quorums, left, wb: inclusion_witness(dict(quorums), outlived, wb,
+                                                    left=left))
 
 
 def probe_active_availability(outlived):
     outlived = frozenset(outlived)
-
-    def fn(world):
-        w = active_availability_witness(_wb_node_quorums(world), outlived,
-                                        frozenset(world.l_set))
-        return None if w is None else canon(w)
-
-    return fn
+    return _memoized(
+        lambda world: (_wb_node_quorums(world), frozenset(world.l_set)),
+        lambda quorums, left: active_availability_witness(dict(quorums), outlived,
+                                                          left))
 
 
 def probe_tentative_inclusion(outlived):
     outlived = frozenset(outlived)
 
-    def fn(world):
-        quorums = _wb_node_quorums(world)
-        tentative = {pid: node.tentative for pid, node in world.nodes.items()
-                     if isinstance(node, ReconfigNode)}
-        w = inclusion_witness(quorums, outlived, world.attack.well_behaved,
-                              tentative=tentative)
-        return None if w is None else canon(w)
+    def inputs(world):
+        tentative = tuple((pid, frozenset(node.tentative))
+                          for pid, node in world.nodes.items()
+                          if isinstance(node, ReconfigNode))
+        return _wb_node_quorums(world), tentative, world.attack.well_behaved
 
-    return fn
+    return _memoized(
+        inputs,
+        lambda quorums, tentative, wb: inclusion_witness(
+            dict(quorums), outlived, wb, tentative=dict(tentative)))
 
 
 def probe_add_no_split(world):
@@ -133,12 +147,8 @@ def probe_intersection_full(at_set):
     """Consistency at a fixed set, irrespective of who has departed; the
     policy-preserving protocols promise this at the full well-behaved set."""
     at_set = frozenset(at_set)
-
-    def fn(world):
-        w = consistency_witness(_wb_node_quorums(world), at_set)
-        return None if w is None else canon(w)
-
-    return fn
+    return _memoized(lambda world: (_wb_node_quorums(world),),
+                     lambda quorums: consistency_witness(dict(quorums), at_set))
 
 
 PROBES = {
@@ -292,14 +302,20 @@ class BrbByzantine(Adversary):
                 world.adversary_send(env.dst, p, ("Ready", instance, value))
 
 
+def _args(spec) -> dict:
+    if "args" not in spec:
+        raise ScenarioError(f"adversary {spec['name']!r} needs 'args'")
+    return spec["args"]
+
+
 ADVERSARIES = {
     "none": lambda spec: Adversary(),
     "sink_deceiver": lambda spec: SinkDeceiver(**spec.get("args", {})),
     "add_accomplice": lambda spec: AddAccomplice(),
     "check_spammer": lambda spec: CheckSpammer(),
-    "add_equivocator": lambda spec: AddEquivocator(**spec["args"]),
+    "add_equivocator": lambda spec: AddEquivocator(**_args(spec)),
     "join_responder": lambda spec: JoinResponder(
-        {parse_id(k): v for k, v in spec["args"]["declarations"].items()}),
+        {parse_id(k): v for k, v in _args(spec)["declarations"].items()}),
     "brb_byzantine": lambda spec: BrbByzantine(**spec.get("args", {})),
 }
 
@@ -418,10 +434,17 @@ def run_scenario(spec, seed_override=None):
     adv_spec = spec.get("adversary", "none")
     if isinstance(adv_spec, str):
         adv_spec = {"name": adv_spec}
+    if not isinstance(adv_spec, dict):
+        raise ScenarioError(f"adversary must be a name or an object, got {adv_spec!r}")
+    adv_spec = {"name": "none", **adv_spec}
+    factory = ADVERSARIES.get(adv_spec["name"])
+    if factory is None:
+        raise ScenarioError(f"unknown adversary {adv_spec['name']!r}; known: "
+                            f"{', '.join(ADVERSARIES)}")
     try:
-        adversary = ADVERSARIES[adv_spec.get("name", "none")](adv_spec)
-    except KeyError:
-        raise ScenarioError(f"unknown adversary {adv_spec!r}") from None
+        adversary = factory(adv_spec)
+    except TypeError as exc:   # args that do not fit the constructor
+        raise ScenarioError(f"adversary {adv_spec['name']!r}: bad 'args': {exc}") from None
     protocol = spec.get("protocol", "ac")
     step_cap = spec.get("step_cap", 10_000)
     outlived = frozenset(spec.get("outlived", sorted_ids(attack.well_behaved)))

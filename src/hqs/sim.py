@@ -14,6 +14,8 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, ne
 from typing import Callable, Optional
 
 from .core import Attack, QuorumSystem, sorted_ids
@@ -56,8 +58,13 @@ class Envelope:
     payload: tuple
 
 
+_SCALARS = frozenset({str, int, bool, float, type(None)})
+
+
 def canon(obj):
     """Canonical JSON-compatible form; sets come out sorted."""
+    if type(obj) in _SCALARS:
+        return obj
     if isinstance(obj, (frozenset, set)):
         return sorted((canon(x) for x in obj), key=lambda v: (str(type(v)), str(v)))
     if isinstance(obj, (tuple, list)):
@@ -69,15 +76,30 @@ def canon(obj):
     return obj
 
 
-def fingerprint(obj) -> str:
-    blob = json.dumps(canon(obj), sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canon_json(obj) -> str:
+    return _ENCODER.encode(canon(obj))
+
+
+def _digest(blob: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def fingerprint(obj) -> str:
+    return _digest(canon_json(obj))
+
+
+_version = attrgetter("version")
 
 
 class Node:
     """Base class for protocol state machines driven by the kernel.
 
-    A node enters the departed set L by calling ``api.depart()``.  A node
+    A node calls ``touch()`` in the same handler as any change to its
+    ``state_summary()``; the kernel re-serialises only touched nodes.  A
+    node enters the departed set L by calling ``api.depart()``.  A node
     that sets ``frozen`` receives nothing more: its messages are recorded
     as frozen deliveries, and its timers, requests and tob deliveries are
     skipped.
@@ -87,10 +109,10 @@ class Node:
 
     def __init__(self, pid):
         self.pid = pid
-        self.dirty = False
+        self.version = 0
 
     def touch(self):
-        self.dirty = True
+        self.version += 1
 
     def on_start(self, api):
         pass
@@ -148,8 +170,7 @@ class Trace:
         self.responses = []
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(canon(e), sort_keys=True, separators=(",", ":"))
-                 for e in self.events]
+        lines = [canon_json(e) for e in self.events]
         return "\n".join(lines) + "\n"
 
 
@@ -176,12 +197,18 @@ class World:
         self._tob_buffer = {}       # pid -> {index: env}
         self._tob_hints = list(policy.tob_order)
         self._events_processed = 0
+        # snapshot cache, aligned with the nodes in str(pid) order (see run)
+        self._by_key = None
+        self._versions = []         # touch versions seen at the last flush
+        self._fragments = []        # each node's serialised snapshot entry
 
     # -- wiring ------------------------------------------------------------
 
     def add_node(self, node: Node):
         if node.pid in self.attack.byzantine:
             raise ForgedSender(f"{node.pid!r} is Byzantine; the adversary owns it")
+        if self._by_key is not None:
+            raise ScenarioError(f"node {node.pid!r} added after the world started")
         self.nodes[node.pid] = node
         self._tob_next[node.pid] = 0
         self._tob_buffer[node.pid] = {}
@@ -322,7 +349,31 @@ class World:
         return {str(pid): self.nodes[pid].state_summary()
                 for pid in sorted_ids(self.nodes)}
 
+    @staticmethod
+    def _fragment(node: Node) -> str:
+        return json.dumps(str(node.pid)) + ":" + canon_json(node.state_summary())
+
+    def _touched(self) -> bool:
+        """Re-serialise the nodes touched since the last call; True if any was."""
+        versions = list(map(_version, self._by_key))
+        if versions == self._versions:
+            return False
+        for i in compress(range(len(versions)), map(ne, versions, self._versions)):
+            self._fragments[i] = self._fragment(self._by_key[i])
+        self._versions = versions
+        return True
+
+    def _snapshot_digest(self) -> str:
+        """``fingerprint(self.state_snapshot())``, joined from the fragments
+        cached by touch version."""
+        return _digest("{" + ",".join(self._fragments) + "}")
+
     def run(self) -> Trace:
+        self._by_key = sorted(self.nodes.values(), key=lambda node: str(node.pid))
+        # start from 0, not the current versions: a node touched before
+        # run() still yields a state event (and a probe run) at the first flush
+        self._versions = [0] * len(self._by_key)
+        self._fragments = list(map(self._fragment, self._by_key))
         self.adversary.on_init(self)
         for pid in sorted_ids(self.nodes):
             node = self.nodes[pid]
@@ -371,23 +422,16 @@ class World:
             self._flush_dirty()
         else:
             self.trace.outcome = QUIESCENT
-        self.trace.events.append({"step": self.step, "kind": "end",
-                                  "outcome": self.trace.outcome,
-                                  "snap": fingerprint(self.state_snapshot())})
+        self._touched()
+        self._record({"step": self.step, "kind": "end", "outcome": self.trace.outcome,
+                      "snap": self._snapshot_digest()})
         return self.trace
 
     def _flush_dirty(self):
-        ran = False
-        for pid in sorted_ids(self.nodes):
-            node = self.nodes[pid]
-            if node.dirty:
-                node.dirty = False
-                if not ran:
-                    self._run_probes()
-                    ran = True
-        if ran:
+        if self._touched():
+            self._run_probes()
             self._record({"step": self.step, "kind": "state",
-                          "snap": fingerprint(self.state_snapshot())})
+                          "snap": self._snapshot_digest()})
 
 
 class NodeApi:

@@ -50,6 +50,20 @@ def oracle_consistency(qs, attack, at_set):
     return True
 
 
+def oracle_consistency_witness(wb_quorums, at_set):
+    """The first failing pair of the all-pairs loop over declarations in
+    process order (a lone declaration pairs with itself), else None."""
+    order = sorted(wb_quorums, key=lambda p: (isinstance(p, str), p))
+    decls = [q for p in order for q in wb_quorums[p]]
+    for q1, q2 in combinations(decls, 2):
+        if not (q1 & q2 & at_set):
+            return q1, q2
+    for q in decls:
+        if not (q & at_set):
+            return q, q
+    return None
+
+
 def oracle_availability(qs, for_set, at_set):
     for p in for_set:
         if not qs.declares(p):

@@ -153,3 +153,36 @@ def test_simulate_rejects_scenarios_that_would_pass_vacuously(capsys, tmp_path,
     assert code == 2
     assert "PASS" not in out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("adversary", [
+    {"name": "add_equivocator"},
+    {"name": "join_responder"},
+    {"name": "add_equivocator", "args": {"byz_id": 4}},
+])
+def test_simulate_adversary_without_args_names_them(capsys, tmp_path, adversary):
+    spec = {"system": "fig1", "policy": {"seed": 0}, "adversary": adversary}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "'args'" in err and "unknown adversary" not in err
+
+
+@pytest.mark.parametrize("system, path", [
+    ({"active": 5, "quorums": {"1": [[1]]}}, "active"),
+    ([1, 2], "system"),
+    ({"active": [1, 2], "quorums": {"1": [[1, [2]]], "2": [[2]]}}, "quorums.1[0][1]"),
+    ({"active": [1], "quorums": {"1": [1]}}, "quorums.1[0]"),
+    ({"active": [1], "quorums": [[1]]}, "quorums"),
+    ({"active": [1], "byzantine": "1", "quorums": {"1": [[1]]}}, "byzantine"),
+    ({"quorums": {"1": [[1]]}}, "active"),
+])
+def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
+                                                               system, path):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(system))
+    code, _, err = run_cli(capsys, "check", "--system", str(sys_path), "--all")
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1

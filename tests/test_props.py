@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system
 from hqs.errors import BadSubset, TooLarge
@@ -306,3 +307,31 @@ def test_consistency_witness_covers_single_quorum_case():
     # a lone quorum missing the at-set is itself a violation (q paired with q)
     w = consistency_witness({1: (frozenset({1, 2}),)}, frozenset({3}))
     assert w == (frozenset({1, 2}), frozenset({1, 2}))
+
+
+def test_consistency_witness_repeated_quorum_pairs_with_itself():
+    a, b = frozenset({1, 2}), frozenset({2, 3})
+    # a misses the at-set; the pair loop meets (a, a) before (a, b)
+    assert consistency_witness({1: (a,), 2: (a,), 3: (b,)}, frozenset({3})) == (a, a)
+    assert consistency_witness({1: (a,), 2: (b,), 3: (a,)}, frozenset({3})) == (a, b)
+
+
+_pool_quorums = st.lists(st.frozensets(st.integers(1, 6), min_size=1, max_size=4),
+                         min_size=1, max_size=5)
+
+
+@st.composite
+def repeated_declarations(draw):
+    """Process -> quorums drawn from a small pool, so quorums repeat within
+    and across processes."""
+    pool = draw(_pool_quorums)
+    pids = draw(st.lists(st.one_of(st.integers(1, 8), st.sampled_from("abc")),
+                         unique=True, max_size=8))
+    return {p: tuple(draw(st.lists(st.sampled_from(pool), max_size=4))) for p in pids}
+
+
+@settings(max_examples=400, deadline=None)
+@given(repeated_declarations(), st.frozensets(st.integers(1, 6), max_size=6))
+def test_consistency_witness_matches_pair_loop_oracle(wb_quorums, at_p):
+    assert consistency_witness(wb_quorums, at_p) == \
+        oracles.oracle_consistency_witness(wb_quorums, at_p)
