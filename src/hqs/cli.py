@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (HqsError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (HqsError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -305,16 +305,29 @@ def _type_name(value) -> str:
             type(None): "null"}.get(type(value), "a number")
 
 
-def _id_list(value, path: str) -> list:
+def expect(value, path: str, what: str, *types, error=MalformedInput):
+    """``value`` if it is one of ``types`` (a boolean is not a number); else
+    ``error`` naming the field path."""
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        return value
+    raise error(f"{path}: expected {what}, got {_type_name(value)}")
+
+
+def id_list(value, path: str, error=MalformedInput) -> list:
     """``value`` as a list of process ids (integers or strings)."""
-    if not isinstance(value, list):
-        raise MalformedInput(f"{path}: expected a list of process ids, "
-                             f"got {_type_name(value)}")
-    for i, p in enumerate(value):
-        if isinstance(p, bool) or not isinstance(p, (int, str)):
-            raise MalformedInput(f"{path}[{i}]: expected a process id, "
-                                 f"got {_type_name(p)}")
+    for i, p in enumerate(expect(value, path, "a list of process ids", list, error=error)):
+        expect(p, f"{path}[{i}]", "a process id", int, str, error=error)
     return value
+
+
+def quorum_decls(raw, path: str, error=MalformedInput) -> dict:
+    """``raw`` as {process id: [quorum, ...]}; keys parse as process ids."""
+    decls = {}
+    for k, v in expect(raw, path, "an object", dict, error=error).items():
+        quorums = expect(v, f"{path}.{k}", "a list of quorums", list, error=error)
+        decls[parse_id(k)] = [frozenset(id_list(q, f"{path}.{k}[{i}]", error))
+                              for i, q in enumerate(quorums)]
+    return decls
 
 
 def system_from_json(data) -> tuple:
@@ -323,25 +336,15 @@ def system_from_json(data) -> tuple:
     A value of the wrong shape raises :class:`MalformedInput` naming its
     field path, e.g. ``quorums.1[0][2]``.
     """
-    if not isinstance(data, dict):
-        raise MalformedInput(f"system: expected an object, got {_type_name(data)}")
+    expect(data, "system", "an object", dict)
     if "active" not in data:
         raise MalformedInput("active: required field is missing")
-    active = _id_list(data["active"], "active")
+    active = id_list(data["active"], "active")
     universe = data.get("universe")
     if universe is not None:
-        universe = _id_list(universe, "universe")
-    byz = _id_list(data.get("byzantine", []), "byzantine")
-    raw_quorums = data.get("quorums", {})
-    if not isinstance(raw_quorums, dict):
-        raise MalformedInput(f"quorums: expected an object, got {_type_name(raw_quorums)}")
-    decls = {}
-    for k, v in raw_quorums.items():
-        if not isinstance(v, list):
-            raise MalformedInput(f"quorums.{k}: expected a list of quorums, "
-                                 f"got {_type_name(v)}")
-        decls[parse_id(k)] = [frozenset(_id_list(q, f"quorums.{k}[{i}]"))
-                              for i, q in enumerate(v)]
+        universe = id_list(universe, "universe")
+    byz = id_list(data.get("byzantine", []), "byzantine")
+    decls = quorum_decls(data.get("quorums", {}), "quorums")
     qs = new_quorum_system(active, decls, universe=universe, byzantine=byz)
     attack = Attack.of(qs.universe, byz)
     return qs, attack

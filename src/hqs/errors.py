@@ -33,10 +33,6 @@ class BadSubset(HqsError):
     """A process set violates the well-behaved-subset precondition of a checker."""
 
 
-class TooLarge(HqsError):
-    """Exhaustive enumeration was requested beyond the configured size cap."""
-
-
 class PreconditionNotVerified(HqsError):
     """A lemma oracle could not verify its consistency/sharing precondition."""
 

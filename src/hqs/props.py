@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Optional
 
 from .core import Attack, QuorumSystem, sorted_ids
-from .errors import BadSubset, TooLarge
+from .errors import BadSubset
 
 CONSISTENCY = "Consistency"
 AVAILABILITY = "Availability"
@@ -212,24 +211,25 @@ def check_outlived(qs: QuorumSystem, attack: Attack, outlived_set) -> PropertyRe
     return PropertyReport(OUTLIVED, True, None)
 
 
-def maximal_outlived_sets(qs: QuorumSystem, attack: Attack, size_bound: int = 12) -> list:
-    """All inclusion-maximal outlived subsets of the active well-behaved set.
+def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
+    """``[O]`` for the maximal outlived subset O of the active well-behaved
+    set, or ``[]`` if there is none.
 
-    Exhaustive enumeration, descending by size, pruned by the availability
-    conjunct; capped because the search is exponential.  The empty set is
-    outlived only when no active well-behaved process declares a quorum.
+    Outlived sets are closed under union: consistency at O is monotone in O,
+    sets available inside themselves are closed under union, and inclusion
+    for O holds member by member.  So O is a greatest fixpoint: drop the
+    members that fail inclusion alone, then those with no quorum inside the
+    rest until none is left to drop, and keep O iff consistency holds there.
+    The empty set is outlived only when no active well-behaved process
+    declares a quorum.
     """
-    wb = sorted_ids(qs.active & attack.well_behaved)
-    if len(wb) > size_bound:
-        raise TooLarge(f"{len(wb)} well-behaved processes exceed bound {size_bound}")
-    found = []
-    for size in range(len(wb), -1, -1):
-        for combo in combinations(wb, size):
-            cand = frozenset(combo)
-            if any(cand <= prev for prev in found):
-                continue
-            if not check_available_inside(qs, cand).holds:
-                continue
-            if check_outlived(qs, attack, cand).holds:
-                found.append(cand)
-    return found
+    wb_quorums = _wb_quorum_map(qs, attack)
+    wb = attack.well_behaved
+    declared = {q for quorums in wb_quorums.values() for q in quorums}
+    fails_inclusion = {p2 for q in declared for p2 in q
+                       if not any(q2 & wb <= q for q2 in wb_quorums.get(p2, ()))}
+    o = set(wb_quorums) - fails_inclusion
+    while (inside := {p for p in o if any(q <= o for q in wb_quorums[p])}) != o:
+        o = inside
+    o = frozenset(o)
+    return [o] if consistency_witness(wb_quorums, o) is None else []

@@ -10,6 +10,7 @@ impossibility arguments) are pure-state scenarios at the bottom.
 from __future__ import annotations
 
 import json
+from functools import partial
 from importlib import resources
 
 from .broadcast import BrbNode
@@ -17,10 +18,12 @@ from .core import (
     QuorumSystem,
     ReconfigOp,
     apply_reconfig,
+    expect,
     followers,
+    id_list,
     minimal_quorums,
     new_quorum_system,
-    parse_id,
+    quorum_decls,
     sorted_ids,
 )
 from .discovery import DiscoveryNode, oracle_validq, threshold_validq
@@ -57,7 +60,7 @@ def _wb_node_quorums(world) -> tuple:
     probe computed from the copy returns the witness it would return from
     the live sets, and a later in-place change cannot alter the copy.
     """
-    wb = world.attack.well_behaved
+    wb = world.well_behaved
     return tuple([(pid, tuple(node.quorums)) for pid, node in world.nodes.items()
                   if pid in wb and isinstance(node, ReconfigNode)])
 
@@ -90,7 +93,7 @@ def probe_active_inclusion(outlived):
     outlived = frozenset(outlived)
     return _memoized(
         lambda world: (_wb_node_quorums(world), frozenset(world.l_set),
-                       world.attack.well_behaved),
+                       world.well_behaved),
         lambda quorums, left, wb: inclusion_witness(dict(quorums), outlived, wb,
                                                     left=left))
 
@@ -110,7 +113,7 @@ def probe_tentative_inclusion(outlived):
         tentative = tuple((pid, frozenset(node.tentative))
                           for pid, node in world.nodes.items()
                           if isinstance(node, ReconfigNode))
-        return _wb_node_quorums(world), tentative, world.attack.well_behaved
+        return _wb_node_quorums(world), tentative, world.well_behaved
 
     return _memoized(
         inputs,
@@ -255,7 +258,7 @@ class CheckSpammer(Adversary):
     """Broadcasts junk Check requests from every Byzantine id."""
 
     def on_init(self, world):
-        wb = sorted_ids(world.attack.well_behaved)
+        wb = sorted_ids(world.well_behaved)
         for b in sorted_ids(world.attack.byzantine):
             if wb:
                 x = wb[world.rng.randrange(len(wb))]
@@ -302,21 +305,14 @@ class BrbByzantine(Adversary):
                 world.adversary_send(env.dst, p, ("Ready", instance, value))
 
 
-def _args(spec) -> dict:
-    if "args" not in spec:
-        raise ScenarioError(f"adversary {spec['name']!r} needs 'args'")
-    return spec["args"]
-
-
 ADVERSARIES = {
-    "none": lambda spec: Adversary(),
-    "sink_deceiver": lambda spec: SinkDeceiver(**spec.get("args", {})),
-    "add_accomplice": lambda spec: AddAccomplice(),
-    "check_spammer": lambda spec: CheckSpammer(),
-    "add_equivocator": lambda spec: AddEquivocator(**_args(spec)),
-    "join_responder": lambda spec: JoinResponder(
-        {parse_id(k): v for k, v in _args(spec)["declarations"].items()}),
-    "brb_byzantine": lambda spec: BrbByzantine(**spec.get("args", {})),
+    "none": Adversary,
+    "sink_deceiver": SinkDeceiver,
+    "add_accomplice": AddAccomplice,
+    "check_spammer": CheckSpammer,
+    "add_equivocator": AddEquivocator,
+    "join_responder": JoinResponder,
+    "brb_byzantine": BrbByzantine,
 }
 
 
@@ -418,36 +414,107 @@ def load_scenario(ref):
         return json.load(fh)
 
 
-def run_scenario(spec, seed_override=None):
-    """Execute one scenario file; returns (world, trace, verdict)."""
-    spec = load_scenario(spec)
-    if "seed" not in spec.get("policy", {}) and seed_override is None:
-        raise ScenarioError("scenario must pin a seed for reproducibility")
-    qs, attack = resolve_system(spec["system"])
-    pol = spec.get("policy", {})
-    policy = SchedulePolicy(
-        seed=seed_override if seed_override is not None else pol["seed"],
-        mode=pol.get("mode", "RandomFair"),
-        fairness_bound=pol.get("fairness_bound", 6),
-        tob_order=tuple(pol.get("tob_order", ())),
-    )
-    adv_spec = spec.get("adversary", "none")
+_want = partial(expect, error=ScenarioError)   # (value, path, what, *types)
+
+
+def _pid(value, path: str):
+    return _want(value, path, "a process id", int, str)
+
+
+def _ids(value, path: str) -> frozenset:
+    return frozenset(id_list(value, path, ScenarioError))
+
+
+def _value(value, path: str):
+    return _want(value, path, "a string or a number", str, int, float)
+
+
+def _values(value, path: str) -> list:
+    if not _want(value, path, "a list of values", list):
+        raise ScenarioError(f"{path}: expected at least one value")
+    return [_value(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+# how each adversary argument is checked and converted, by argument name
+_ADVERSARY_ARGS = {
+    "byz_id": _pid, "fake_target": _pid, "dupe_target": _pid,
+    "sender": lambda v, path: None if v is None else _pid(v, path),
+    "stolen": _ids, "q_c": _ids, "success_first": _ids,
+    "values": _values,
+    "fake_votes": lambda v, path: _want(v, path, "a boolean", bool),
+    "declarations": lambda v, path: quorum_decls(v, path, ScenarioError),
+}
+
+
+def _adversary(adv_spec) -> Adversary:
     if isinstance(adv_spec, str):
         adv_spec = {"name": adv_spec}
-    if not isinstance(adv_spec, dict):
-        raise ScenarioError(f"adversary must be a name or an object, got {adv_spec!r}")
-    adv_spec = {"name": "none", **adv_spec}
-    factory = ADVERSARIES.get(adv_spec["name"])
-    if factory is None:
-        raise ScenarioError(f"unknown adversary {adv_spec['name']!r}; known: "
-                            f"{', '.join(ADVERSARIES)}")
+    adv_spec = {"name": "none", **_want(adv_spec, "adversary", "a name or an object", dict)}
+    name = _want(adv_spec["name"], "adversary.name", "a string", str)
+    if name not in ADVERSARIES:
+        raise ScenarioError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARIES)}")
+    args = _want(adv_spec.get("args", {}), "adversary.args", "an object", dict)
+    args = {k: _ADVERSARY_ARGS[k](v, f"adversary.args.{k}") if k in _ADVERSARY_ARGS else v
+            for k, v in args.items()}
     try:
-        adversary = factory(adv_spec)
+        return ADVERSARIES[name](**args)
     except TypeError as exc:   # args that do not fit the constructor
-        raise ScenarioError(f"adversary {adv_spec['name']!r}: bad 'args': {exc}") from None
+        raise ScenarioError(f"adversary {name!r}: bad 'args': {exc}") from None
+
+
+def _request(req, path: str) -> tuple:
+    """(at, node, request) for one entry of a scenario's ``requests``."""
+    _want(req, path, "an object", dict)
+    at = _want(req.get("at", 1), f"{path}.at", "an integer", int)
+    node = _pid(req.get("node"), f"{path}.node")
+    op = req.get("op")
+    if op == "Leave":
+        return at, node, ("Leave",)
+    if op in ("Remove", "Add"):
+        return at, node, (op, _ids(req.get("quorum"), f"{path}.quorum"))
+    if op == "Join":
+        return at, node, ("Join", _ids(req.get("seed_set"), f"{path}.seed_set"),
+                          _want(req.get("timeout", 200), f"{path}.timeout", "an integer", int))
+    if op == "Broadcast":
+        return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
+    raise ScenarioError(f"{path}.op: unknown request op {op!r}")
+
+
+PROTOCOLS = ("ac", "pc", "discovery", "brb")
+
+
+def run_scenario(spec, seed_override=None):
+    """Execute one scenario file; returns (world, trace, verdict).
+
+    A field of the wrong shape raises :class:`ScenarioError` naming its
+    path, e.g. ``requests[0].quorum``.
+    """
+    spec = _want(load_scenario(spec), "scenario", "an object", dict)
+    pol = _want(spec.get("policy", {}), "policy", "an object", dict)
+    if "seed" not in pol and seed_override is None:
+        raise ScenarioError("scenario must pin a seed for reproducibility")
+    system = _want(spec.get("system"), "system", "a fixture name or a file path", str)
+    if "\0" in system:
+        raise ScenarioError("system: a file path cannot contain a NUL byte")
+    qs, attack = resolve_system(system)
+    policy = SchedulePolicy(
+        seed=(seed_override if seed_override is not None
+              else _want(pol["seed"], "policy.seed", "an integer", int)),
+        mode=pol.get("mode", "RandomFair"),
+        fairness_bound=pol.get("fairness_bound", 6),
+        tob_order=tuple(id_list(pol.get("tob_order", []), "policy.tob_order",
+                                ScenarioError)),
+    )
+    adversary = _adversary(spec.get("adversary", "none"))
     protocol = spec.get("protocol", "ac")
-    step_cap = spec.get("step_cap", 10_000)
-    outlived = frozenset(spec.get("outlived", sorted_ids(attack.well_behaved)))
+    if protocol not in PROTOCOLS:
+        raise ScenarioError(f"protocol: unknown protocol {protocol!r}; known: "
+                            f"{', '.join(PROTOCOLS)}")
+    step_cap = _want(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
+    outlived = _ids(spec.get("outlived", sorted_ids(attack.well_behaved)), "outlived")
+    probes = _want(spec.get("probes", []), "probes", "a list of probe names", list)
+    requests = [_request(req, f"requests[{i}]") for i, req in enumerate(
+        _want(spec.get("requests", []), "requests", "a list of requests", list))]
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,
@@ -457,43 +524,28 @@ def run_scenario(spec, seed_override=None):
         world = make_brb_world(qs, attack, policy, adversary=adversary,
                                step_cap=step_cap)
     else:
-        joiners = [r["node"] for r in spec.get("requests", ())
-                   if r["op"] == "Join"]
         world = make_reconfig_world(
             qs, attack, policy,
             mode=PC if protocol == "pc" else AC,
             combined_checks=spec.get("combined_checks", True),
             sink_info=spec.get("sink_info"),
-            adversary=adversary, step_cap=step_cap, joiners=joiners)
+            adversary=adversary, step_cap=step_cap,
+            joiners=[node for _, node, req in requests if req[0] == "Join"])
 
-    for name in spec.get("probes", ()):
+    for i, name in enumerate(probes):
+        name = _want(name, f"probes[{i}]", "a probe name", str)
         if name in PROBES:
             world.add_probe(name, PROBES[name](outlived))
         elif name in GLOBAL_PROBES:
             world.add_probe(name, GLOBAL_PROBES[name])
         else:
-            raise ScenarioError(f"unknown probe {name!r}")
+            raise ScenarioError(f"probes[{i}]: unknown probe {name!r}")
 
-    for req in spec.get("requests", ()):
-        node = req["node"]
+    for at, node, request in requests:
         if node not in world.nodes:
             raise ScenarioError(f"request for {node!r}, which is not a "
                                 f"well-behaved node of this world")
-        op = req["op"]
-        at = req.get("at", 1)
-        if op == "Leave":
-            world.request(at, node, ("Leave",))
-        elif op == "Remove":
-            world.request(at, node, ("Remove", frozenset(req["quorum"])))
-        elif op == "Add":
-            world.request(at, node, ("Add", frozenset(req["quorum"])))
-        elif op == "Join":
-            world.request(at, node, ("Join", frozenset(req["seed_set"]),
-                                     req.get("timeout", 200)))
-        elif op == "Broadcast":
-            world.request(at, node, ("Broadcast", req["value"]))
-        else:
-            raise ScenarioError(f"unknown request op {op!r}")
+        world.request(at, node, request)
 
     trace = world.run()
     verdict = {

@@ -179,6 +179,7 @@ class World:
                  adversary: Optional[Adversary] = None, step_cap: int = 10_000):
         self.system = system
         self.attack = attack
+        self.well_behaved = attack.well_behaved   # one copy, read per message
         self.policy = policy
         self.adversary = adversary or Adversary()
         self.step_cap = step_cap
@@ -222,7 +223,7 @@ class World:
     # -- node/adversary facing API ------------------------------------------
 
     def send(self, src, dst, payload):
-        if src in self.attack.well_behaved and src not in self.nodes:
+        if src in self.well_behaved and src not in self.nodes:
             raise ForgedSender(f"no node owns well-behaved id {src!r}")
         self._route(Envelope(src, dst, payload))
 

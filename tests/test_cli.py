@@ -1,10 +1,20 @@
 import json
+import os
+import random
+import tempfile
+from functools import reduce
+from importlib import resources
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hqs.cli import main
-from hqs.core import dump_system, load_system, system_from_json
-from hqs.fixtures import fixture_json, load_fixture
+from hqs.core import dump_system, load_system, sorted_ids, system_from_json
+from hqs.fixtures import FIXTURE_NAMES, fixture_json, load_fixture
+from hqs.gen import sharing_system
+from hqs.props import maximal_outlived_sets
+from hqs.scenarios import SCENARIO_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +196,135 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     code, _, err = run_cli(capsys, "check", "--system", str(sys_path), "--all")
     assert code == 2
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"outlived": 5}, "outlived"),
+    ({"outlived": [2, [3]]}, "outlived[1]"),
+    ({"requests": [{"node": 5, "op": "Remove", "quorum": 3}]}, "requests[0].quorum"),
+    ({"requests": [{"node": 5, "op": "Add"}]}, "requests[0].quorum"),
+    ({"requests": [{"node": [5], "op": "Leave"}]}, "requests[0].node"),
+    ({"requests": [{"node": 5, "op": "Leave", "at": "1"}]}, "requests[0].at"),
+    ({"requests": [{"node": 5, "op": "Hop"}]}, "requests[0].op"),
+    ({"requests": {"node": 5}}, "requests"),
+    ({"adversary": {"name": "join_responder", "args": {"declarations": [1]}}},
+     "adversary.args.declarations"),
+    ({"adversary": {"name": "join_responder", "args": {"declarations": {"4": [5]}}}},
+     "adversary.args.declarations.4[0]"),
+    ({"adversary": {"name": "add_equivocator", "args": {"byz_id": [4], "q_c": [2]}}},
+     "adversary.args.byz_id"),
+    ({"adversary": {"name": "brb_byzantine", "args": {"values": []}}},
+     "adversary.args.values"),
+    ({"adversary": {"name": ["none"]}}, "adversary.name"),
+    ({"probes": "intersection"}, "probes"),
+    ({"probes": ["intersection", "i"]}, "probes[1]"),
+    ({"protocol": "acc"}, "protocol"),
+    ({"step_cap": "5000"}, "step_cap"),
+    ({"policy": {"seed": [0]}}, "policy.seed"),
+    ({"policy": {"seed": 0, "tob_order": 3}}, "policy.tob_order"),
+    ({"policy": 0}, "policy"),
+    ({"system": {"active": [1]}}, "system"),
+])
+def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
+                                                                 spec, path):
+    spec = {"system": "fig1", "policy": {"seed": 0}, **spec}
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and "PASS" not in out
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe")])
+def test_unreadable_system_file_is_input_error(capsys, tmp_path, make):
+    path = tmp_path / "sys.json"
+    make(path)
+    code, _, err = run_cli(capsys, "check", "--system", str(path), "--all")
+    assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_scenario_that_is_not_an_object_is_input_error(capsys, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and err.startswith("error: scenario: ")
+
+
+def test_enumerate_30_process_system(capsys, tmp_path):
+    rng = random.Random(30)
+    while True:
+        qs, attack = sharing_system(rng, n_max=30)
+        found = maximal_outlived_sets(qs, attack)
+        if len(qs.universe) == 30 and found and found[0]:
+            break
+    path = tmp_path / "sys30.json"
+    path.write_text(dump_system(qs, attack))
+    code, out, _ = run_cli(capsys, "enumerate", "--system", str(path))
+    assert code == 0
+    assert json.loads(out)["maximal_outlived_sets"] == [sorted_ids(found[0])]
+
+
+# --- fuzz: mutated shipped inputs never end in a traceback ---------------------
+
+_words = st.sampled_from(["fig1", "s5_base", "ac", "pc", "brb", "discovery",
+                          "Leave", "Remove", "Add", "Join", "Broadcast",
+                          "intersection", "tentative_inclusion", "add_no_split",
+                          "join_responder", "add_equivocator", "brb_byzantine",
+                          "sink_deceiver", "oracle", "args", "1", "x", ".", "\0"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | _words,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4) | _words, inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the root's included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two values replaced by arbitrary JSON, or deleted."""
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_json_values)
+            continue
+        parent = reduce(getitem, path[:-1], doc)
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return doc
+
+
+def _shipped_scenario(name):
+    return json.loads(resources.files("hqs").joinpath("scenarios", f"{name}.json")
+                      .read_text(encoding="utf-8"))
+
+
+_fuzz_inputs = st.one_of(
+    st.tuples(st.just("simulate --scenario"), st.sampled_from(SCENARIO_NAMES)
+              .map(_shipped_scenario).flatmap(_mutated)),
+    st.tuples(st.sampled_from(["check --all --system", "enumerate --system"]),
+              st.sampled_from(FIXTURE_NAMES).map(fixture_json).flatmap(_mutated)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_inputs)
+def test_mutated_scenarios_and_systems_exit_cleanly(capsys, fuzz_input):
+    command, doc = fuzz_input
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, _, err = run_cli(capsys, *command.split(), path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system
-from hqs.errors import BadSubset, TooLarge
+from hqs.errors import BadSubset
 from hqs.fixtures import load_fixture
-from hqs.gen import arbitrary_system
+from hqs.gen import arbitrary_system, sharing_system
 from hqs.props import (
     check_active_availability,
     check_active_inclusion,
@@ -143,12 +143,79 @@ def test_maximal_outlived_sets_fig1_and_dqs():
     # no consistent pair at all: no nonempty outlived set
     split = new_quorum_system([1, 2], {1: [{1}], 2: [{2}]})
     assert maximal_outlived_sets(split, Attack.of([1, 2])) == []
+    # dropping 3 (its only quorum needs Byzantine 4) leaves 1 and 2 with no
+    # quorum inside {1, 2}; a single pass would stop at the consistent {1, 2}
+    cascade = new_quorum_system(range(1, 5), {1: [{1, 2, 3}], 2: [{1, 2, 3}],
+                                              3: [{1, 2, 3, 4}]}, byzantine=[4])
+    assert maximal_outlived_sets(cascade, Attack.of(range(1, 5), [4])) == []
+    # 4 passes inclusion for {2, 4} through {3, 4}: Byzantine 3 is not counted
+    byz_member = new_quorum_system(range(1, 5), {1: [{1, 4}], 2: [{2, 4}],
+                                                 4: [{1, 4}, {3, 4}]}, byzantine=[3])
+    assert maximal_outlived_sets(byz_member, Attack.of(range(1, 5), [3])) == \
+        [frozenset({1, 2, 4})]
 
 
-def test_maximal_outlived_sets_size_cap():
-    qs = new_quorum_system(range(13), {p: [{p}] for p in range(13)})
-    with pytest.raises(TooLarge):
-        maximal_outlived_sets(qs, Attack.of(range(13)))
+def _generated(make, rng, n):
+    """A draw of ``make(rng, n_max=n)`` with exactly n processes."""
+    while True:
+        qs, attack = make(rng, n_max=n)
+        if len(qs.universe) == n:
+            return qs, attack
+
+
+@pytest.mark.parametrize("n", [13, 30])
+def test_maximal_outlived_set_is_outlived_and_maximal_past_12_processes(n):
+    rng = random.Random(n)
+    nonempty = 0
+    for make in (arbitrary_system, sharing_system) * 10:
+        qs, attack = _generated(make, rng, n)
+        found = maximal_outlived_sets(qs, attack)
+        assert len(found) <= 1
+        if not found:
+            continue
+        o = found[0]
+        nonempty += bool(o)
+        assert check_outlived(qs, attack, o).holds
+        for p in (qs.active & attack.well_behaved) - o:
+            assert not check_outlived(qs, attack, o | {p}).holds, (o, p)
+    assert nonempty >= 5
+
+
+@st.composite
+def small_systems(draw, n_max):
+    """Unconstrained systems on 1..n with a few Byzantine and inactive
+    processes; a Byzantine active process may declare nothing.  Quorums
+    come mostly from a small shared pool, so quorums often intersect."""
+    n = draw(st.integers(1, n_max))
+    universe = range(1, n + 1)
+    some = st.frozensets(st.sampled_from(universe), max_size=2)
+    byz, active = draw(some), frozenset(universe) - draw(some)
+    fresh = st.frozensets(st.sampled_from(universe), min_size=1, max_size=4)
+    pool = draw(st.lists(fresh, min_size=1, max_size=3))
+    quorum = st.one_of(st.sampled_from(pool), st.sampled_from(pool), fresh)
+    decls = {p: draw(st.lists(quorum, min_size=1, max_size=3))
+             for p in sorted(active) if p not in byz or draw(st.booleans())}
+    qs = new_quorum_system(active, decls, universe=universe, byzantine=byz)
+    return qs, Attack.of(universe, byz)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems(n_max=8))
+def test_maximal_outlived_sets_match_exhaustive_oracle_hypothesis(system):
+    qs, attack = system
+    assert sorted(maximal_outlived_sets(qs, attack), key=sorted) == \
+        sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(n_max=6))
+def test_outlived_sets_are_closed_under_union(system):
+    qs, attack = system
+    outlived = oracles.oracle_outlived_sets(qs, attack)
+    for a in outlived:
+        assert check_outlived(qs, attack, a).holds
+        for b in outlived:
+            assert check_outlived(qs, attack, a | b).holds, (a, b)
 
 
 def test_maximal_outlived_matches_exhaustive_oracle():
