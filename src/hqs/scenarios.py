@@ -53,16 +53,44 @@ SCENARIO_NAMES = (
 # --- probes -----------------------------------------------------------------
 
 
-def _wb_node_quorums(world) -> tuple:
-    """(pid, quorums) of every well-behaved protocol node, as a value.
+class _QuorumView:
+    """(pid, quorums) of every well-behaved protocol node of one world, as a
+    value shared by that world's probes.
 
     Each quorum set is copied into a tuple in its iteration order, so a
     probe computed from the copy returns the witness it would return from
-    the live sets, and a later in-place change cannot alter the copy.
+    the live sets, and a later in-place change cannot alter the copy.  A
+    node changes its quorums only with a ``touch()``, so only the nodes in
+    ``world.touched`` are copied again, and ``value`` stays the same object
+    while no quorum moved.
     """
-    wb = world.well_behaved
-    return tuple([(pid, tuple(node.quorums)) for pid, node in world.nodes.items()
-                  if pid in wb and isinstance(node, ReconfigNode)])
+
+    def __init__(self, world):
+        wb = world.well_behaved
+        self.size = len(world.nodes)
+        self.quorums = {pid: tuple(node.quorums) for pid, node in world.nodes.items()
+                        if pid in wb and isinstance(node, ReconfigNode)}
+        self.value = tuple(self.quorums.items())
+
+    def current(self, world) -> tuple:
+        moved = False
+        for pid in world.touched:
+            if pid in self.quorums:
+                quorums = tuple(world.nodes[pid].quorums)
+                if quorums != self.quorums[pid]:
+                    self.quorums[pid] = quorums
+                    moved = True
+        if moved:
+            self.value = tuple(self.quorums.items())
+        return self.value
+
+
+def _wb_node_quorums(world) -> tuple:
+    """(pid, quorums) of every well-behaved protocol node, as a value."""
+    view = world.probe_state.get(_QuorumView)
+    if view is None or view.size != len(world.nodes):   # a node was added since
+        view = world.probe_state[_QuorumView] = _QuorumView(world)
+    return view.current(world)
 
 
 def _memoized(inputs, check):
@@ -466,6 +494,8 @@ def _request(req, path: str) -> tuple:
     """(at, node, request) for one entry of a scenario's ``requests``."""
     _want(req, path, "an object", dict)
     at = _want(req.get("at", 1), f"{path}.at", "an integer", int)
+    if at < 0:
+        raise ScenarioError(f"{path}.at: a request cannot come before step 0, got {at}")
     node = _pid(req.get("node"), f"{path}.node")
     op = req.get("op")
     if op == "Leave":
@@ -515,6 +545,10 @@ def run_scenario(spec, seed_override=None):
     probes = _want(spec.get("probes", []), "probes", "a list of probe names", list)
     requests = [_request(req, f"requests[{i}]") for i, req in enumerate(
         _want(spec.get("requests", []), "requests", "a list of requests", list))]
+    for i, (_, node, request) in enumerate(requests):
+        if request[0] == "Join" and node in qs.active & attack.well_behaved:
+            raise ScenarioError(f"requests[{i}].node: {node!r} is already an active "
+                                f"well-behaved process; only a new one can Join")
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,
@@ -530,7 +564,7 @@ def run_scenario(spec, seed_override=None):
             combined_checks=spec.get("combined_checks", True),
             sink_info=spec.get("sink_info"),
             adversary=adversary, step_cap=step_cap,
-            joiners=[node for _, node, req in requests if req[0] == "Join"])
+            joiners={node for _, node, req in requests if req[0] == "Join"})
 
     for i, name in enumerate(probes):
         name = _want(name, f"probes[{i}]", "a probe name", str)

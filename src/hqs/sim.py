@@ -14,8 +14,6 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter, ne
 from typing import Callable, Optional
 
 from .core import Attack, QuorumSystem, sorted_ids
@@ -40,9 +38,9 @@ class SchedulePolicy:
         if self.mode not in (RANDOM_FAIR, ADVERSARIAL, SCRIPTED):
             raise ScenarioError(f"unknown schedule mode {self.mode!r}; known: "
                                 f"{RANDOM_FAIR}, {ADVERSARIAL}, {SCRIPTED}")
-        if not isinstance(self.fairness_bound, int) or self.fairness_bound < 1:
-            raise ScenarioError(f"fairness_bound must be an integer >= 1, "
-                                f"got {self.fairness_bound!r}")
+        bound = self.fairness_bound   # a boolean is not a number
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+            raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,11 @@ class Envelope:
 
 
 _SCALARS = frozenset({str, int, bool, float, type(None)})
+_STR = frozenset({str})
+
+
+def _member_order(value):
+    return (str(type(value)), str(value))
 
 
 def canon(obj):
@@ -66,7 +69,7 @@ def canon(obj):
     if type(obj) in _SCALARS:
         return obj
     if isinstance(obj, (frozenset, set)):
-        return sorted((canon(x) for x in obj), key=lambda v: (str(type(v)), str(v)))
+        return sorted(map(canon, obj), key=_member_order)
     if isinstance(obj, (tuple, list)):
         return [canon(x) for x in obj]
     if isinstance(obj, Signature):
@@ -76,11 +79,50 @@ def canon(obj):
     return obj
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _jsonable(obj):
+    """The encoder's hook for what JSON has no form for: canon's form."""
+    if isinstance(obj, (frozenset, set, Signature)):
+        return canon(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_jsonable,
+                            check_circular=False)
+
+
+def _str_keyed(obj) -> bool:
+    """True if every dict the encoder walks into (through dicts, lists and
+    tuples) has str keys only."""
+    if isinstance(obj, dict):
+        if not _STR.issuperset(map(type, obj)):
+            return False
+        members = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        members = obj
+    else:
+        return True
+    return _SCALARS.issuperset(map(type, members)) or all(map(_str_keyed, members))
 
 
 def canon_json(obj) -> str:
-    return _ENCODER.encode(canon(obj))
+    """``canon(obj)`` as compact JSON with sorted keys, in one encoder pass.
+
+    The encoder and ``canon`` agree on everything but a dict key that is
+    not a str: the encoder orders int keys by value and spells True and
+    None as "true" and "null", ``canon`` orders and spells every key by
+    ``str``.  So an object holding such a dict goes through ``canon`` first.
+    """
+    try:
+        blob = _ENCODER.encode(obj)
+    except TypeError:   # mixed key types or keys JSON cannot spell; a value
+        return _ENCODER.encode(canon(obj))   # with no JSON form raises again
+    # every key ends in '":' in the blob: if the top level's own keys are
+    # all there are, no nested dict has a key to look at
+    if blob.count('":') == (len(obj) if isinstance(obj, dict) else 0):
+        plain = not isinstance(obj, dict) or _STR.issuperset(map(type, obj))
+    else:
+        plain = _str_keyed(obj)
+    return blob if plain else _ENCODER.encode(canon(obj))
 
 
 def _digest(blob: str) -> str:
@@ -91,14 +133,12 @@ def fingerprint(obj) -> str:
     return _digest(canon_json(obj))
 
 
-_version = attrgetter("version")
-
-
 class Node:
     """Base class for protocol state machines driven by the kernel.
 
     A node calls ``touch()`` in the same handler as any change to its
-    ``state_summary()``; the kernel re-serialises only touched nodes.  A
+    ``state_summary()``; ``touch()`` records the pid in the world's
+    ``touched`` set, and the kernel re-serialises only those nodes.  A
     node enters the departed set L by calling ``api.depart()``.  A node
     that sets ``frozen`` receives nothing more: its messages are recorded
     as frozen deliveries, and its timers, requests and tob deliveries are
@@ -109,10 +149,10 @@ class Node:
 
     def __init__(self, pid):
         self.pid = pid
-        self.version = 0
+        self._touched = set()   # the world's touched set, once added to one
 
     def touch(self):
-        self.version += 1
+        self._touched.add(self.pid)
 
     def on_start(self, api):
         pass
@@ -170,8 +210,7 @@ class Trace:
         self.responses = []
 
     def to_jsonl(self) -> str:
-        lines = [canon_json(e) for e in self.events]
-        return "\n".join(lines) + "\n"
+        return "\n".join(map(canon_json, self.events)) + "\n"
 
 
 class World:
@@ -188,6 +227,7 @@ class World:
         self.nodes = {}
         self.trace = Trace()
         self.probes = []
+        self.probe_state = {}       # what this world's probes share, keyed by owner
         self.l_set = set()          # ids that called api.depart()
         self._queue = []
         self._seq = 0
@@ -198,18 +238,22 @@ class World:
         self._tob_buffer = {}       # pid -> {index: env}
         self._tob_hints = list(policy.tob_order)
         self._events_processed = 0
-        # snapshot cache, aligned with the nodes in str(pid) order (see run)
-        self._by_key = None
-        self._versions = []         # touch versions seen at the last flush
-        self._fragments = []        # each node's serialised snapshot entry
+        self.touched = set()        # ids of nodes touched since the last flush
+        # snapshot cache: each node's serialised entry, in str(pid) order
+        self._slot = None           # pid -> index into _fragments, once started
+        self._fragments = []
 
     # -- wiring ------------------------------------------------------------
 
     def add_node(self, node: Node):
         if node.pid in self.attack.byzantine:
             raise ForgedSender(f"{node.pid!r} is Byzantine; the adversary owns it")
-        if self._by_key is not None:
+        if self._slot is not None:
             raise ScenarioError(f"node {node.pid!r} added after the world started")
+        if node.pid in self.nodes:
+            raise ScenarioError(f"node {node.pid!r} added twice")
+        self.touched |= node._touched   # touched before it was added
+        node._touched = self.touched
         self.nodes[node.pid] = node
         self._tob_next[node.pid] = 0
         self._tob_buffer[node.pid] = {}
@@ -354,27 +398,20 @@ class World:
     def _fragment(node: Node) -> str:
         return json.dumps(str(node.pid)) + ":" + canon_json(node.state_summary())
 
-    def _touched(self) -> bool:
-        """Re-serialise the nodes touched since the last call; True if any was."""
-        versions = list(map(_version, self._by_key))
-        if versions == self._versions:
-            return False
-        for i in compress(range(len(versions)), map(ne, versions, self._versions)):
-            self._fragments[i] = self._fragment(self._by_key[i])
-        self._versions = versions
-        return True
-
     def _snapshot_digest(self) -> str:
-        """``fingerprint(self.state_snapshot())``, joined from the fragments
-        cached by touch version."""
+        """``fingerprint(self.state_snapshot())``, joined from cached
+        fragments; re-serialises the touched nodes and clears ``touched``."""
+        for pid in self.touched:
+            self._fragments[self._slot[pid]] = self._fragment(self.nodes[pid])
+        self.touched.clear()
         return _digest("{" + ",".join(self._fragments) + "}")
 
     def run(self) -> Trace:
-        self._by_key = sorted(self.nodes.values(), key=lambda node: str(node.pid))
-        # start from 0, not the current versions: a node touched before
-        # run() still yields a state event (and a probe run) at the first flush
-        self._versions = [0] * len(self._by_key)
-        self._fragments = list(map(self._fragment, self._by_key))
+        by_key = sorted(self.nodes.values(), key=lambda node: str(node.pid))
+        self._slot = {node.pid: i for i, node in enumerate(by_key)}
+        # touched stays as it is: a node touched before run() still yields a
+        # state event (and a probe run) at the first flush
+        self._fragments = list(map(self._fragment, by_key))
         self.adversary.on_init(self)
         for pid in sorted_ids(self.nodes):
             node = self.nodes[pid]
@@ -423,14 +460,13 @@ class World:
             self._flush_dirty()
         else:
             self.trace.outcome = QUIESCENT
-        self._touched()
         self._record({"step": self.step, "kind": "end", "outcome": self.trace.outcome,
                       "snap": self._snapshot_digest()})
         return self.trace
 
     def _flush_dirty(self):
-        if self._touched():
-            self._run_probes()
+        if self.touched:
+            self._run_probes()      # probes may read touched before it is cleared
             self._record({"step": self.step, "kind": "state",
                           "snap": self._snapshot_digest()})
 

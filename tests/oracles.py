@@ -6,7 +6,10 @@ a pairwise subset scan, strong connectivity is mutual reachability, and the
 checkers are literal quantifier loops.
 """
 
+import json
 from itertools import chain, combinations
+
+from hqs.sim import Signature   # the one package type the canonical form names
 
 
 def powerset(items):
@@ -169,3 +172,26 @@ def oracle_join_fixpoint(seed_set, declarations, max_rounds=50):
         if not changed:
             return s
     raise AssertionError("join fixpoint did not converge")
+
+
+def _oracle_canon(obj):
+    """The canonical form as a recursive pre-pass: sets sorted by
+    (type name, str), every dict key turned into str and sorted by it."""
+    if type(obj) in (str, int, bool, float, type(None)):
+        return obj
+    if isinstance(obj, (frozenset, set)):
+        return sorted((_oracle_canon(x) for x in obj), key=lambda v: (str(type(v)), str(v)))
+    if isinstance(obj, (tuple, list)):
+        return [_oracle_canon(x) for x in obj]
+    if isinstance(obj, Signature):
+        return {"signer": obj.signer, "digest": obj.digest}
+    if isinstance(obj, dict):
+        return {str(k): _oracle_canon(v)
+                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+    return obj
+
+
+def oracle_canon_json(obj) -> str:
+    """Canonical JSON the way it was first written: the pre-pass above, then
+    the stdlib encoder with sorted keys and no spaces."""
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(_oracle_canon(obj))

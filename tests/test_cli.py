@@ -151,6 +151,7 @@ def test_attack_override(capsys):
     ({"seed": 0, "fairness_bound": 0}, 5),
     ({"seed": 0}, 99),
     ({"seed": 0}, 4),  # Byzantine in fig1: the adversary owns it
+    ({"seed": 0, "fairness_bound": True}, 5),   # a boolean is not a number
 ])
 def test_simulate_rejects_scenarios_that_would_pass_vacuously(capsys, tmp_path,
                                                               policy, node):
@@ -163,6 +164,16 @@ def test_simulate_rejects_scenarios_that_would_pass_vacuously(capsys, tmp_path,
     assert code == 2
     assert "PASS" not in out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_simulate_join_of_a_new_process_still_runs(capsys, tmp_path):
+    join = {"node": 9, "op": "Join", "seed_set": [1, 2]}
+    spec = {"system": "fig1", "policy": {"seed": 0}, "probes": ["intersection"],
+            "requests": [join, {**join, "at": 3}]}   # two Joins share one node
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 0 and "9 -> JoinTimeout" in out
 
 
 @pytest.mark.parametrize("adversary", [
@@ -224,6 +235,9 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     ({"policy": {"seed": 0, "tob_order": 3}}, "policy.tob_order"),
     ({"policy": 0}, "policy"),
     ({"system": {"active": [1]}}, "system"),
+    ({"requests": [{"node": 5, "op": "Leave", "at": -5}]}, "requests[0].at"),
+    ({"requests": [{"node": 9, "op": "Join", "seed_set": [1, 2]},
+                   {"node": 2, "op": "Join", "seed_set": [1, 2]}]}, "requests[1].node"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):

@@ -1,5 +1,9 @@
-import pytest
+from collections import namedtuple
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from hqs.core import Attack
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
@@ -9,8 +13,10 @@ from hqs.sim import (
     Node,
     NodeApi,
     SchedulePolicy,
+    Signature,
     World,
     canon,
+    canon_json,
     fingerprint,
 )
 
@@ -41,13 +47,14 @@ class EchoNode(Node):
         return {"inbox": [list(map(str, e)) for e in self.inbox]}
 
 
-def small_world(seed=0, mode="RandomFair", adversary=None, byz=(4,), step_cap=10_000):
+def small_world(seed=0, mode="RandomFair", adversary=None, byz=(4,), step_cap=10_000,
+                node=EchoNode):
     qs, _ = load_fixture("fig1")
     attack = Attack.of(qs.universe, byz)
     world = World(qs, attack, SchedulePolicy(seed=seed, mode=mode),
                   adversary=adversary, step_cap=step_cap)
     for pid in sorted(qs.active & attack.well_behaved):
-        world.add_node(EchoNode(pid))
+        world.add_node(node(pid))
     return world
 
 
@@ -247,7 +254,120 @@ def test_frozen_node_gets_no_delivery_timer_request_or_tob():
     assert world.l_set == set()
 
 
-@pytest.mark.parametrize("field", [{"mode": "Typo"}, {"fairness_bound": 0}])
+@pytest.mark.parametrize("field", [{"mode": "Typo"}, {"fairness_bound": 0},
+                                   {"fairness_bound": True}, {"fairness_bound": 2.0}])
 def test_schedule_policy_rejects_unknown_mode_and_bad_bound(field):
     with pytest.raises(ScenarioError):
         SchedulePolicy(seed=0, **field)
+
+
+def test_adding_a_second_node_with_the_same_pid_is_an_error():
+    world = small_world()
+    with pytest.raises(ScenarioError, match="added twice"):
+        world.add_node(EchoNode(2))
+
+
+# --- the touch() contract: one state event per flush that follows a touch ------
+
+
+class DoubleToucher(EchoNode):
+    """Touches itself twice on a 'touch' request."""
+
+    def on_request(self, api, request):
+        if request == ("touch",):
+            self.touch()
+            self.touch()
+        else:
+            super().on_request(api, request)
+
+
+def state_steps(trace):
+    return [e["step"] for e in trace.events if e["kind"] == "state"]
+
+
+def test_node_touched_before_run_yields_one_state_event_at_the_first_flush():
+    world = small_world()
+    world.nodes[3].touch()
+    trace = world.run()
+    assert [e["kind"] for e in trace.events] == ["state", "end"]
+    assert state_steps(trace) == [0]
+
+
+def test_node_touched_before_it_is_added_yields_one_state_event_at_the_first_flush():
+    qs, _ = load_fixture("fig1")
+    world = World(qs, Attack.of(qs.universe, (4,)), SchedulePolicy(seed=0))
+    node = EchoNode(2)
+    node.touch()
+    world.add_node(node)
+    assert state_steps(world.run()) == [0]
+
+
+def test_node_touched_twice_in_one_step_yields_one_state_event():
+    world = small_world(node=DoubleToucher)
+    world.request(3, 2, ("touch",))
+    world.request(5, 1, ("send", 4, ("quiet",)))    # a step that touches nothing
+    trace = world.run()
+    assert {"step": 5, "kind": "request", "node": 1,
+            "request": ("send", 4, ("quiet",))} in trace.events
+    assert state_steps(trace) == [3]
+
+
+def test_node_touched_from_an_adversary_hook_yields_one_state_event():
+    class Toucher(Adversary):
+        def on_deliver(self, w, env):
+            w.nodes[3].touch()
+
+    world = small_world(adversary=Toucher())
+    world.request(2, 1, ("send", 4, ("to-byz",)))   # a step that touches nothing
+    trace = world.run()
+    [byz] = [e for e in trace.events if e["kind"] == "apl" and e.get("byz")]
+    assert state_steps(trace) == [byz["step"]]
+    assert byz["step"] > 2
+
+
+# --- canonical JSON -------------------------------------------------------------------
+
+
+Pair = namedtuple("Pair", "left right")
+
+scalars = st.one_of(st.integers(-30, 30), st.integers(), st.text("ab-1", max_size=3),
+                    st.booleans(), st.none(), st.floats())
+signatures = st.builds(Signature, st.integers(0, 12) | st.text("ab", max_size=2),
+                       st.text("0123456789abcdef", max_size=4))
+hashables = st.recursive(
+    scalars | signatures,
+    lambda inner: (st.tuples(inner, inner) | st.frozensets(inner, max_size=3)
+                   | st.builds(Pair, inner, inner)),
+    max_leaves=6)
+dict_keys = st.one_of(st.text("ab1-", max_size=3), st.integers(-30, 30), st.integers(),
+                      st.booleans(), st.none(), st.floats())
+values = st.recursive(
+    scalars | signatures,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.sets(hashables, max_size=4) | st.frozensets(hashables, max_size=4)
+                   | st.builds(Pair, inner, inner)
+                   | st.dictionaries(st.text("ab1-", max_size=3), inner, max_size=4)
+                   | st.dictionaries(dict_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+def test_canon_json_matches_the_pre_pass_oracle(obj):
+    assert canon_json(obj) == oracles.oracle_canon_json(obj)
+
+
+@pytest.mark.parametrize("obj, blob", [
+    ({10: 1, 9: 2}, '{"10":1,"9":2}'),
+    ({True: 1}, '{"True":1}'),
+    ({None: 1, 2: 3}, '{"2":3,"None":1}'),
+    ({-1: 0, -2: 0}, '{"-1":0,"-2":0}'),
+    ({1: "a", "1": "b"}, '{"1":"b"}'),
+    ({"k": [{10: 1, 9: 2}]}, '{"k":[{"10":1,"9":2}]}'),
+    (("x", {"a": {9.5: 0, 10: 1}}), '["x",{"a":{"10":1,"9.5":0}}]'),
+    ([frozenset({3, 1}), {"s": {2, 1}}], '[[1,3],{"s":[1,2]}]'),
+    ({"a": 1, "b": [{}]}, '{"a":1,"b":[{}]}'),
+    (Signature(2, "ab"), '{"digest":"ab","signer":2}'),
+])
+def test_canon_json_spells_every_key_as_canon_does(obj, blob):
+    assert canon_json(obj) == blob == oracles.oracle_canon_json(obj)
