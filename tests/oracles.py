@@ -195,3 +195,9 @@ def oracle_canon_json(obj) -> str:
     """Canonical JSON the way it was first written: the pre-pass above, then
     the stdlib encoder with sorted keys and no spaces."""
     return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(_oracle_canon(obj))
+
+
+def oracle_to_jsonl(events) -> str:
+    """A trace's JSON lines the way they were first written: each whole
+    event through the canonical form on its own."""
+    return "\n".join(map(oracle_canon_json, events)) + "\n"

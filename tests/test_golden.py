@@ -11,10 +11,13 @@ import hashlib
 
 import pytest
 
+import oracles
+
 from hqs.core import Attack, new_quorum_system
 from hqs.fixtures import load_fixture
 from hqs.scenarios import (
     AddEquivocator,
+    CheckSpammer,
     make_reconfig_world,
     probe_active_availability,
     probe_active_inclusion,
@@ -129,6 +132,29 @@ def add_equivocator_split():
     return world.run()
 
 
+def str_and_mixed_ids():
+    # str ids plus one int id: the id sorts and the trace's id encoding see
+    # both types; every node has one quorum, so no witness depends on the
+    # iteration order of a set of str-keyed quorums (str hashes vary by run)
+    ids = ["a", "b", "c", "d", "e", 7]
+    qs = new_quorum_system(
+        ids, {"a": [{"a", "b", "c"}], "b": [{"a", "b", "c"}], "c": [{"a", "b", "c"}],
+              "d": [{"a", "b", "d"}], "e": [{"e", "a"}], 7: [{7, "a", "b"}]},
+        byzantine={"e"})
+    world = make_reconfig_world(qs, Attack.of(ids, {"e"}), SchedulePolicy(seed=0),
+                                adversary=CheckSpammer())
+    outlived = fs("a", "b", "c", 7)
+    world.add_probe("intersection", probe_intersection(outlived))
+    world.add_probe("active_inclusion", probe_active_inclusion(outlived))
+    world.add_probe("active_availability", probe_active_availability(outlived))
+    world.request(1, "a", ("Leave",))
+    world.request(2, "d", ("Remove", fs("a", "b", "d")))
+    trace = world.run()
+    assert trace.violations and sorted(map(tuple, trace.responses)) == [
+        (4, "a", "LeaveComplete"), (8, "d", "RemoveComplete")]
+    return trace
+
+
 BUILT = {
     ac_remove:
         "344482c270e6ebfdc8a2ff6de2b142c98a87c02bfa14405e94dd8ded0b89576c",
@@ -144,6 +170,8 @@ BUILT = {
         "e0c14d4579d927790adbd04f66267d94c12886591380430087b3c213971bcdba",
     add_equivocator_split:
         "29fd6e1e84a38d02ade360ee10046a9efad1e8153d8757c800cea270107f27c4",
+    str_and_mixed_ids:
+        "293b3a23ca44c02b8537a5603319fa0a273804558b87d4afd06c7bd9106f00e5",
 }
 
 
@@ -152,3 +180,13 @@ def test_hand_built_world_digest(build):
     trace = build()
     assert trace.outcome == "quiescent"
     assert digest(trace) == BUILT[build]
+
+
+GOLDEN = {**{name: lambda name=name: run_scenario(name)[1] for name in NAMED},
+          **{build.__name__: build for build in BUILT}}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_to_jsonl_matches_the_whole_event_oracle_on_every_golden_trace(name):
+    trace = GOLDEN[name]()
+    assert trace.to_jsonl() == oracles.oracle_to_jsonl(trace.events)

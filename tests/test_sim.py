@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hqs.core import Attack
+from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.sim import (
@@ -14,6 +14,7 @@ from hqs.sim import (
     NodeApi,
     SchedulePolicy,
     Signature,
+    Trace,
     World,
     canon,
     canon_json,
@@ -371,3 +372,69 @@ def test_canon_json_matches_the_pre_pass_oracle(obj):
 ])
 def test_canon_json_spells_every_key_as_canon_does(obj, blob):
     assert canon_json(obj) == blob == oracles.oracle_canon_json(obj)
+
+
+# --- id order and trace lines ---------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers()), st.lists(st.text("ab-", max_size=3)),
+                 st.lists(st.integers(-5, 5) | st.text("ab", max_size=2)),
+                 st.lists(st.integers(-2, 2) | st.booleans())))
+def test_sorted_ids_matches_the_id_key_order(ps):
+    # repr tells True from 1, which compare equal
+    for given_ids in (ps, set(ps)):
+        assert (list(map(repr, sorted_ids(given_ids)))
+                == list(map(repr, sorted(given_ids, key=id_key))))
+
+
+ids = st.integers(-3, 60) | st.text("ab7-", max_size=3)
+steps = st.integers(0, 10**6)
+
+
+@st.composite
+def trace_events(draw):
+    """Events of every kind the kernel writes, in its key order, with
+    payloads that recur as one object; some are mutated off their kind's
+    key set or field types."""
+    shared = draw(st.lists(values, min_size=1, max_size=3))
+    payloads = st.sampled_from(shared) | values
+    snaps = st.text("0123456789abcdef", min_size=12, max_size=12)
+
+    def event(kind, **fields):
+        return st.fixed_dictionaries({"step": steps, "kind": st.just(kind), **fields})
+
+    kinds = st.one_of(
+        event("state", snap=snaps),
+        event("tob", dst=ids, index=steps, src=ids, msg=payloads),
+        event("tob_order", index=steps, src=ids, msg=payloads),
+        event("apl", src=ids, dst=ids, msg=payloads),
+        event("apl", src=ids, dst=ids, msg=payloads, byz=st.just(True)),
+        event("request", node=ids, request=payloads),
+        event("response", node=ids, response=st.sampled_from(["LeaveComplete", "Busy"])),
+        event("end", outcome=st.sampled_from(["quiescent", "step_cap"]), snap=snaps),
+        event("timer", node=ids, tag=st.just("join_timeout")),
+        event("probe_violation", probe=st.just("intersection"), witness=payloads))
+    out = []
+    for e in draw(st.lists(kinds, max_size=12)):
+        how = draw(st.sampled_from(["as is"] * 4 + ["bool step", "extra key",
+                                                     "missing key", "odd id"]))
+        if how == "bool step":
+            e["step"] = draw(st.booleans())
+        elif how == "extra key":
+            e["zz"] = draw(payloads)
+        elif how == "missing key" and len(e) > 2:
+            del e[draw(st.sampled_from(sorted(set(e) - {"kind"})))]
+        elif how == "odd id":
+            for key in {"src", "dst", "node"} & set(e):
+                e[key] = draw(st.booleans() | st.floats() | st.tuples(ids))
+        out.append(e)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_events())
+def test_to_jsonl_matches_the_whole_event_oracle(events):
+    trace = Trace()
+    trace.events = events
+    assert trace.to_jsonl() == oracles.oracle_to_jsonl(events)
