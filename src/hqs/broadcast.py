@@ -33,8 +33,9 @@ class BrbNode(Node):
             if api.me in self.sent_instances:
                 raise DuplicateInstance(f"{api.me!r} already broadcast")
             self.sent_instances.add(api.me)
+            send = ("Send", api.me, value)   # one payload object for every copy
             for p in sorted_ids(self.active):
-                api.send(p, ("Send", api.me, value))
+                api.send(p, send)
 
     def on_message(self, api, src, payload):
         tag, instance, value = payload[0], payload[1], payload[2]
@@ -55,8 +56,9 @@ class BrbNode(Node):
             return
         self.echoed[instance] = value
         self.touch()
+        echo = ("Echo", instance, value)
         for p in sorted_ids(self.followers):
-            api.send(p, ("Echo", instance, value))
+            api.send(p, echo)
 
     def _maybe_ready(self, api, instance, value):
         if instance in self.readied:
@@ -68,8 +70,9 @@ class BrbNode(Node):
         if full_quorum or blocking:
             self.readied[instance] = value
             self.touch()
+            ready = ("Ready", instance, value)
             for p in sorted_ids(self.followers):
-                api.send(p, ("Ready", instance, value))
+                api.send(p, ready)
             self._maybe_deliver(api, instance, value)
 
     def _maybe_deliver(self, api, instance, value):

@@ -30,7 +30,10 @@ def id_key(p: ProcessId):
 
 
 def sorted_ids(ps: Iterable[ProcessId]) -> list:
-    return sorted(ps, key=id_key)
+    """``ps`` in ``id_key`` order: ids of one type sort as themselves."""
+    ps = list(ps)
+    ps.sort(key=id_key if len(set(map(type, ps))) > 1 else None)
+    return ps
 
 
 def quorum_key(q: Quorum):
@@ -209,13 +212,19 @@ def is_active_blocking(qs, p, set_p, left) -> bool:
     return all((q - left) & set_p for q in qs.quorums_of(p))
 
 
+def followers_map(qs: QuorumSystem) -> dict:
+    """Each process held in some quorum -> the active processes that hold
+    it in at least one of their quorums; one pass over the declarations."""
+    out = {}
+    for p2 in qs.active & qs._quorums.keys():
+        for p in set().union(*qs._quorums[p2]):
+            out.setdefault(p, set()).add(p2)
+    return out
+
+
 def followers(qs: QuorumSystem, p: ProcessId) -> frozenset:
     """Processes that hold ``p`` in at least one of their quorums."""
-    out = set()
-    for p2 in qs.active:
-        if qs.declares(p2) and any(p in q for q in qs.quorums_of(p2)):
-            out.add(p2)
-    return frozenset(out)
+    return frozenset(followers_map(qs).get(p, ()))
 
 
 @dataclass(frozen=True)

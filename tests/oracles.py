@@ -201,3 +201,18 @@ def oracle_to_jsonl(events) -> str:
     """A trace's JSON lines the way they were first written: each whole
     event through the canonical form on its own."""
     return "\n".join(map(oracle_canon_json, events)) + "\n"
+
+
+def oracle_brb_consistency(world):
+    """The reliable-broadcast agreement probe as a scan of every node at
+    every call: the first instance, in node order, delivered with two
+    values, with every node that delivered it."""
+    per_instance = {}
+    for pid, node in world.nodes.items():
+        for instance, value in getattr(node, "delivered", {}).items():
+            per_instance.setdefault(instance, {})[pid] = value
+    for instance, votes in per_instance.items():
+        if len(set(votes.values())) > 1:
+            order = sorted(votes, key=lambda p: (isinstance(p, str), p))
+            return _oracle_canon((instance, order))
+    return None

@@ -1,12 +1,16 @@
+import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from hqs.broadcast import BrbNode
 from hqs.core import Attack, new_quorum_system, sorted_ids
 from hqs.errors import DuplicateInstance
 from hqs.fixtures import load_fixture
-from hqs.gen import outlived_system
+from hqs.gen import checked_sharing_system, outlived_system
 from hqs.scenarios import BrbByzantine, make_brb_world, probe_brb_consistency
 from hqs.sim import Adversary, SchedulePolicy
 
@@ -130,3 +134,66 @@ def test_generated_outlived_fixtures_validity_and_totality():
             assert list(n.delivered) in ([], [sender])
             if sender in n.delivered:
                 assert n.delivered[sender] == "v"
+
+
+# --- the incremental agreement probe against a full scan --------------------------
+
+
+def hasty_deliver(self, api, instance, value):
+    """A broken BrbNode step: deliver on one ready vote, not a quorum of them."""
+    if instance not in self.delivered and self.ready_votes.get((instance, value)):
+        self.delivered[instance] = value
+        self.touch()
+
+
+def run_probe_against_oracle(qs, attack, requests, *, seed, adversary):
+    """Run with ``probe_brb_consistency`` checked against the full-scan
+    oracle at every flush; returns the trace and the number of flushes."""
+    calls = []
+
+    def checked(world):
+        got = probe_brb_consistency(world)
+        assert json.dumps(got) == json.dumps(oracles.oracle_brb_consistency(world))
+        calls.append(got)
+        return got
+
+    world = make_brb_world(qs, attack, SchedulePolicy(seed=seed), adversary=adversary)
+    world.add_probe("brb_consistency", checked)
+    for at, pid, value in requests:
+        world.request(at, pid, ("Broadcast", value))
+    return world.run(), len(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.booleans())
+def test_brb_probe_matches_the_full_scan_at_every_flush(system_seed, seed, hasty):
+    rng = random.Random(system_seed)
+    qs, attack = checked_sharing_system(rng, n_max=7)
+    byz = sorted_ids(attack.byzantine)
+    wb = sorted_ids(qs.active & attack.well_behaved)
+    with mock.patch.object(BrbNode, "_maybe_deliver",
+                           hasty_deliver if hasty else BrbNode._maybe_deliver):
+        trace, flushes = run_probe_against_oracle(
+            qs, attack, [(1, rng.choice(wb), "v")], seed=seed,
+            adversary=BrbByzantine(sender=byz[0] if byz else None))
+    assert flushes > 0
+
+
+class SplitReadies(Adversary):
+    """Byzantine 4 sends a Ready for its own instance, "a" to every other
+    node and "b" to the rest."""
+
+    def on_init(self, world):
+        for i, p in enumerate(sorted_ids(world.nodes)):
+            world.adversary_send(4, p, ("Ready", 4, "ab"[i % 2]))
+
+
+def test_brb_probe_fires_on_a_node_that_delivers_on_too_few_readies():
+    qs, attack = load_fixture("fig1")  # 4 is Byzantine
+    trace, _ = run_probe_against_oracle(qs, attack, [], seed=0, adversary=SplitReadies())
+    assert not trace.violations   # one Byzantine ready is not a quorum of them
+    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+        trace, _ = run_probe_against_oracle(qs, attack, [], seed=0,
+                                            adversary=SplitReadies())
+    assert trace.violations
+    assert trace.violations[0]["witness"] == [4, [3, 5]]   # the first pair to split

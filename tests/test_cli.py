@@ -14,7 +14,7 @@ from hqs.core import dump_system, load_system, sorted_ids, system_from_json
 from hqs.fixtures import FIXTURE_NAMES, fixture_json, load_fixture
 from hqs.gen import sharing_system
 from hqs.props import maximal_outlived_sets
-from hqs.scenarios import SCENARIO_NAMES
+from hqs.scenarios import SCENARIO_KEYS, SCENARIO_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +249,58 @@ def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_pat
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
 
 
+def _renamed(spec, old, new):
+    return {(new if k == old else k): v for k, v in spec.items()}
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    ("ac_leave_fig1", lambda s: {**s, "sink_info": 5}, "sink_info"),
+    ("ac_leave_fig1", lambda s: {**s, "sink_info": None}, "sink_info"),
+    ("ac_leave_fig1", lambda s: {**s, "combined_checks": "no"}, "combined_checks"),
+    ("discovery_fig2_deceive", lambda s: {**s, "validq": 5}, "validq"),
+    ("ac_leave_fig1", lambda s: _renamed(s, "probes", "probe"), "probe"),
+], ids=["sink_info-5", "sink_info-null", "combined_checks-no", "validq-5", "probe-typo"])
+def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
+                                                              name, edit, path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_shipped_scenario(name)))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 0 and "PASS" in out     # the shipped file itself passes
+    scenario.write_text(json.dumps(edit(_shipped_scenario(name))))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and "PASS" not in out
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, change", [
+    ("ac_leave_fig1", {"sink_info": "oracle"}),
+    ("ac_leave_fig1", {"combined_checks": False}),
+    ("discovery_fig2_deceive", {"validq": "threshold"}),
+])
+def test_scenario_keys_with_a_valid_value_still_run(capsys, tmp_path, name, change):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({**_shipped_scenario(name), **change}))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code in (0, 1) and not err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENARIO_NAMES), st.data())
+def test_a_misspelt_scenario_key_is_an_input_error_naming_it(capsys, name, data):
+    spec = _shipped_scenario(name)
+    key = data.draw(st.sampled_from(sorted(spec)))
+    typo = data.draw(st.sampled_from([key[:-1], key + "s", key.title(), f" {key}"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_renamed(spec, key, typo), fh)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", path)
+    assert typo not in SCENARIO_KEYS
+    assert code == 2 and "PASS" not in out
+    assert err.startswith(f"error: {typo}: unknown scenario key")
+
+
 @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe")])
 def test_unreadable_system_file_is_input_error(capsys, tmp_path, make):
     path = tmp_path / "sys.json"
@@ -284,7 +336,9 @@ _words = st.sampled_from(["fig1", "s5_base", "ac", "pc", "brb", "discovery",
                           "Leave", "Remove", "Add", "Join", "Broadcast",
                           "intersection", "tentative_inclusion", "add_no_split",
                           "join_responder", "add_equivocator", "brb_byzantine",
-                          "sink_deceiver", "oracle", "args", "1", "x", ".", "\0"])
+                          "sink_deceiver", "oracle", "args", "1", "x", ".", "\0",
+                          "sink_info", "combined_checks", "validq", "threshold",
+                          "probe", "no"])
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | _words,
@@ -304,15 +358,20 @@ def _paths(value, prefix=()):
 
 @st.composite
 def _mutated(draw, doc):
-    """``doc`` with one or two values replaced by arbitrary JSON, or deleted."""
+    """``doc`` with one or two values replaced by arbitrary JSON, deleted,
+    or moved to another key."""
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
             doc = draw(_json_values)
             continue
         parent = reduce(getitem, path[:-1], doc)
-        if isinstance(parent, dict) and draw(st.booleans()):
+        how = draw(st.sampled_from(["replace", "delete", "rename"])
+                   if isinstance(parent, dict) else st.just("replace"))
+        if how == "delete":
             del parent[path[-1]]
+        elif how == "rename":   # a misspelt key, or a key moved where it means nothing
+            parent[draw(_words)] = parent.pop(path[-1])
         else:
             parent[path[-1]] = draw(_json_values)
     return doc

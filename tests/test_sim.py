@@ -1,4 +1,5 @@
 from collections import namedtuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -438,3 +439,23 @@ def test_to_jsonl_matches_the_whole_event_oracle(events):
     trace = Trace()
     trace.events = events
     assert trace.to_jsonl() == oracles.oracle_to_jsonl(events)
+
+
+def test_to_jsonl_encodes_a_payload_once_and_an_off_template_event_whole():
+    payload = ("LeaveCheck", (frozenset({"b", 7}), Signature(7, "ab")))
+    plain = [{"step": i, "kind": "tob", "dst": i, "index": 0, "src": "e", "msg": payload}
+             for i in range(30)]
+    whole = [{"step": True, "kind": "state", "snap": "00ff"},            # a bool step
+             {"step": 1, "kind": "state", "snap": "00ff", "extra": 1},   # an extra key
+             {"step": 1, "kind": "apl", "src": 1, "msg": payload},       # no dst
+             {"step": 1, "kind": "apl", "src": (1,), "dst": 2, "msg": payload}]
+    int_keyed = {"step": 2, "kind": "apl", "src": 1, "dst": 2, "msg": {"k": {10: 1, 9: 2}}}
+    trace = Trace()
+    trace.events = plain + whole + [int_keyed]
+    with mock.patch("hqs.sim.canon_json", wraps=canon_json) as spy:
+        blob = trace.to_jsonl()
+    assert blob == oracles.oracle_to_jsonl(trace.events)
+    encoded = [c.args[0] for c in spy.call_args_list]
+    assert sum(obj is payload for obj in encoded) == 1
+    assert all(any(obj is e for obj in encoded) for e in whole)
+    assert not any(obj is e for obj in encoded for e in plain + [int_keyed])
