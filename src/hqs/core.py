@@ -30,10 +30,14 @@ def id_key(p: ProcessId):
 
 
 def sorted_ids(ps: Iterable[ProcessId]) -> list:
-    """``ps`` in ``id_key`` order: ids of one type sort as themselves."""
+    """``ps`` in ``id_key`` order.  Plain comparison gives that order unless
+    it meets an int and a str, which it cannot compare: a sort of ids that
+    mix the two always raises, and only those pay for ``id_key``."""
     ps = list(ps)
-    ps.sort(key=id_key if len(set(map(type, ps))) > 1 else None)
-    return ps
+    try:
+        return sorted(ps)
+    except TypeError:
+        return sorted(ps, key=id_key)
 
 
 def quorum_key(q: Quorum):

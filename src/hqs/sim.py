@@ -253,7 +253,8 @@ class Trace:
                     lines.append(template % tuple(values))
                     continue
             lines.append(canon_json(event))
-        return "\n".join(lines) + "\n"
+        lines.append("")   # the last line ends in a newline too, with no copy
+        return "\n".join(lines) if self.events else "\n"
 
 
 class World:

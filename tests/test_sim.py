@@ -389,7 +389,7 @@ def test_sorted_ids_matches_the_id_key_order(ps):
                 == list(map(repr, sorted(given_ids, key=id_key))))
 
 
-ids = st.integers(-3, 60) | st.text("ab7-", max_size=3)
+ids = st.integers(-3, 60) | st.text("ab7-", max_size=3) | st.text(max_size=3)
 steps = st.integers(0, 10**6)
 
 
