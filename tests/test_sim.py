@@ -343,14 +343,20 @@ hashables = st.recursive(
     max_leaves=6)
 dict_keys = st.one_of(st.text("ab1-", max_size=3), st.integers(-30, 30), st.integers(),
                       st.booleans(), st.none(), st.floats())
-values = st.recursive(
-    scalars | signatures,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.sets(hashables, max_size=4) | st.frozensets(hashables, max_size=4)
-                   | st.builds(Pair, inner, inner)
-                   | st.dictionaries(st.text("ab1-", max_size=3), inner, max_size=4)
-                   | st.dictionaries(dict_keys, inner, max_size=4)),
-    max_leaves=20)
+
+
+def nested(max_leaves):
+    return st.recursive(
+        scalars | signatures,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.sets(hashables, max_size=4) | st.frozensets(hashables, max_size=4)
+                       | st.builds(Pair, inner, inner)
+                       | st.dictionaries(st.text("ab1-", max_size=3), inner, max_size=4)
+                       | st.dictionaries(dict_keys, inner, max_size=4)),
+        max_leaves=max_leaves)
+
+
+values = nested(20)
 
 
 @settings(max_examples=400, deadline=None)
@@ -391,6 +397,26 @@ def test_sorted_ids_matches_the_id_key_order(ps):
 
 ids = st.integers(-3, 60) | st.text("ab7-", max_size=3) | st.text(max_size=3)
 steps = st.integers(0, 10**6)
+snaps = st.text("0123456789abcdef", min_size=12, max_size=12)
+payloads = nested(6)
+PAYLOAD = st.none()   # a payload slot, filled by trace_events
+
+
+def event(kind, **fields):
+    return st.fixed_dictionaries({"step": steps, "kind": st.just(kind), **fields})
+
+
+event_kinds = st.one_of(
+    event("state", snap=snaps),
+    event("tob", dst=ids, index=steps, src=ids, msg=PAYLOAD),
+    event("tob_order", index=steps, src=ids, msg=PAYLOAD),
+    event("apl", src=ids, dst=ids, msg=PAYLOAD),
+    event("apl", src=ids, dst=ids, msg=PAYLOAD, byz=st.just(True)),
+    event("request", node=ids, request=PAYLOAD),
+    event("response", node=ids, response=st.sampled_from(["LeaveComplete", "Busy"])),
+    event("end", outcome=st.sampled_from(["quiescent", "step_cap"]), snap=snaps),
+    event("timer", node=ids, tag=st.just("join_timeout")),
+    event("probe_violation", probe=st.just("intersection"), witness=PAYLOAD))
 
 
 @st.composite
@@ -398,26 +424,12 @@ def trace_events(draw):
     """Events of every kind the kernel writes, in its key order, with
     payloads that recur as one object; some are mutated off their kind's
     key set or field types."""
-    shared = draw(st.lists(values, min_size=1, max_size=3))
-    payloads = st.sampled_from(shared) | values
-    snaps = st.text("0123456789abcdef", min_size=12, max_size=12)
-
-    def event(kind, **fields):
-        return st.fixed_dictionaries({"step": steps, "kind": st.just(kind), **fields})
-
-    kinds = st.one_of(
-        event("state", snap=snaps),
-        event("tob", dst=ids, index=steps, src=ids, msg=payloads),
-        event("tob_order", index=steps, src=ids, msg=payloads),
-        event("apl", src=ids, dst=ids, msg=payloads),
-        event("apl", src=ids, dst=ids, msg=payloads, byz=st.just(True)),
-        event("request", node=ids, request=payloads),
-        event("response", node=ids, response=st.sampled_from(["LeaveComplete", "Busy"])),
-        event("end", outcome=st.sampled_from(["quiescent", "step_cap"]), snap=snaps),
-        event("timer", node=ids, tag=st.just("join_timeout")),
-        event("probe_violation", probe=st.just("intersection"), witness=payloads))
+    shared = draw(st.lists(payloads, min_size=1, max_size=3))
     out = []
-    for e in draw(st.lists(kinds, max_size=12)):
+    for e in draw(st.lists(event_kinds, max_size=10)):
+        for key in {"msg", "request", "witness"} & set(e):
+            i = draw(st.integers(0, len(shared)))
+            e[key] = shared[i] if i < len(shared) else draw(payloads)
         how = draw(st.sampled_from(["as is"] * 4 + ["bool step", "extra key",
                                                      "missing key", "odd id"]))
         if how == "bool step":
@@ -433,7 +445,7 @@ def trace_events(draw):
     return out
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(trace_events())
 def test_to_jsonl_matches_the_whole_event_oracle(events):
     trace = Trace()
