@@ -178,9 +178,10 @@ def probe_brb_consistency(world):
         return None
     per_instance = {}
     for pid, node in world.nodes.items():
-        if isinstance(node, BrbNode):
-            for instance, value in node.delivered.items():
-                per_instance.setdefault(instance, {})[pid] = value
+        if not isinstance(node, BrbNode):
+            continue
+        for instance, value in node.delivered.items():
+            per_instance.setdefault(instance, {})[pid] = value
     for instance, votes in per_instance.items():
         if len(set(votes.values())) > 1:
             return canon((instance, sorted_ids(votes)))

@@ -173,15 +173,15 @@ def test_brb_probe_matches_the_full_scan_at_every_flush(system_seed, seed, hasty
     wb = sorted_ids(qs.active & attack.well_behaved)
     with mock.patch.object(BrbNode, "_maybe_deliver",
                            hasty_deliver if hasty else BrbNode._maybe_deliver):
-        trace, flushes = run_probe_against_oracle(
+        _, flushes = run_probe_against_oracle(
             qs, attack, [(1, rng.choice(wb), "v")], seed=seed,
             adversary=BrbByzantine(sender=byz[0] if byz else None))
     assert flushes > 0
 
 
 class SplitReadies(Adversary):
-    """Byzantine 4 sends a Ready for its own instance, "a" to every other
-    node and "b" to the rest."""
+    """Byzantine 4 sends one Ready for its own instance to every node, with
+    the values "a" and "b" in turn."""
 
     def on_init(self, world):
         for i, p in enumerate(sorted_ids(world.nodes)):

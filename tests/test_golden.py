@@ -12,7 +12,6 @@ import hashlib
 import pytest
 
 import oracles
-
 from hqs.core import Attack, new_quorum_system
 from hqs.fixtures import load_fixture
 from hqs.scenarios import (
@@ -135,7 +134,7 @@ def add_equivocator_split():
 def str_and_mixed_ids():
     # str ids plus one int id: the id sorts and the trace's id encoding see
     # both types; every node has one quorum, so no witness depends on the
-    # iteration order of a set of str-keyed quorums (str hashes vary by run)
+    # iteration order of a set of quorums over str ids (str hashes vary by run)
     ids = ["a", "b", "c", "d", "e", 7]
     qs = new_quorum_system(
         ids, {"a": [{"a", "b", "c"}], "b": [{"a", "b", "c"}], "c": [{"a", "b", "c"}],
