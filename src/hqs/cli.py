@@ -11,7 +11,8 @@ import json
 import sys
 from itertools import combinations
 
-from .core import Attack, dump_system, is_blocking, minimal_quorums, parse_id, sorted_ids
+from .core import (Attack, dump_system, is_blocking, minimal_quorums, parse_id, sorted_ids,
+                   sorted_quorums)
 from .errors import HqsError
 from .fixtures import resolve_system
 from .graph import build_graph, condense, sink_components, to_dot, well_behaved_sink
@@ -107,7 +108,7 @@ def cmd_enumerate(args) -> int:
     qs, attack = resolve_system(args.system)
     out = {
         "minimal_quorums": [sorted_ids(q) for q in
-                            sorted(minimal_quorums(qs, attack), key=sorted_ids)],
+                            sorted_quorums(minimal_quorums(qs, attack))],
         "maximal_outlived_sets": [sorted_ids(o) for o in
                                   maximal_outlived_sets(qs, attack)],
     }

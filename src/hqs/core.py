@@ -44,6 +44,18 @@ def quorum_key(q: Quorum):
     return [id_key(p) for p in sorted_ids(q)]
 
 
+def sorted_quorums(qs: Iterable[Quorum]) -> list:
+    """``qs`` in ``quorum_key`` order.  Comparing sorted member lists gives
+    that order unless two lists meet an int and a str at one position, so,
+    as in :func:`sorted_ids`, only a sort that meets one pays for
+    ``quorum_key``."""
+    qs = list(qs)
+    try:
+        return sorted(qs, key=sorted_ids)
+    except TypeError:
+        return sorted(qs, key=quorum_key)
+
+
 def canon_quorums(qs: Iterable[Quorum]) -> tuple:
     """Deduplicated quorums in a stable order (by size, then members)."""
     uniq = {frozenset(q) for q in qs}

@@ -26,17 +26,20 @@ class Condensation:
 
 
 def build_graph(qs: QuorumSystem) -> QuorumGraph:
-    edges = set()
-    for p, q in qs.declared():
-        for p2 in q:
-            edges.add((p, p2))
+    edges = {(p, p2) for p, q in qs.declared() for p2 in q}
     return QuorumGraph(frozenset(qs.universe), frozenset(edges))
 
 
 def condense(g: QuorumGraph) -> Condensation:
-    """Tarjan SCC (iterative), components emitted in a stable order."""
-    succ = {v: [] for v in sorted(g.vertices, key=id_key)}
-    for (a, b) in sorted(g.edges, key=lambda e: (id_key(e[0]), id_key(e[1]))):
+    """Tarjan SCC (iterative), components in a stable order.
+
+    The search walks the vertex and edge sets in their own iteration order,
+    which changes the order components are found in but not the components.
+    They are then ordered by least member under ``id_key``; components are
+    disjoint, so that is the order of their sorted member lists.
+    """
+    succ = {v: [] for v in g.vertices}
+    for a, b in g.edges:
         succ[a].append(b)
 
     index = {}
@@ -44,56 +47,43 @@ def condense(g: QuorumGraph) -> Condensation:
     on_stack = set()
     stack = []
     sccs = []
-    counter = [0]
 
-    def strongconnect(root):
-        work = [(root, 0)]
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return v, iter(succ[v])
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        work = [visit(root)]
         while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            for j in range(i, len(succ[v])):
-                w = succ[v][j]
+            v, todo = work[-1]
+            for w in todo:
                 if w not in index:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    work.append(visit(w))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                    sccs.append(frozenset(comp))
 
-    for v in sorted(g.vertices, key=id_key):
-        if v not in index:
-            strongconnect(v)
-
-    components = tuple(sorted(sccs, key=lambda c: [id_key(p) for p in sorted_ids(c)]))
-    comp_of = {}
-    for i, comp in enumerate(components):
-        for p in comp:
-            comp_of[p] = i
-    dag_edges = set()
-    for (a, b) in g.edges:
-        ia, ib = comp_of[a], comp_of[b]
-        if ia != ib:
-            dag_edges.add((ia, ib))
+    try:
+        components = tuple(sorted(sccs, key=min))
+    except TypeError:   # ints meet strs, which only id_key orders
+        components = tuple(sorted(sccs, key=lambda c: id_key(min(c, key=id_key))))
+    comp_of = {p: i for i, comp in enumerate(components) for p in comp}
+    dag_edges = {(comp_of[a], comp_of[b]) for a, b in g.edges if comp_of[a] != comp_of[b]}
     return Condensation(components, frozenset(dag_edges))
 
 

@@ -59,8 +59,8 @@ def report_to_json(report: PropertyReport) -> str:
 
 
 def _wb_quorum_map(qs: QuorumSystem, attack: Attack) -> dict:
-    return {p: qs.quorums_of(p)
-            for p in sorted_ids(qs.active & attack.well_behaved)
+    # unordered: every witness below walks processes in id order itself
+    return {p: qs.quorums_of(p) for p in qs.active & attack.well_behaved
             if qs.declares(p)}
 
 
@@ -71,10 +71,16 @@ def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
     intersection misses ``at_p`` (a lone declaration pairs with itself);
     else None.
 
-    Only distinct quorums are compared.  A quorum that misses ``at_p`` on
-    its own fails with every partner, so it can only be reached as the first
-    distinct quorum; its witness partner is then the second declaration.
+    A member of ``at_p`` that sits in every quorum makes every pair meet
+    inside ``at_p``, so one pass over the quorums answers None without the
+    pair loop.  Generated sharing systems always take that path: every
+    quorum there holds the pivot.  Otherwise only distinct quorums are
+    compared.  A quorum that misses ``at_p`` on its own fails with every
+    partner, so it can only be reached as the first distinct quorum; its
+    witness partner is then the second declaration.
     """
+    if at_p.intersection(*[q for quorums in wb_quorums.values() for q in quorums]):
+        return None
     decls = [q for p in sorted_ids(wb_quorums) for q in wb_quorums[p]]
     distinct = list(dict.fromkeys(decls))
     for i, q1 in enumerate(distinct):
@@ -101,6 +107,40 @@ def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: fro
     return None
 
 
+def _covered(q: frozenset, members, get) -> bool:
+    """Whether each of ``members`` has a candidate, ``get(member, ())``,
+    inside q."""
+    for p2 in members:
+        for c in get(p2, ()):
+            if c <= q:
+                break
+        else:
+            return False
+    return True
+
+
+def _first_failure(quorums: Mapping, owed, candidates: Mapping):
+    """First (q, p2) such that no set in ``candidates[p2]`` lies inside q,
+    walking processes in id order, each one's quorums in their own order and
+    the members ``owed(q)`` in id order; else None.
+
+    Almost every check holds, so each distinct quorum is first walked once,
+    in any order and without a sort.  Only a failure pays for the ordered
+    walk, which then names the witness the ordered walk alone would.
+    """
+    get = candidates.get
+    for q in {q for qs in quorums.values() for q in qs}:
+        if not _covered(q, owed(q), get):
+            break
+    else:
+        return None
+    for p in sorted_ids(quorums):
+        for q in quorums[p]:
+            for p2 in sorted_ids(owed(q)):
+                if not _covered(q, (p2,), get):
+                    return q, p2
+
+
 def inclusion_witness(wb_quorums: Mapping, p_set: frozenset, wb: frozenset,
                       left: frozenset = frozenset(), tentative: Mapping = None):
     """Witness (q, p2) for a quorum inclusion failure, else None.
@@ -108,26 +148,20 @@ def inclusion_witness(wb_quorums: Mapping, p_set: frozenset, wb: frozenset,
     ``left`` weakens the check to the active variant: departed members owe
     no witness, and a witness quorum only needs its well-behaved active part
     inside the enclosing quorum.  ``tentative`` extends the witness
-    candidates per process.
+    candidates per process.  Each process's candidates are cut to that part
+    once, and :func:`_first_failure` looks for a failure before it orders
+    anything, so the witness is the one the ordered loop alone names.
     """
-    for p in sorted_ids(wb_quorums):
-        for q in wb_quorums[p]:
-            for p2 in sorted_ids((q & p_set) - left):
-                candidates = list(wb_quorums.get(p2, ()))
-                if tentative:
-                    candidates.extend(tq for _, tq in tentative.get(p2, ()))
-                if not any((q2 & wb) - left <= q for q2 in candidates):
-                    return q, p2
-    return None
+    cut = {p2: [(q2 & wb) - left for q2 in quorums] for p2, quorums in wb_quorums.items()}
+    for p2, pairs in (tentative or {}).items():
+        cut.setdefault(p2, []).extend((tq & wb) - left for _, tq in pairs)
+    return _first_failure(wb_quorums, lambda q: (q & p_set) - left, cut)
 
 
 def sharing_witness(quorums: Mapping):
-    for p in sorted_ids(quorums):
-        for q in quorums[p]:
-            for p2 in sorted_ids(q):
-                if not any(q2 <= q for q2 in quorums.get(p2, ())):
-                    return q, p2
-    return None
+    """Witness (q, p2): a member p2 of q none of whose quorums lies inside
+    q, else None; found as in :func:`_first_failure`."""
+    return _first_failure(quorums, lambda q: q, quorums)
 
 
 # --- PropertyReport front ends -------------------------------------------

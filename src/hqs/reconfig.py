@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import antichain, blocks, sorted_ids
+from .core import antichain, blocks, quorum_key, sorted_ids, sorted_quorums
 from .sim import Node
 
 AC = "ac"
@@ -95,11 +95,15 @@ class ReconfigNode(Node):
             self._notify_left(api)
 
     def state_summary(self) -> dict:
+        tentative = [[str(r), sorted_ids(q)] for (r, q) in self.tentative]
+        try:
+            tentative.sort()
+        except TypeError:   # one requester's quorums meet an int and a str
+            tentative.sort(key=lambda t: (t[0], quorum_key(t[1])))
         return {
-            "Q": [sorted_ids(q) for q in sorted(self.quorums, key=sorted_ids)],
+            "Q": [sorted_ids(q) for q in sorted_quorums(self.quorums)],
             "tomb": sorted_ids(self.tomb),
-            "tentative": sorted(
-                [str(r), sorted_ids(q)] for (r, q) in self.tentative),
+            "tentative": tentative,
             "frozen": self.frozen,
         }
 
@@ -131,7 +135,7 @@ class ReconfigNode(Node):
             # the sink, where departing cannot endanger quorum intersection
             self._leave_done(api)
         elif _pairs_block(self.quorums, self.quorums, {api.me}):
-            api.tob(("LeaveCheck", tuple(sorted(self.quorums, key=sorted_ids))))
+            api.tob(("LeaveCheck", tuple(sorted_quorums(self.quorums))))
         else:
             self._finish(api, "LeaveFail")
 
@@ -146,7 +150,7 @@ class ReconfigNode(Node):
             # the remover may drop out of the outlived set, so the check covers
             # its full current quorum set, exactly as for a departure
             api.tob(("RemoveCheck", quorum,
-                     tuple(sorted(self.quorums, key=sorted_ids))))
+                     tuple(sorted_quorums(self.quorums))))
         else:
             self._finish(api, "RemoveFail")
 
@@ -305,7 +309,7 @@ class ReconfigNode(Node):
 
     def _join_probe(self, api):
         join = self._join
-        for q in sorted(join["S"], key=sorted_ids):
+        for q in sorted_quorums(join["S"]):
             for p in sorted_ids(q):
                 if p not in join["probed"]:
                     join["probed"].add(p)
@@ -368,6 +372,6 @@ class ReconfigNode(Node):
         elif tag == "Prob":
             self.followers.add(src)
             self.touch()
-            api.send(src, ("Quorums", tuple(sorted(self.quorums, key=sorted_ids))))
+            api.send(src, ("Quorums", tuple(sorted_quorums(self.quorums))))
         elif tag == "Quorums":
             self._on_quorums(api, src, payload[1])

@@ -466,6 +466,12 @@ def _choice(value, path: str, what: str, known: tuple):
     return value
 
 
+def _known_keys(obj: dict, prefix: str, what: str, known: tuple) -> dict:
+    for key in obj:   # a misspelt key would otherwise be ignored
+        _choice(key, prefix + key, what, known)
+    return obj
+
+
 def _pid(value, path: str):
     return _want(value, path, "a process id", int, str)
 
@@ -498,7 +504,9 @@ _ADVERSARY_ARGS = {
 def _adversary(adv_spec) -> Adversary:
     if isinstance(adv_spec, str):
         adv_spec = {"name": adv_spec}
-    adv_spec = {"name": "none", **_want(adv_spec, "adversary", "a name or an object", dict)}
+    adv_spec = {"name": "none", **_known_keys(
+        _want(adv_spec, "adversary", "a name or an object", dict),
+        "adversary.", "unknown adversary key", ("name", "args"))}
     name = _choice(adv_spec["name"], "adversary.name", "unknown adversary", tuple(ADVERSARIES))
     args = _want(adv_spec.get("args", {}), "adversary.args", "an object", dict)
     args = {k: _ADVERSARY_ARGS[k](v, f"adversary.args.{k}") if k in _ADVERSARY_ARGS else v
@@ -509,14 +517,25 @@ def _adversary(adv_spec) -> Adversary:
         raise ScenarioError(f"adversary {name!r}: bad 'args': {exc}") from None
 
 
+# the keys each request op reads
+_REQUEST_KEYS = {"Leave": ("at", "node", "op"),
+                 "Remove": ("at", "node", "op", "quorum"),
+                 "Add": ("at", "node", "op", "quorum"),
+                 "Join": ("at", "node", "op", "seed_set", "timeout"),
+                 "Broadcast": ("at", "node", "op", "value")}
+_ANY_REQUEST_KEY = tuple(dict.fromkeys(k for keys in _REQUEST_KEYS.values() for k in keys))
+
+
 def _request(req, path: str) -> tuple:
     """(at, node, request) for one entry of a scenario's ``requests``."""
-    _want(req, path, "an object", dict)
+    _known_keys(_want(req, path, "an object", dict), f"{path}.", "unknown request key",
+                _ANY_REQUEST_KEY)
+    op = _choice(req.get("op"), f"{path}.op", "unknown request op", tuple(_REQUEST_KEYS))
+    _known_keys(req, f"{path}.", f"a {op} request takes no key", _REQUEST_KEYS[op])
     at = _want(req.get("at", 1), f"{path}.at", "an integer", int)
     if at < 0:
         raise ScenarioError(f"{path}.at: a request cannot come before step 0, got {at}")
     node = _pid(req.get("node"), f"{path}.node")
-    op = req.get("op")
     if op == "Leave":
         return at, node, ("Leave",)
     if op in ("Remove", "Add"):
@@ -524,14 +543,13 @@ def _request(req, path: str) -> tuple:
     if op == "Join":
         return at, node, ("Join", _ids(req.get("seed_set"), f"{path}.seed_set"),
                           _want(req.get("timeout", 200), f"{path}.timeout", "an integer", int))
-    if op == "Broadcast":
-        return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
-    raise ScenarioError(f"{path}.op: unknown request op {op!r}")
+    return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
 
 
 PROTOCOLS = ("ac", "pc", "discovery", "brb")
 SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "outlived", "probes",
                  "requests", "step_cap", "validq", "sink_info", "combined_checks")
+POLICY_KEYS = ("seed", "mode", "fairness_bound", "tob_order")
 
 
 def run_scenario(spec, seed_override=None):
@@ -541,9 +559,9 @@ def run_scenario(spec, seed_override=None):
     path, e.g. ``requests[0].quorum``.
     """
     spec = _want(load_scenario(spec), "scenario", "an object", dict)
-    for key in spec:   # a misspelt key would otherwise be ignored
-        _choice(key, key, "unknown scenario key", SCENARIO_KEYS)
-    pol = _want(spec.get("policy", {}), "policy", "an object", dict)
+    _known_keys(spec, "", "unknown scenario key", SCENARIO_KEYS)
+    pol = _known_keys(_want(spec.get("policy", {}), "policy", "an object", dict),
+                      "policy.", "unknown policy key", POLICY_KEYS)
     if "seed" not in pol and seed_override is None:
         raise ScenarioError("scenario must pin a seed for reproducibility")
     system = _want(spec.get("system"), "system", "a fixture name or a file path", str)

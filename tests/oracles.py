@@ -216,3 +216,89 @@ def oracle_brb_consistency(world):
             order = sorted(votes, key=lambda p: (isinstance(p, str), p))
             return _oracle_canon((instance, order))
     return None
+
+
+def _id_order(ids):
+    return sorted(ids, key=lambda p: (isinstance(p, str), p))
+
+
+def oracle_inclusion_witness(wb_quorums, p_set, wb, left=frozenset(), tentative=None):
+    """Inclusion as the plain ordered loop: processes in id order, each one's
+    quorums in their own order, members in id order; the first member none
+    of whose candidates (its quorums plus its tentative ones) has its
+    well-behaved active part inside the quorum."""
+    for p in _id_order(wb_quorums):
+        for q in wb_quorums[p]:
+            for p2 in _id_order((q & p_set) - left):
+                candidates = list(wb_quorums.get(p2, ()))
+                if tentative:
+                    candidates.extend(tq for _, tq in tentative.get(p2, ()))
+                if not any((q2 & wb) - left <= q for q2 in candidates):
+                    return q, p2
+    return None
+
+
+def oracle_sharing_witness(quorums):
+    """Sharing as the plain ordered loop, in the order of the one above."""
+    for p in _id_order(quorums):
+        for q in quorums[p]:
+            for p2 in _id_order(q):
+                if not any(q2 <= q for q2 in quorums.get(p2, ())):
+                    return q, p2
+    return None
+
+
+def oracle_condense(vertices, edges):
+    """(components, dag_edges) the way SCC condensation was first written:
+    recursive-style Tarjan driven by an explicit work list over vertices
+    and edges sorted by id, components ordered by their sorted member
+    lists."""
+    def key(p):
+        return (isinstance(p, str), p)
+
+    succ = {v: [] for v in sorted(vertices, key=key)}
+    for (a, b) in sorted(edges, key=lambda e: (key(e[0]), key(e[1]))):
+        succ[a].append(b)
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+
+    def strongconnect(root):
+        work = [(root, 0)]
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            recurse = False
+            for j in range(i, len(succ[v])):
+                w = succ[v][j]
+                if w not in index:
+                    work.append((v, j + 1))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+
+    for v in sorted(vertices, key=key):
+        if v not in index:
+            strongconnect(v)
+    components = tuple(sorted(sccs, key=lambda c: [key(p) for p in _id_order(c)]))
+    comp_of = {p: i for i, comp in enumerate(components) for p in comp}
+    dag_edges = frozenset((comp_of[a], comp_of[b]) for (a, b) in edges
+                          if comp_of[a] != comp_of[b])
+    return components, dag_edges

@@ -301,6 +301,68 @@ def test_a_misspelt_scenario_key_is_an_input_error_naming_it(capsys, name, data)
     assert err.startswith(f"error: {typo}: unknown scenario key")
 
 
+@pytest.mark.parametrize("edit, path", [
+    ({"policy": {"seed": 0, "fairnes_bound": 2},
+      "requests": [{"at": 1, "node": 5, "op": "Leave", "quorom": [1]}]}, "policy.fairnes_bound"),
+    ({"requests": [{"at": 1, "node": 5, "op": "Leave", "quorom": [1]}]}, "requests[0].quorom"),
+    ({"requests": [{"at": 1, "node": 5, "op": "Leave", "quorum": [2, 5]}]},
+     "requests[0].quorum"),
+    ({"requests": [{"at": 1, "node": 5, "Op": "Leave"}]}, "requests[0].Op"),
+    ({"adversary": {"name": "none", "arg": {}}}, "adversary.arg"),
+], ids=["policy-and-request", "request-typo", "request-field-of-another-op",
+        "request-op-typo", "adversary-typo"])
+def test_unknown_keys_below_the_top_level_are_input_errors(capsys, tmp_path, edit, path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({**_shipped_scenario("ac_leave_fig1"), **edit}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and "PASS" not in out
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENARIO_NAMES), st.data())
+def test_a_misspelt_nested_key_is_an_input_error_naming_its_path(capsys, name, data):
+    spec = _shipped_scenario(name)
+    if isinstance(spec.get("adversary"), str):
+        spec["adversary"] = {"name": spec["adversary"]}
+    nested = {"policy": spec["policy"], "adversary": spec.get("adversary", {"name": "none"}),
+              **{f"requests[{i}]": req for i, req in enumerate(spec.get("requests", []))}}
+    spec["adversary"] = nested["adversary"]
+    where = data.draw(st.sampled_from(sorted(nested)))
+    key = data.draw(st.sampled_from(sorted(nested[where])))
+    typo = data.draw(st.sampled_from([key[:-1], key + "s", key.title(), f" {key}"]))
+    nested[where][typo] = nested[where].pop(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", path)
+    assert code == 2 and "PASS" not in out
+    assert err.startswith(f"error: {where}.{typo}: ") and len(err.splitlines()) == 1
+
+
+def test_mixed_int_and_str_ids_simulate_and_enumerate(capsys, tmp_path):
+    # "a" and 7 each hold two quorums whose sorted member lists differ first
+    # in an int against a str
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "universe": ["a", "b", "c", 7], "active": ["a", "b", "c", 7],
+        "quorums": {"a": [["a", "b", "c"], ["a", 7]], "b": [["a", "b", "c"]],
+                    "c": [["a", "b", "c"]], "7": [[7, "a", "b"], ["a", "b", "c"]]}}))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "system": str(system), "policy": {"seed": 0},
+        "requests": [{"at": 1, "node": "d", "op": "Join", "seed_set": ["a"]},
+                     {"at": 40, "node": 7, "op": "Leave"}]}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 0 and not err
+    assert "d -> JoinComplete" in out and "7 -> LeaveComplete" in out
+    code, out, err = run_cli(capsys, "enumerate", "--system", str(system))
+    assert code == 0 and not err
+    assert json.loads(out)["minimal_quorums"] == [[7, "a"], ["a", "b", "c"]]
+
+
 @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe")])
 def test_unreadable_system_file_is_input_error(capsys, tmp_path, make):
     path = tmp_path / "sys.json"
@@ -338,7 +400,8 @@ _words = st.sampled_from(["fig1", "s5_base", "ac", "pc", "brb", "discovery",
                           "join_responder", "add_equivocator", "brb_byzantine",
                           "sink_deceiver", "oracle", "args", "1", "x", ".", "\0",
                           "sink_info", "combined_checks", "validq", "threshold",
-                          "probe", "no"])
+                          "probe", "no", "seed", "mode", "fairness_bound", "tob_order",
+                          "quorum", "seed_set", "timeout", "value", "name"])
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | _words,

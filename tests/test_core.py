@@ -14,7 +14,9 @@ from hqs.core import (
     is_system_quorum,
     minimal_quorums,
     new_quorum_system,
+    quorum_key,
     sorted_ids,
+    sorted_quorums,
 )
 from hqs.errors import (
     EmptyDeclaration,
@@ -207,3 +209,14 @@ def test_apply_reconfig_keeps_antichain():
         out = apply_reconfig(qs, ReconfigOp.add(p, q))
         per = out.quorums_of(p)
         assert not any(a < b for a in per for b in per)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(-2, 3) | st.text("ab", max_size=2), max_size=4))
+       | st.lists(st.frozensets(st.integers(-2, 3), max_size=4))
+       | st.lists(st.frozensets(st.integers(-1, 1) | st.booleans(), max_size=2)))
+def test_sorted_quorums_matches_the_quorum_key_order(quorums):
+    # repr tells True from 1, which compare equal
+    for given_quorums in (quorums, set(quorums)):
+        assert (list(map(repr, map(sorted_ids, sorted_quorums(given_quorums))))
+                == list(map(repr, map(sorted_ids, sorted(given_quorums, key=quorum_key)))))

@@ -1,13 +1,16 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqs.core import ReconfigOp, apply_reconfig, new_quorum_system, sorted_ids
 from hqs.errors import PreconditionNotVerified, UnknownProcess
-from hqs.fixtures import load_fixture
-from hqs.gen import checked_sharing_system
+from hqs.fixtures import FIXTURE_NAMES, load_fixture
+from hqs.gen import arbitrary_system, checked_sharing_system, sharing_system
 from hqs.graph import (
+    QuorumGraph,
     build_graph,
     condense,
     in_sink,
@@ -112,6 +115,36 @@ def test_dot_export_stable_and_annotated():
     assert dot.startswith("digraph")
     assert '"5" [style="filled,dashed"' in dot  # Byzantine member of the sink
     assert '"4" -> "1";' in dot
+
+
+def test_dot_export_of_every_fixture_is_pinned():
+    dots = "".join(to_dot(*load_fixture(name)) for name in FIXTURE_NAMES)
+    assert hashlib.sha256(dots.encode()).hexdigest() == \
+        "e797491cea4139c6a2ebfb221834977fe5a16233c6e0f76f9940de628550d933"
+
+
+def assert_condense_matches_oracle(g):
+    cond = condense(g)
+    assert (cond.components, cond.dag_edges) == oracles.oracle_condense(g.vertices, g.edges)
+
+
+def test_condense_matches_the_sorted_tarjan_oracle_on_generated_systems():
+    rng = random.Random(43)
+    for i in range(150):
+        qs, _ = (arbitrary_system, sharing_system, checked_sharing_system)[i % 3](rng, n_max=12)
+        assert_condense_matches_oracle(build_graph(qs))
+
+
+_graph_ids = st.integers(-2, 6) | st.text("ab", min_size=1, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(_graph_ids, max_size=9).flatmap(lambda vs: st.tuples(
+    st.just(vs), st.frozensets(st.tuples(st.sampled_from(sorted(vs, key=str)),
+                                         st.sampled_from(sorted(vs, key=str))), max_size=20)
+    if vs else st.just(frozenset()))))
+def test_condense_matches_the_sorted_tarjan_oracle_on_mixed_id_graphs(graph):
+    assert_condense_matches_oracle(QuorumGraph(*graph))
 
 
 def graph_lemma_violations(qs, attack):

@@ -18,8 +18,10 @@ from hqs.props import (
     check_quorum_sharing,
     check_tentative_inclusion,
     consistency_witness,
+    inclusion_witness,
     maximal_outlived_sets,
     report_to_json,
+    sharing_witness,
 )
 from hqs.core import is_blocking, minimal_quorums
 
@@ -402,3 +404,61 @@ def repeated_declarations(draw):
 def test_consistency_witness_matches_pair_loop_oracle(wb_quorums, at_p):
     assert consistency_witness(wb_quorums, at_p) == \
         oracles.oracle_consistency_witness(wb_quorums, at_p)
+
+
+def test_consistency_fast_path_needs_the_common_member_inside_the_at_set():
+    a, b, c = frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})
+    # every quorum holds 1, which is not in the at-set: a and b still miss it
+    assert consistency_witness({1: (a,), 2: (b,)}, frozenset({2, 3})) == (a, b)
+    # no member is common to all three, yet every pair meets inside {1, 2, 3}
+    assert consistency_witness({1: (a, b), 2: (c,)}, frozenset({1, 2, 3})) is None
+
+
+_mixed_ids = st.integers(1, 4) | st.sampled_from("abc")
+_mixed_sets = st.frozensets(_mixed_ids, max_size=7)
+
+
+@st.composite
+def mixed_declarations(draw):
+    """Process -> quorums over int and str ids, drawn from a small pool so
+    quorums repeat within and across processes; plus the pool itself."""
+    pool = draw(st.lists(st.frozensets(_mixed_ids, min_size=1, max_size=4),
+                         min_size=1, max_size=5))
+    pids = draw(st.lists(_mixed_ids, unique=True, max_size=7))
+    return {p: tuple(draw(st.lists(st.sampled_from(pool), max_size=3))) for p in pids}, pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_declarations(), _mixed_sets, _mixed_sets, _mixed_sets, st.data())
+def test_inclusion_witness_matches_the_ordered_loop_oracle(decls, p_set, wb, left, data):
+    wb_quorums, pool = decls
+    tentative = data.draw(st.dictionaries(_mixed_ids, st.frozensets(
+        st.tuples(_mixed_ids, st.sampled_from(pool)), max_size=2), max_size=3))
+    for args in ((), (left,), (left, tentative), (frozenset(), tentative)):
+        assert inclusion_witness(wb_quorums, p_set, wb, *args) == \
+            oracles.oracle_inclusion_witness(wb_quorums, p_set, wb, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_declarations(), _mixed_sets)
+def test_sharing_and_consistency_witnesses_match_their_oracles_on_mixed_ids(decls, at_p):
+    quorums, _ = decls
+    assert sharing_witness(quorums) == oracles.oracle_sharing_witness(quorums)
+    assert consistency_witness(quorums, at_p) == \
+        oracles.oracle_consistency_witness(quorums, at_p)
+
+
+def test_inclusion_and_sharing_witnesses_match_their_oracles_on_generated_systems():
+    rng = random.Random(41)
+    failed = 0
+    for i in range(300):
+        qs, attack = (arbitrary_system if i % 2 else sharing_system)(rng, n_max=9)
+        quorums = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
+        wb = attack.well_behaved
+        wb_quorums = {p: q for p, q in quorums.items() if p in wb}
+        w = sharing_witness(quorums)
+        assert w == oracles.oracle_sharing_witness(quorums)
+        assert inclusion_witness(wb_quorums, wb, wb) == \
+            oracles.oracle_inclusion_witness(wb_quorums, wb, wb)
+        failed += w is not None
+    assert 0 < failed < 300   # both paths ran

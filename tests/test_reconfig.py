@@ -4,6 +4,7 @@ from hqs.core import Attack, new_quorum_system, sorted_ids
 from hqs.fixtures import load_fixture
 from hqs.gen import outlived_system
 from hqs.props import availability_witness, inclusion_witness
+from hqs.reconfig import ReconfigNode
 from hqs.scenarios import (
     CheckSpammer,
     JoinResponder,
@@ -331,9 +332,39 @@ def test_join_lonely_node_with_self_quorum():
     attack = Attack.of([1, 9])
     policy = SchedulePolicy(seed=0)
     world = make_reconfig_world(qs, attack, policy)
-    from hqs.reconfig import ReconfigNode
     world.add_node(ReconfigNode(9, [fs(9)]))
     world.request(1, 9, ("Join", fs(9), 100))
     trace = world.run()
     assert (9, "JoinComplete") in responses(trace)
     assert world.nodes[9].quorums == {fs(9)}
+
+
+# --- int and str ids in one world ---------------------------------------------------
+
+
+def test_quorum_lists_that_meet_an_int_and_a_str_are_ordered_not_a_type_error():
+    # 7's quorums {7, "a", "b"} and {"a", "b", "c"}, like "a"'s {"a", 7} and
+    # {"a", "b", "c"}, differ first in an int against a str.  The Check
+    # payloads, the Join's probe order, the Quorums reply and every state
+    # snapshot sort such quorums.
+    ids = ["a", "b", "c", 7]
+    qs = new_quorum_system(ids, {"a": [{"a", "b", "c"}, {"a", 7}], "b": [{"a", "b", "c"}],
+                                 "c": [{"a", "b", "c"}], 7: [{7, "a", "b"}, {"a", "b", "c"}]})
+    mine = (fs(7, "a", "b"), fs("a", "b", "c"))   # ints sort first
+    for op, check in ((("Leave",), ("LeaveCheck", mine)),
+                      (("Remove", fs("a", "b", "c")), ("RemoveCheck", fs("a", "b", "c"), mine))):
+        world, trace = run_requests(qs, Attack.of(ids),
+                                    [(1, "d", ("Join", fs("a"), 300)), (40, 7, op)])
+        assert responses(trace) == [("d", "JoinComplete"), (7, op[0] + "Complete")]
+        assert [e["msg"] for e in trace.events if e["kind"] == "tob_order"] == [check]
+        assert [e["msg"] for e in trace.events
+                if e["kind"] == "apl" and e["src"] == "a" and e["dst"] == "d"] == [
+            ("Quorums", (fs("a", 7), fs("a", "b", "c")))]
+
+
+def test_state_summary_orders_quorums_that_meet_an_int_and_a_str():
+    node = ReconfigNode(7, [fs("a", "b"), fs(7, "a")])
+    node.tentative = {("r", fs("a", "b")), ("r", fs(7, "a")), (1, fs("c"))}
+    summary = node.state_summary()
+    assert summary["Q"] == [[7, "a"], ["a", "b"]]
+    assert summary["tentative"] == [["1", ["c"]], ["r", [7, "a"]], ["r", ["a", "b"]]]
