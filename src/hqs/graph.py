@@ -78,10 +78,7 @@ def condense(g: QuorumGraph) -> Condensation:
                         comp.add(w)
                     sccs.append(frozenset(comp))
 
-    try:
-        components = tuple(sorted(sccs, key=min))
-    except TypeError:   # ints meet strs, which only id_key orders
-        components = tuple(sorted(sccs, key=lambda c: id_key(min(c, key=id_key))))
+    components = tuple(sorted(sccs, key=lambda c: min(map(id_key, c))))
     comp_of = {p: i for i, comp in enumerate(components) for p in comp}
     dag_edges = {(comp_of[a], comp_of[b]) for a, b in g.edges if comp_of[a] != comp_of[b]}
     return Condensation(components, frozenset(dag_edges))

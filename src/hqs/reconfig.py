@@ -95,15 +95,11 @@ class ReconfigNode(Node):
             self._notify_left(api)
 
     def state_summary(self) -> dict:
-        tentative = [[str(r), sorted_ids(q)] for (r, q) in self.tentative]
-        try:
-            tentative.sort()
-        except TypeError:   # one requester's quorums meet an int and a str
-            tentative.sort(key=lambda t: (t[0], quorum_key(t[1])))
         return {
             "Q": [sorted_ids(q) for q in sorted_quorums(self.quorums)],
             "tomb": sorted_ids(self.tomb),
-            "tentative": tentative,
+            "tentative": sorted(([str(r), sorted_ids(q)] for (r, q) in self.tentative),
+                                key=lambda t: (t[0], quorum_key(t[1]))),
             "frozen": self.frozen,
         }
 

@@ -523,14 +523,12 @@ _REQUEST_KEYS = {"Leave": ("at", "node", "op"),
                  "Add": ("at", "node", "op", "quorum"),
                  "Join": ("at", "node", "op", "seed_set", "timeout"),
                  "Broadcast": ("at", "node", "op", "value")}
-_ANY_REQUEST_KEY = tuple(dict.fromkeys(k for keys in _REQUEST_KEYS.values() for k in keys))
 
 
 def _request(req, path: str) -> tuple:
     """(at, node, request) for one entry of a scenario's ``requests``."""
-    _known_keys(_want(req, path, "an object", dict), f"{path}.", "unknown request key",
-                _ANY_REQUEST_KEY)
-    op = _choice(req.get("op"), f"{path}.op", "unknown request op", tuple(_REQUEST_KEYS))
+    op = _choice(_want(req, path, "an object", dict).get("op"), f"{path}.op",
+                 "unknown request op", tuple(_REQUEST_KEYS))
     _known_keys(req, f"{path}.", f"a {op} request takes no key", _REQUEST_KEYS[op])
     at = _want(req.get("at", 1), f"{path}.at", "an integer", int)
     if at < 0:
