@@ -338,6 +338,21 @@ def expect(value, path: str, what: str, *types, error=MalformedInput):
     raise error(f"{path}: expected {what}, got {_type_name(value)}")
 
 
+def choice(value, path: str, what: str, known, error=MalformedInput):
+    """``value`` if it is one of ``known``; else ``error`` naming its path."""
+    if value not in known:
+        raise error(f"{path}: {what} {value!r}; known: "
+                    f"{', '.join(map(str, known)) or 'none'}")
+    return value
+
+
+def known_keys(obj: dict, prefix: str, what: str, known, error=MalformedInput) -> dict:
+    """``obj`` if every key is one of ``known``; else ``error`` at ``prefix + key``."""
+    for key in obj:   # a misspelt key would otherwise be ignored
+        choice(key, prefix + key, what, known, error)
+    return obj
+
+
 def id_list(value, path: str, error=MalformedInput) -> list:
     """``value`` as a list of process ids (integers or strings)."""
     for i, p in enumerate(expect(value, path, "a list of process ids", list, error=error)):
@@ -361,7 +376,8 @@ def system_from_json(data) -> tuple:
     A value of the wrong shape raises :class:`MalformedInput` naming its
     field path, e.g. ``quorums.1[0][2]``.
     """
-    expect(data, "system", "an object", dict)
+    known_keys(expect(data, "system", "an object", dict), "", "unknown system key",
+               ("universe", "byzantine", "active", "quorums"))
     if "active" not in data:
         raise MalformedInput("active: required field is missing")
     active = id_list(data["active"], "active")

@@ -79,10 +79,10 @@ def checked_sharing_system(rng: random.Random, n_max: int = 7):
             return qs, attack
 
 
-def outlived_system(rng: random.Random, n_max: int = 6, min_outlived: int = 2):
-    """A generated system together with a maximal outlived set of useful size."""
+def outlived_system(rng: random.Random, n_max: int = 6):
+    """A generated system with its maximal outlived set, of two or more members."""
     while True:
         qs, attack = checked_sharing_system(rng, n_max)
         sets = maximal_outlived_sets(qs, attack)
-        if sets and len(sets[0]) >= min_outlived:
+        if sets and len(sets[0]) >= 2:
             return qs, attack, sets[0]

@@ -166,52 +166,53 @@ def sharing_witness(quorums: Mapping):
 
 # --- PropertyReport front ends -------------------------------------------
 
-def _require_subset(p_set: frozenset, wb: frozenset, what: str):
-    if not p_set <= wb:
+def _report(name: str, witness) -> PropertyReport:
+    return PropertyReport(name, witness is None, witness)
+
+
+def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
+    p_set = frozenset(p_set)
+    if not p_set <= attack.well_behaved:
         raise BadSubset(f"{what} must be well-behaved; offending ids: "
-                        f"{sorted_ids(p_set - wb)}")
+                        f"{sorted_ids(p_set - attack.well_behaved)}")
+    return p_set
 
 
 def check_consistency(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
-    at_p = frozenset(at_p)
-    _require_subset(at_p, attack.well_behaved, "consistency set")
-    w = consistency_witness(_wb_quorum_map(qs, attack), at_p)
-    return PropertyReport(CONSISTENCY, w is None, w)
+    at_p = _well_behaved(at_p, attack, "consistency set")
+    return _report(CONSISTENCY, consistency_witness(_wb_quorum_map(qs, attack), at_p))
 
 
 def check_availability(qs: QuorumSystem, for_p, at_p) -> PropertyReport:
     for_p = frozenset(for_p)
     quorums = {p: qs.quorums_of(p) for p in for_p}  # raises UnknownProcess
-    w = availability_witness(quorums, for_p, frozenset(at_p))
-    return PropertyReport(AVAILABILITY, w is None, w)
+    return _report(AVAILABILITY, availability_witness(quorums, for_p, frozenset(at_p)))
 
 
 def check_available_inside(qs: QuorumSystem, p_set) -> PropertyReport:
-    rep = check_availability(qs, p_set, p_set)
-    return PropertyReport(AVAILABLE_INSIDE, rep.holds, rep.witness)
+    return _report(AVAILABLE_INSIDE, check_availability(qs, p_set, p_set).witness)
 
 
 def check_active_availability(qs: QuorumSystem, p_set, left) -> PropertyReport:
-    p_set = frozenset(p_set)
-    left = frozenset(left)
+    p_set, left = frozenset(p_set), frozenset(left)
     quorums = {p: qs.quorums_of(p) for p in p_set - left if qs.declares(p)}
-    w = active_availability_witness(quorums, p_set, left)
-    return PropertyReport(ACTIVE_AVAILABILITY, w is None, w)
+    return _report(ACTIVE_AVAILABILITY, active_availability_witness(quorums, p_set, left))
+
+
+def _inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
+               tentative: Mapping = None) -> PropertyReport:
+    # one definition; left and tentative weaken it (see inclusion_witness)
+    p_set = _well_behaved(p_set, attack, "inclusion set")
+    return _report(name, inclusion_witness(_wb_quorum_map(qs, attack), p_set,
+                                           attack.well_behaved, frozenset(left), tentative))
 
 
 def check_quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set) -> PropertyReport:
-    p_set = frozenset(p_set)
-    _require_subset(p_set, attack.well_behaved, "inclusion set")
-    w = inclusion_witness(_wb_quorum_map(qs, attack), p_set, attack.well_behaved)
-    return PropertyReport(INCLUSION, w is None, w)
+    return _inclusion(INCLUSION, qs, attack, p_set)
 
 
 def check_active_inclusion(qs: QuorumSystem, attack: Attack, p_set, left) -> PropertyReport:
-    p_set = frozenset(p_set)
-    _require_subset(p_set, attack.well_behaved, "inclusion set")
-    w = inclusion_witness(_wb_quorum_map(qs, attack), p_set, attack.well_behaved,
-                          left=frozenset(left))
-    return PropertyReport(ACTIVE_INCLUSION, w is None, w)
+    return _inclusion(ACTIVE_INCLUSION, qs, attack, p_set, left=left)
 
 
 def check_tentative_inclusion(qs: QuorumSystem, attack: Attack, p_set,
@@ -220,29 +221,22 @@ def check_tentative_inclusion(qs: QuorumSystem, attack: Attack, p_set,
 
     ``tentative`` maps a process to a set of (requester, quorum) pairs.
     """
-    p_set = frozenset(p_set)
-    _require_subset(p_set, attack.well_behaved, "inclusion set")
-    w = inclusion_witness(_wb_quorum_map(qs, attack), p_set, attack.well_behaved,
-                          tentative=tentative)
-    return PropertyReport(TENTATIVE_INCLUSION, w is None, w)
+    return _inclusion(TENTATIVE_INCLUSION, qs, attack, p_set, tentative=tentative)
 
 
 def check_quorum_sharing(qs: QuorumSystem) -> PropertyReport:
     quorums = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
-    w = sharing_witness(quorums)
-    return PropertyReport(SHARING, w is None, w)
+    return _report(SHARING, sharing_witness(quorums))
 
 
 def check_outlived(qs: QuorumSystem, attack: Attack, outlived_set) -> PropertyReport:
     """Conjunction of consistency at O, availability inside O and inclusion for O."""
-    o = frozenset(outlived_set)
-    _require_subset(o, attack.well_behaved, "outlived set")
-    for rep in (check_consistency(qs, attack, o),
-                check_available_inside(qs, o),
-                check_quorum_inclusion(qs, attack, o)):
-        if not rep.holds:
-            return PropertyReport(OUTLIVED, False, (rep.property,) + (rep.witness or ()))
-    return PropertyReport(OUTLIVED, True, None)
+    o = _well_behaved(outlived_set, attack, "outlived set")
+    wb_quorums = _wb_quorum_map(qs, attack)
+    parts = ((CONSISTENCY, consistency_witness(wb_quorums, o)),
+             (AVAILABLE_INSIDE, availability_witness({p: qs.quorums_of(p) for p in o}, o, o)),
+             (INCLUSION, inclusion_witness(wb_quorums, o, attack.well_behaved)))
+    return _report(OUTLIVED, next(((name, *w) for name, w in parts if w is not None), None))
 
 
 def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:

@@ -18,14 +18,17 @@ from .core import (
     QuorumSystem,
     ReconfigOp,
     apply_reconfig,
+    choice,
     expect,
     followers,   # the benchmark's tracer wraps this name here
     followers_map,
     id_list,
+    known_keys,
     minimal_quorums,
     new_quorum_system,
     quorum_decls,
     sorted_ids,
+    sorted_quorums,
 )
 from .discovery import DiscoveryNode, oracle_validq, threshold_validq
 from .errors import ScenarioError
@@ -58,29 +61,30 @@ class _QuorumView:
     """(pid, quorums) of every well-behaved protocol node of one world, as a
     value shared by that world's probes.
 
-    Each quorum set is copied into a tuple in its iteration order, so a
-    probe computed from the copy returns the witness it would return from
-    the live sets, and a later in-place change cannot alter the copy.  A
-    node changes its quorums only with a ``touch()``, so only the nodes in
-    ``world.touched`` are copied again, and ``value`` stays the same object
-    while no quorum moved.
+    Each quorum set is copied into a tuple in ``sorted_quorums`` order, so a
+    probe's witness does not depend on the iteration order of a set (for
+    str ids that order changes with the hash seed), and a later in-place
+    change cannot alter the copy.  A node changes its quorums only with a
+    ``touch()``, so only the touched nodes are compared again, and one is
+    re-sorted only when its quorum set differs from the copied one; ``value``
+    stays the same object while no quorum moved.
     """
 
     def __init__(self, world):
         wb = world.well_behaved
         self.size = len(world.nodes)
-        self.quorums = {pid: tuple(node.quorums) for pid, node in world.nodes.items()
-                        if pid in wb and isinstance(node, ReconfigNode)}
+        self.sets = {pid: frozenset(node.quorums) for pid, node in world.nodes.items()
+                     if pid in wb and isinstance(node, ReconfigNode)}
+        self.quorums = {pid: tuple(sorted_quorums(qs)) for pid, qs in self.sets.items()}
         self.value = tuple(self.quorums.items())
 
     def current(self, world) -> tuple:
         moved = False
         for pid in world.touched:
-            if pid in self.quorums:
-                quorums = tuple(world.nodes[pid].quorums)
-                if quorums != self.quorums[pid]:
-                    self.quorums[pid] = quorums
-                    moved = True
+            if pid in self.sets and world.nodes[pid].quorums != self.sets[pid]:
+                self.sets[pid] = quorums = frozenset(world.nodes[pid].quorums)
+                self.quorums[pid] = tuple(sorted_quorums(quorums))
+                moved = True
         if moved:
             self.value = tuple(self.quorums.items())
         return self.value
@@ -359,22 +363,23 @@ ADVERSARIES = {
 # --- world builders ------------------------------------------------------------
 
 
+def _world(qs, attack, policy, adversary, step_cap, make_node) -> World:
+    """A world holding ``make_node(pid)`` for each active well-behaved process."""
+    world = World(attack, policy, adversary=adversary, step_cap=step_cap)
+    for pid in sorted_ids(qs.active & attack.well_behaved):
+        world.add_node(make_node(pid))
+    return world
+
+
 def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
                         sink_info=None, adversary=None, step_cap=10_000,
                         joiners=()):
-    world = World(qs, attack, policy, adversary=adversary, step_cap=step_cap)
     sink = sink_members(qs) if sink_info == "oracle" else None
     fmap = followers_map(qs)
-    for pid in sorted_ids(qs.active & attack.well_behaved):
-        node = ReconfigNode(
-            pid,
-            qs.quorums_of(pid),
-            followers=fmap.get(pid, ()),
-            in_sink=(pid in sink) if sink is not None else None,
-            mode=mode,
-            combined_checks=combined_checks,
-        )
-        world.add_node(node)
+    world = _world(qs, attack, policy, adversary, step_cap, lambda pid: ReconfigNode(
+        pid, qs.quorums_of(pid), followers=fmap.get(pid, ()),
+        in_sink=(pid in sink) if sink is not None else None,
+        mode=mode, combined_checks=combined_checks))
     for pid in sorted_ids(joiners):
         world.add_node(ReconfigNode(pid, (), mode=mode,
                                     combined_checks=combined_checks))
@@ -382,28 +387,24 @@ def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
 
 
 def make_discovery_world(qs, attack, policy, *, adversary=None, validq="oracle",
-                         threshold=2, step_cap=10_000):
+                         step_cap=10_000):
     if validq == "oracle":
         predicate = oracle_validq(minimal_quorums(qs, attack))
     elif validq == "threshold":
-        predicate = threshold_validq(threshold)
+        predicate = threshold_validq(2)
     else:
         predicate = None
-    world = World(qs, attack, policy, adversary=adversary, step_cap=step_cap)
-    for pid in sorted_ids(qs.active & attack.well_behaved):
-        world.add_node(DiscoveryNode(pid, qs.quorums_of(pid), validq=predicate))
+    world = _world(qs, attack, policy, adversary, step_cap,
+                   lambda pid: DiscoveryNode(pid, qs.quorums_of(pid), validq=predicate))
+    for pid in sorted_ids(world.nodes):
         world.request(0, pid, ("Discover",))
     return world
 
 
 def make_brb_world(qs, attack, policy, *, adversary=None, step_cap=10_000):
-    world = World(qs, attack, policy, adversary=adversary, step_cap=step_cap)
     fmap = followers_map(qs)
-    for pid in sorted_ids(qs.active & attack.well_behaved):
-        world.add_node(BrbNode(pid, qs.quorums_of(pid),
-                               followers=fmap.get(pid, ()),
-                               active=qs.active))
-    return world
+    return _world(qs, attack, policy, adversary, step_cap, lambda pid: BrbNode(
+        pid, qs.quorums_of(pid), followers=fmap.get(pid, ()), active=qs.active))
 
 
 def current_system(world, base: QuorumSystem) -> QuorumSystem:
@@ -457,19 +458,8 @@ def load_scenario(ref):
 
 
 _want = partial(expect, error=ScenarioError)   # (value, path, what, *types)
-
-
-def _choice(value, path: str, what: str, known: tuple):
-    if value not in known:
-        raise ScenarioError(f"{path}: {what} {value!r}; known: "
-                            f"{', '.join(map(str, known))}")
-    return value
-
-
-def _known_keys(obj: dict, prefix: str, what: str, known: tuple) -> dict:
-    for key in obj:   # a misspelt key would otherwise be ignored
-        _choice(key, prefix + key, what, known)
-    return obj
+_choice = partial(choice, error=ScenarioError)   # (value, path, what, known)
+_known_keys = partial(known_keys, error=ScenarioError)   # (obj, prefix, what, known)
 
 
 def _pid(value, path: str):
@@ -544,9 +534,17 @@ def _request(req, path: str) -> tuple:
     return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
 
 
-PROTOCOLS = ("ac", "pc", "discovery", "brb")
+# protocol -> (the scenario keys only it reads, the request ops its nodes
+# serve, the probes its nodes can trip)
+_RECONFIG = (("sink_info", "combined_checks"), ("Leave", "Remove", "Add", "Join"),
+             (*PROBES, "add_no_split"))
+_PROTOCOLS = {"ac": _RECONFIG, "pc": _RECONFIG, "discovery": (("validq",), (), ()),
+              "brb": ((), ("Broadcast",), ("brb_consistency",))}
+PROTOCOLS = tuple(_PROTOCOLS)
+_PROTOCOL_KEYS = tuple(dict.fromkeys(key for keys, _, _ in _PROTOCOLS.values()
+                                     for key in keys))
 SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "outlived", "probes",
-                 "requests", "step_cap", "validq", "sink_info", "combined_checks")
+                 "requests", "step_cap", *_PROTOCOL_KEYS)
 POLICY_KEYS = ("seed", "mode", "fairness_bound", "tob_order")
 
 
@@ -577,6 +575,10 @@ def run_scenario(spec, seed_override=None):
     adversary = _adversary(spec.get("adversary", "none"))
     protocol = _choice(spec.get("protocol", "ac"), "protocol", "unknown protocol",
                        PROTOCOLS)
+    keys, ops, protocol_probes = _PROTOCOLS[protocol]
+    for key in spec:   # another protocol's key would be ignored here
+        if key in _PROTOCOL_KEYS and key not in keys:
+            raise ScenarioError(f"{key}: the {protocol} protocol does not read this key")
     validq = _choice(spec.get("validq", "oracle"), "validq", "unknown predicate",
                      ("oracle", "threshold"))
     sink_info = spec.get("sink_info")   # absent: no sink oracle
@@ -590,6 +592,8 @@ def run_scenario(spec, seed_override=None):
     requests = [_request(req, f"requests[{i}]") for i, req in enumerate(
         _want(spec.get("requests", []), "requests", "a list of requests", list))]
     for i, (_, node, request) in enumerate(requests):
+        _choice(request[0], f"requests[{i}].op", f"the {protocol} protocol serves no op",
+                ops)
         if request[0] == "Join" and node in qs.active & attack.well_behaved:
             raise ScenarioError(f"requests[{i}].node: {node!r} is already an active "
                                 f"well-behaved process; only a new one can Join")
@@ -610,6 +614,8 @@ def run_scenario(spec, seed_override=None):
 
     for i, name in enumerate(probes):
         _choice(name, f"probes[{i}]", "unknown probe", (*PROBES, *GLOBAL_PROBES))
+        _choice(name, f"probes[{i}]", f"the {protocol} protocol can trip no probe",
+                protocol_probes)
         world.add_probe(name, PROBES[name](outlived) if name in PROBES
                         else GLOBAL_PROBES[name])
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Attack, QuorumSystem, sorted_ids
+from .core import Attack, sorted_ids
 from .errors import ForgedSender, ForgedSigner, ScenarioError
 
 RANDOM_FAIR = "RandomFair"
@@ -222,8 +222,18 @@ class Trace:
     def __init__(self):
         self.events = []
         self.outcome = QUIESCENT
-        self.violations = []
-        self.responses = []
+
+    @property
+    def responses(self) -> list:
+        """(step, node, response) of every ``response`` event, in order."""
+        return [(e["step"], e["node"], e["response"])
+                for e in self.events if e["kind"] == "response"]
+
+    @property
+    def violations(self) -> list:
+        """{step, probe, witness} of every ``probe_violation`` event, in order."""
+        return [{"step": e["step"], "probe": e["probe"], "witness": e["witness"]}
+                for e in self.events if e["kind"] == "probe_violation"]
 
     def to_jsonl(self) -> str:
         """One ``canon_json(event)`` line per event.  An event with exactly
@@ -258,9 +268,8 @@ class Trace:
 
 
 class World:
-    def __init__(self, system: QuorumSystem, attack: Attack, policy: SchedulePolicy,
+    def __init__(self, attack: Attack, policy: SchedulePolicy,
                  adversary: Optional[Adversary] = None, step_cap: int = 10_000):
-        self.system = system
         self.attack = attack
         self.well_behaved = attack.well_behaved   # one copy, read per message
         self.policy = policy
@@ -349,7 +358,6 @@ class World:
         self._push(self.step + max(1, delay), "timer", (pid, tag))
 
     def respond(self, pid, response):
-        self.trace.responses.append((self.step, pid, response))
         self._record({"step": self.step, "kind": "response", "node": pid,
                       "response": response})
 
@@ -429,8 +437,6 @@ class World:
         for name, fn in self.probes:
             witness = fn(self)
             if witness is not None:
-                self.trace.violations.append(
-                    {"step": self.step, "probe": name, "witness": witness})
                 self._record({"step": self.step, "kind": "probe_violation",
                               "probe": name, "witness": witness})
 

@@ -199,6 +199,8 @@ def test_simulate_adversary_without_args_names_them(capsys, tmp_path, adversary)
     ({"active": [1], "quorums": [[1]]}, "quorums"),
     ({"active": [1], "byzantine": "1", "quorums": {"1": [[1]]}}, "byzantine"),
     ({"quorums": {"1": [[1]]}}, "active"),
+    ({"universe": [1, 2, 4], "byzantin": [4], "active": [1, 2, 4],
+      "quorums": {"1": [[1, 4]], "2": [[2, 4]], "4": [[4]]}}, "byzantin"),
 ])
 def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                system, path):
@@ -259,7 +261,22 @@ def _renamed(spec, old, new):
     ("ac_leave_fig1", lambda s: {**s, "combined_checks": "no"}, "combined_checks"),
     ("discovery_fig2_deceive", lambda s: {**s, "validq": 5}, "validq"),
     ("ac_leave_fig1", lambda s: _renamed(s, "probes", "probe"), "probe"),
-], ids=["sink_info-5", "sink_info-null", "combined_checks-no", "validq-5", "probe-typo"])
+    ("brb_honest_fig1", lambda s: {**s, "requests": [{"at": 1, "node": 3, "op": "Leave"}]},
+     "requests[0].op"),
+    ("discovery_fig2_deceive",
+     lambda s: {**s, "requests": [{"at": 1, "node": 1, "op": "Add", "quorum": [1, 2]}]},
+     "requests[0].op"),
+    ("ac_leave_fig1",
+     lambda s: {**s, "requests": [*s["requests"],
+                                  {"at": 1, "node": 2, "op": "Broadcast", "value": "m"}]},
+     "requests[1].op"),
+    ("brb_honest_fig1", lambda s: {**s, "probes": ["intersection", "add_no_split"]},
+     "probes[0]"),
+    ("ac_leave_fig1", lambda s: {**s, "probes": ["brb_consistency"]}, "probes[0]"),
+    ("ac_leave_fig1", lambda s: {**s, "validq": "threshold"}, "validq"),
+], ids=["sink_info-5", "sink_info-null", "combined_checks-no", "validq-5", "probe-typo",
+        "brb-Leave", "discovery-Add", "ac-Broadcast", "brb-reconfig-probes",
+        "ac-brb-probe", "ac-validq"])
 def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
                                                               name, edit, path):
     scenario = tmp_path / "s.json"

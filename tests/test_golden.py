@@ -8,6 +8,9 @@ reach.  A change that is meant to keep behaviour keeps every digest.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +157,27 @@ def str_and_mixed_ids():
     return trace
 
 
+def str_ids_two_quorums():
+    # every node holds two quorums over str ids, whose set iteration order
+    # follows the hash seed; the intersection witness picks one pair of them
+    ids = ["a", "b", "c", "d", "e", "f"]
+    qs = new_quorum_system(
+        ids, {"a": [{"a", "b", "c"}, {"a", "d", "e"}], "b": [{"a", "b", "c"}, {"b", "d", "e"}],
+              "c": [{"a", "b", "c"}, {"c", "d", "e"}], "d": [{"a", "d", "e"}, {"b", "d", "e"}],
+              "e": [{"c", "d", "e"}, {"a", "d", "e"}], "f": [{"f", "a"}, {"f", "b"}]},
+        byzantine={"f"})
+    world = make_reconfig_world(qs, Attack.of(ids, {"f"}), SchedulePolicy(seed=0),
+                                adversary=CheckSpammer())
+    outlived = fs("b", "c", "d", "e")
+    world.add_probe("intersection", probe_intersection(outlived))
+    world.add_probe("active_inclusion", probe_active_inclusion(outlived))
+    world.add_probe("active_availability", probe_active_availability(outlived))
+    world.request(1, "a", ("Leave",))
+    trace = world.run()
+    assert trace.violations and trace.responses == [(1, "a", "LeaveFail")]
+    return trace
+
+
 BUILT = {
     ac_remove:
         "344482c270e6ebfdc8a2ff6de2b142c98a87c02bfa14405e94dd8ded0b89576c",
@@ -171,6 +195,8 @@ BUILT = {
         "29fd6e1e84a38d02ade360ee10046a9efad1e8153d8757c800cea270107f27c4",
     str_and_mixed_ids:
         "293b3a23ca44c02b8537a5603319fa0a273804558b87d4afd06c7bd9106f00e5",
+    str_ids_two_quorums:
+        "bfb9161ed15ed8c1b4a070a97128d984941066df8b354fa060c4d11499d9312e",
 }
 
 
@@ -179,6 +205,17 @@ def test_hand_built_world_digest(build):
     trace = build()
     assert trace.outcome == "quiescent"
     assert digest(trace) == BUILT[build]
+
+
+def test_str_id_witnesses_do_not_depend_on_the_hash_seed():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(tests, os.pardir, "src"), tests])
+    run = "import test_golden as g; print(g.digest(g.str_ids_two_quorums()))"
+    digests = {subprocess.run([sys.executable, "-c", run], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                               "PYTHONPATH": path}).stdout.strip()
+               for seed in ("0", "3", "6")}
+    assert digests == {BUILT[str_ids_two_quorums]}
 
 
 GOLDEN = {**{name: lambda name=name: run_scenario(name)[1] for name in NAMED},

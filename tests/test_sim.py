@@ -53,7 +53,7 @@ def small_world(seed=0, mode="RandomFair", adversary=None, byz=(4,), step_cap=10
                 node=EchoNode):
     qs, _ = load_fixture("fig1")
     attack = Attack.of(qs.universe, byz)
-    world = World(qs, attack, SchedulePolicy(seed=seed, mode=mode),
+    world = World(attack, SchedulePolicy(seed=seed, mode=mode),
                   adversary=adversary, step_cap=step_cap)
     for pid in sorted(qs.active & attack.well_behaved):
         world.add_node(node(pid))
@@ -62,7 +62,7 @@ def small_world(seed=0, mode="RandomFair", adversary=None, byz=(4,), step_cap=10
 
 def test_empty_world_quiesces_immediately():
     qs, attack = load_fixture("fig1")
-    world = World(qs, attack, SchedulePolicy(seed=1))
+    world = World(attack, SchedulePolicy(seed=1))
     trace = world.run()
     assert trace.outcome == "quiescent"
     assert [e["kind"] for e in trace.events] == ["end"]
@@ -297,7 +297,7 @@ def test_node_touched_before_run_yields_one_state_event_at_the_first_flush():
 
 def test_node_touched_before_it_is_added_yields_one_state_event_at_the_first_flush():
     qs, _ = load_fixture("fig1")
-    world = World(qs, Attack.of(qs.universe, (4,)), SchedulePolicy(seed=0))
+    world = World(Attack.of(qs.universe, (4,)), SchedulePolicy(seed=0))
     node = EchoNode(2)
     node.touch()
     world.add_node(node)
