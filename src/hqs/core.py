@@ -57,9 +57,14 @@ def sorted_quorums(qs: Iterable[Quorum]) -> list:
 
 
 def canon_quorums(qs: Iterable[Quorum]) -> tuple:
-    """Deduplicated quorums in a stable order (by size, then members)."""
+    """Deduplicated quorums in a stable order (by size, then members); as
+    in :func:`sorted_quorums`, only a sort that meets an int and a str at
+    one position pays for ``quorum_key``."""
     uniq = {frozenset(q) for q in qs}
-    return tuple(sorted(uniq, key=lambda q: (len(q), quorum_key(q))))
+    try:
+        return tuple(sorted(uniq, key=lambda q: (len(q), sorted_ids(q))))
+    except TypeError:
+        return tuple(sorted(uniq, key=lambda q: (len(q), quorum_key(q))))
 
 
 def antichain(qs: Iterable[Quorum]) -> tuple:

@@ -95,8 +95,13 @@ class ReconfigNode(Node):
             self._notify_left(api)
 
     def state_summary(self) -> dict:
+        members = [sorted_ids(q) for q in self.quorums]
+        try:   # the quorum_key order, as in sorted_quorums, from one sort per quorum
+            members.sort()
+        except TypeError:
+            members.sort(key=quorum_key)
         return {
-            "Q": [sorted_ids(q) for q in sorted_quorums(self.quorums)],
+            "Q": members,
             "tomb": sorted_ids(self.tomb),
             "tentative": sorted(([str(r), sorted_ids(q)] for (r, q) in self.tentative),
                                 key=lambda t: (t[0], quorum_key(t[1]))),

@@ -536,15 +536,15 @@ def _request(req, path: str) -> tuple:
 
 # protocol -> (the scenario keys only it reads, the request ops its nodes
 # serve, the probes its nodes can trip)
-_RECONFIG = (("sink_info", "combined_checks"), ("Leave", "Remove", "Add", "Join"),
-             (*PROBES, "add_no_split"))
+_RECONFIG = (("outlived", "sink_info", "combined_checks"),
+             ("Leave", "Remove", "Add", "Join"), (*PROBES, "add_no_split"))
 _PROTOCOLS = {"ac": _RECONFIG, "pc": _RECONFIG, "discovery": (("validq",), (), ()),
               "brb": ((), ("Broadcast",), ("brb_consistency",))}
 PROTOCOLS = tuple(_PROTOCOLS)
 _PROTOCOL_KEYS = tuple(dict.fromkeys(key for keys, _, _ in _PROTOCOLS.values()
                                      for key in keys))
-SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "outlived", "probes",
-                 "requests", "step_cap", *_PROTOCOL_KEYS)
+SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "probes", "requests",
+                 "step_cap", *_PROTOCOL_KEYS)
 POLICY_KEYS = ("seed", "mode", "fairness_bound", "tob_order")
 
 
@@ -587,7 +587,11 @@ def run_scenario(spec, seed_override=None):
     combined_checks = _want(spec.get("combined_checks", True), "combined_checks",
                             "a boolean", bool)
     step_cap = _want(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
-    outlived = _ids(spec.get("outlived", sorted_ids(attack.well_behaved)), "outlived")
+    live = qs.active & attack.well_behaved   # the probes check outlived ids as live
+    outlived = _ids(spec.get("outlived", sorted_ids(live)), "outlived")
+    if not live.issuperset(outlived):
+        raise ScenarioError(f"outlived: {sorted_ids(set(outlived) - live)} are not "
+                            f"active well-behaved processes")
     probes = _want(spec.get("probes", []), "probes", "a list of probe names", list)
     requests = [_request(req, f"requests[{i}]") for i, req in enumerate(
         _want(spec.get("requests", []), "requests", "a list of requests", list))]

@@ -14,6 +14,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Optional
 
 from .core import Attack, sorted_ids
@@ -58,6 +59,7 @@ class Envelope:
 
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 _STR = frozenset({str})
+_PLAIN = frozenset({str, int})
 
 
 def _member_order(value):
@@ -88,6 +90,14 @@ def _jsonable(obj):
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_jsonable,
                             check_circular=False)
+# ``_ENCODER.encode`` builds a C encoder at every call: build one from its
+# settings once (it keeps no circular-reference markers), if json has one
+_C_ENCODER = c_make_encoder and c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
+_encode = _ENCODER.encode if _C_ENCODER is None else (
+    lambda obj, _join="".join: _join(_C_ENCODER(obj, 0)))
 
 
 def _str_keyed(obj) -> bool:
@@ -113,16 +123,16 @@ def canon_json(obj) -> str:
     ``str``.  So an object holding such a dict goes through ``canon`` first.
     """
     try:
-        blob = _ENCODER.encode(obj)
+        blob = _encode(obj)
     except TypeError:   # mixed key types or keys JSON cannot spell; a value
-        return _ENCODER.encode(canon(obj))   # with no JSON form raises again
+        return _encode(canon(obj))   # with no JSON form raises again
     # every key ends in '":' in the blob: if the top level's own keys are
     # all there are, no nested dict has a key to look at
     if blob.count('":') == (len(obj) if isinstance(obj, dict) else 0):
         plain = not isinstance(obj, dict) or _STR.issuperset(map(type, obj))
     else:
         plain = _str_keyed(obj)
-    return blob if plain else _ENCODER.encode(canon(obj))
+    return blob if plain else _encode(canon(obj))
 
 
 def _digest(blob: str) -> str:
@@ -239,10 +249,11 @@ class Trace:
         """One ``canon_json(event)`` line per event.  An event with exactly
         its kind's keys in ``_LINES`` fills the kind's template: a payload
         goes through ``canon_json`` once per object (the events keep every
-        payload alive, so in one call an id names one object), an int that
-        is not a bool or a str is spelled directly; any other event or
-        value is encoded whole."""
-        blobs = {}
+        payload alive, so in one call an id names one object) and once per
+        value if it is a tuple of exact strs and ints (equal ones spell alike,
+        unlike 1, True and 1.0); an int that is not a bool or a str is spelled
+        directly; any other event or value is encoded whole."""
+        blobs = {}   # id(payload) or a plain tuple payload -> its blob
         lines = []
         for event in self.events:
             template, keys, fields = _LINES.get(event.get("kind"), (None, None, ()))
@@ -251,12 +262,17 @@ class Trace:
                 for key, payload in fields:
                     value = event[key]
                     if payload:
-                        values.append(blobs.get(id(value))
-                                      or blobs.setdefault(id(value), canon_json(value)))
+                        blob = blobs.get(id(value))
+                        if blob is None:
+                            plain = type(value) is tuple and _PLAIN.issuperset(map(type, value))
+                            key = value if plain else id(value)
+                            blob = blobs[key] = blobs.get(key) or canon_json(value)
+                            blobs[id(value)] = blob
+                        values.append(blob)
                     elif type(value) is int:
                         values.append(repr(value))
                     elif type(value) is str:
-                        values.append(json.dumps(value))
+                        values.append(encode_basestring_ascii(value))
                     else:
                         break
                 else:
@@ -293,7 +309,7 @@ class World:
         self._events_processed = 0
         self.touched = set()        # ids of nodes touched since the last flush
         # snapshot cache: each node's serialised entry, in str(pid) order
-        self._slot = None           # pid -> index into _fragments, once started
+        self._slot = None           # pid -> (index into _fragments, '"pid":'), once started
         self._fragments = []
 
     # -- wiring ------------------------------------------------------------
@@ -444,24 +460,23 @@ class World:
         return {str(pid): self.nodes[pid].state_summary()
                 for pid in sorted_ids(self.nodes)}
 
-    @staticmethod
-    def _fragment(node: Node) -> str:
-        return json.dumps(str(node.pid)) + ":" + canon_json(node.state_summary())
-
     def _snapshot_digest(self) -> str:
         """``fingerprint(self.state_snapshot())``, joined from cached
         fragments; re-serialises the touched nodes and clears ``touched``."""
         for pid in self.touched:
-            self._fragments[self._slot[pid]] = self._fragment(self.nodes[pid])
+            i, key = self._slot[pid]
+            self._fragments[i] = key + canon_json(self.nodes[pid].state_summary())
         self.touched.clear()
         return _digest("{" + ",".join(self._fragments) + "}")
 
     def run(self) -> Trace:
         by_key = sorted(self.nodes.values(), key=lambda node: str(node.pid))
-        self._slot = {node.pid: i for i, node in enumerate(by_key)}
+        self._slot = {node.pid: (i, encode_basestring_ascii(str(node.pid)) + ":")
+                      for i, node in enumerate(by_key)}
         # touched stays as it is: a node touched before run() still yields a
         # state event (and a probe run) at the first flush
-        self._fragments = list(map(self._fragment, by_key))
+        self._fragments = [key + canon_json(node.state_summary())
+                           for node, (_, key) in zip(by_key, self._slot.values())]
         self.adversary.on_init(self)
         for pid in sorted_ids(self.nodes):
             node = self.nodes[pid]

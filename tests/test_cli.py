@@ -274,9 +274,14 @@ def _renamed(spec, old, new):
      "probes[0]"),
     ("ac_leave_fig1", lambda s: {**s, "probes": ["brb_consistency"]}, "probes[0]"),
     ("ac_leave_fig1", lambda s: {**s, "validq": "threshold"}, "validq"),
+    ("ac_leave_fig1", lambda s: {**s, "outlived": [2, 3, 5, 99]}, "outlived"),
+    ("ac_leave_fig1", lambda s: {**s, "outlived": [2, 4]}, "outlived"),
+    ("brb_honest_fig1", lambda s: {**s, "outlived": [2, 3, 5]}, "outlived"),
+    ("discovery_fig2_deceive", lambda s: {**s, "outlived": [1, 2]}, "outlived"),
 ], ids=["sink_info-5", "sink_info-null", "combined_checks-no", "validq-5", "probe-typo",
         "brb-Leave", "discovery-Add", "ac-Broadcast", "brb-reconfig-probes",
-        "ac-brb-probe", "ac-validq"])
+        "ac-brb-probe", "ac-validq", "outlived-unknown-id", "outlived-byzantine-id",
+        "brb-outlived", "discovery-outlived"])
 def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
                                                               name, edit, path):
     scenario = tmp_path / "s.json"
@@ -299,6 +304,25 @@ def test_scenario_keys_with_a_valid_value_still_run(capsys, tmp_path, name, chan
     scenario.write_text(json.dumps({**_shipped_scenario(name), **change}))
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code in (0, 1) and not err
+
+
+def test_the_default_outlived_set_is_the_active_well_behaved_processes(capsys, tmp_path):
+    # 9 is in the universe but not active: no probe may ask it to stay live
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"universe": [1, 2, 3, 4, 9], "active": [1, 2, 3, 4],
+                                  "quorums": {"1": [[1, 2, 3]], "2": [[1, 2, 3]],
+                                              "3": [[1, 2, 3]], "4": [[1, 2, 3, 4]]}}))
+    spec = {"system": str(system), "protocol": "ac", "policy": {"seed": 0},
+            "requests": [{"at": 1, "node": 4, "op": "Leave"}],
+            "probes": ["intersection", "active_inclusion", "active_availability"]}
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 0 and "probes: PASS" in out
+    scenario.write_text(json.dumps({**spec, "outlived": [1, 2, 3, 9]}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and "PASS" not in out
+    assert err == "error: outlived: [9] are not active well-behaved processes\n"
 
 
 @settings(max_examples=40, deadline=None,

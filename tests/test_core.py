@@ -8,6 +8,7 @@ from hqs.core import (
     ReconfigOp,
     antichain,
     apply_reconfig,
+    canon_quorums,
     followers,
     is_active_blocking,
     is_blocking,
@@ -220,3 +221,11 @@ def test_sorted_quorums_matches_the_quorum_key_order(quorums):
     for given_quorums in (quorums, set(quorums)):
         assert (list(map(repr, map(sorted_ids, sorted_quorums(given_quorums))))
                 == list(map(repr, map(sorted_ids, sorted(given_quorums, key=quorum_key)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(-2, 3) | st.text("ab", max_size=2), max_size=4))
+       | st.lists(st.frozensets(st.integers(-2, 3), max_size=4)))
+def test_canon_quorums_matches_the_size_then_quorum_key_order(quorums):
+    uniq = set(map(frozenset, quorums))
+    assert canon_quorums(quorums) == tuple(sorted(uniq, key=lambda q: (len(q), quorum_key(q))))

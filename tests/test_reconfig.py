@@ -1,6 +1,8 @@
 import random
 
-from hqs.core import Attack, new_quorum_system, sorted_ids
+from hypothesis import given, settings, strategies as st
+
+from hqs.core import Attack, new_quorum_system, quorum_key, sorted_ids
 from hqs.fixtures import load_fixture
 from hqs.gen import outlived_system
 from hqs.props import availability_witness, inclusion_witness
@@ -368,3 +370,12 @@ def test_state_summary_orders_quorums_that_meet_an_int_and_a_str():
     summary = node.state_summary()
     assert summary["Q"] == [[7, "a"], ["a", "b"]]
     assert summary["tentative"] == [["1", ["c"]], ["r", [7, "a"]], ["r", ["a", "b"]]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(-2, 3) | st.text("ab", max_size=2),
+                              min_size=1, max_size=4)))
+def test_state_summary_lists_quorums_in_the_quorum_key_order(quorums):
+    node = ReconfigNode(0, quorums)
+    assert node.state_summary()["Q"] == [sorted_ids(q)
+                                         for q in sorted(node.quorums, key=quorum_key)]

@@ -1,10 +1,11 @@
-from collections import namedtuple
+from collections import Counter, namedtuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hqs import sim
 from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
@@ -365,6 +366,21 @@ def test_canon_json_matches_the_pre_pass_oracle(obj):
     assert canon_json(obj) == oracles.oracle_canon_json(obj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_the_prebuilt_encoder_writes_what_the_stdlib_encoder_writes(obj):
+    try:
+        blob = sim._ENCODER.encode(obj)
+    except TypeError:   # a dict whose keys cannot be sorted or spelled
+        with pytest.raises(TypeError):
+            sim._encode(obj)
+    else:
+        assert sim._encode(obj) == blob
+    pre_passed = canon(obj)
+    assert (sim._encode(pre_passed) == sim._ENCODER.encode(pre_passed)
+            == oracles.oracle_canon_json(obj))
+
+
 @pytest.mark.parametrize("obj, blob", [
     ({10: 1, 9: 2}, '{"10":1,"9":2}'),
     ({True: 1}, '{"True":1}'),
@@ -471,3 +487,20 @@ def test_to_jsonl_encodes_a_payload_once_and_an_off_template_event_whole():
     assert sum(obj is payload for obj in encoded) == 1
     assert all(any(obj is e for obj in encoded) for e in whole)
     assert not any(obj is e for obj in encoded for e in plain + [int_keyed])
+
+
+def test_to_jsonl_shares_a_blob_only_between_equal_tuples_of_exact_strs_and_ints():
+    # ("Echo", 1, "a") equals ("Echo", True, "a") and ("Echo", 1.0, "a"), but
+    # each spells its own line; two separate objects of each kind
+    payloads = [tuple(fields) for fields in [["Echo", 1, "a"], ["Echo", True, "a"],
+                                             ["Echo", 1.0, "a"], ["Echo", "1", "a"]] * 2]
+    trace = Trace()
+    trace.events = [{"step": 0, "kind": "apl", "src": 1, "dst": 2, "msg": msg}
+                    for msg in payloads + payloads[::-1]]
+    with mock.patch("hqs.sim.canon_json", wraps=canon_json) as spy:
+        lines = trace.to_jsonl().splitlines()
+    assert lines == oracles.oracle_to_jsonl(trace.events).splitlines()
+    assert len(set(lines)) == 4
+    encoded = Counter(repr(c.args[0]) for c in spy.call_args_list)
+    assert encoded == {"('Echo', 1, 'a')": 1, "('Echo', '1', 'a')": 1,
+                       "('Echo', True, 'a')": 2, "('Echo', 1.0, 'a')": 2}
