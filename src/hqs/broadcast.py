@@ -85,7 +85,7 @@ class BrbNode(Node):
 
     def state_summary(self) -> dict:
         return {
-            "echoed": {str(k): v for k, v in sorted(self.echoed.items(), key=lambda kv: str(kv[0]))},
-            "readied": {str(k): v for k, v in sorted(self.readied.items(), key=lambda kv: str(kv[0]))},
-            "delivered": {str(k): v for k, v in sorted(self.delivered.items(), key=lambda kv: str(kv[0]))},
+            "echoed": {str(k): v for k, v in self.echoed.items()},
+            "readied": {str(k): v for k, v in self.readied.items()},
+            "delivered": {str(k): v for k, v in self.delivered.items()},
         }

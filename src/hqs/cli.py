@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .core import (Attack, dump_system, is_blocking, minimal_quorums, parse_id, sorted_ids,
                    sorted_quorums)
-from .errors import HqsError
+from .errors import HqsError, MalformedInput
 from .fixtures import resolve_system
 from .graph import build_graph, condense, sink_components, to_dot, well_behaved_sink
 from .props import (
@@ -105,6 +105,8 @@ def _blocking_sets(qs, p, up_to: int):
 
 
 def cmd_enumerate(args) -> int:
+    if args.blocking_k < 0:
+        raise MalformedInput(f"--blocking-k: expected an integer >= 0, got {args.blocking_k}")
     qs, attack = resolve_system(args.system)
     out = {
         "minimal_quorums": [sorted_ids(q) for q in

@@ -29,15 +29,21 @@ def id_key(p: ProcessId):
     return (isinstance(p, str), p)
 
 
-def sorted_ids(ps: Iterable[ProcessId]) -> list:
-    """``ps`` in ``id_key`` order.  Plain comparison gives that order unless
-    it meets an int and a str, which it cannot compare: a sort of ids that
-    mix the two always raises, and only those pay for ``id_key``."""
-    ps = list(ps)
+def ordered(items: Iterable, plain=None, mixed=id_key) -> list:
+    """``items`` in ``mixed`` order.  ``plain`` gives that order too, unless
+    its comparison meets an int and a str, which it cannot compare: a sort
+    that meets one always raises, and only those pay for ``mixed`` (which
+    puts each id's type first, as ``id_key`` does)."""
+    items = list(items)
     try:
-        return sorted(ps)
+        return sorted(items, key=plain)
     except TypeError:
-        return sorted(ps, key=id_key)
+        return sorted(items, key=mixed)
+
+
+def sorted_ids(ps: Iterable[ProcessId]) -> list:
+    """``ps`` in ``id_key`` order."""
+    return ordered(ps)
 
 
 def quorum_key(q: Quorum):
@@ -45,26 +51,14 @@ def quorum_key(q: Quorum):
 
 
 def sorted_quorums(qs: Iterable[Quorum]) -> list:
-    """``qs`` in ``quorum_key`` order.  Comparing sorted member lists gives
-    that order unless two lists meet an int and a str at one position, so,
-    as in :func:`sorted_ids`, only a sort that meets one pays for
-    ``quorum_key``."""
-    qs = list(qs)
-    try:
-        return sorted(qs, key=sorted_ids)
-    except TypeError:
-        return sorted(qs, key=quorum_key)
+    """``qs`` in ``quorum_key`` order: by sorted member lists."""
+    return ordered(qs, sorted_ids, quorum_key)
 
 
 def canon_quorums(qs: Iterable[Quorum]) -> tuple:
-    """Deduplicated quorums in a stable order (by size, then members); as
-    in :func:`sorted_quorums`, only a sort that meets an int and a str at
-    one position pays for ``quorum_key``."""
-    uniq = {frozenset(q) for q in qs}
-    try:
-        return tuple(sorted(uniq, key=lambda q: (len(q), sorted_ids(q))))
-    except TypeError:
-        return tuple(sorted(uniq, key=lambda q: (len(q), quorum_key(q))))
+    """Deduplicated quorums in a stable order (by size, then members)."""
+    return tuple(ordered({frozenset(q) for q in qs}, lambda q: (len(q), sorted_ids(q)),
+                         lambda q: (len(q), quorum_key(q))))
 
 
 def antichain(qs: Iterable[Quorum]) -> tuple:
@@ -370,8 +364,11 @@ def quorum_decls(raw, path: str, error=MalformedInput) -> dict:
     decls = {}
     for k, v in expect(raw, path, "an object", dict, error=error).items():
         quorums = expect(v, f"{path}.{k}", "a list of quorums", list, error=error)
-        decls[parse_id(k)] = [frozenset(id_list(q, f"{path}.{k}[{i}]", error))
-                              for i, q in enumerate(quorums)]
+        p = parse_id(k)   # "1", "01" and " 1" all parse to 1
+        if p in decls:
+            raise error(f"{path}.{k}: process {p!r} is declared twice")
+        decls[p] = [frozenset(id_list(q, f"{path}.{k}[{i}]", error))
+                    for i, q in enumerate(quorums)]
     return decls
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import antichain, blocks, quorum_key, sorted_ids, sorted_quorums
+from .core import antichain, blocks, ordered, quorum_key, sorted_ids, sorted_quorums
 from .sim import Node
 
 AC = "ac"
@@ -95,16 +95,11 @@ class ReconfigNode(Node):
             self._notify_left(api)
 
     def state_summary(self) -> dict:
-        members = [sorted_ids(q) for q in self.quorums]
-        try:   # the quorum_key order, as in sorted_quorums, from one sort per quorum
-            members.sort()
-        except TypeError:
-            members.sort(key=quorum_key)
-        return {
-            "Q": members,
+        return {   # Q in sorted_quorums order, from one sort per quorum
+            "Q": ordered([sorted_ids(q) for q in self.quorums], mixed=quorum_key),
             "tomb": sorted_ids(self.tomb),
-            "tentative": sorted(([str(r), sorted_ids(q)] for (r, q) in self.tentative),
-                                key=lambda t: (t[0], quorum_key(t[1]))),
+            "tentative": ordered([[str(r), sorted_ids(q)] for (r, q) in self.tentative],
+                                 mixed=lambda t: (t[0], quorum_key(t[1]))),
             "frozen": self.frozen,
         }
 

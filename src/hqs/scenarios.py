@@ -587,6 +587,8 @@ def run_scenario(spec, seed_override=None):
     combined_checks = _want(spec.get("combined_checks", True), "combined_checks",
                             "a boolean", bool)
     step_cap = _want(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
+    if step_cap < 1:   # a run of no steps would read as a failed property
+        raise ScenarioError(f"step_cap: expected an integer >= 1, got {step_cap}")
     live = qs.active & attack.well_behaved   # the probes check outlived ids as live
     outlived = _ids(spec.get("outlived", sorted_ids(live)), "outlived")
     if not live.issuperset(outlived):

