@@ -185,6 +185,11 @@ def new_quorum_system(
         if p not in quorums:
             raise EmptyDeclaration(f"well-behaved active process {p!r} declared no quorums")
     uni = frozenset(universe) if universe is not None else active | members | byz
+    # snapshots key a process by str(pid); only a str id can spell an int id
+    if str in set(map(type, uni)) and len(set(map(str, uni))) < len(uni):
+        twins = sorted_ids(p for p in uni if sum(str(q) == str(p) for q in uni) > 1)
+        raise MalformedInput(f"universe: ids {twins} share one spelling, which would "
+                             f"merge them in every state snapshot")
     outside = members - uni
     if outside:
         raise UnknownMember(f"quorum members outside universe: {sorted_ids(outside)}")

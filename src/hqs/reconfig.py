@@ -20,6 +20,7 @@ a leaver also freezes (stops handling anything).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .core import antichain, blocks, ordered, quorum_key, sorted_ids, sorted_quorums
@@ -36,11 +37,32 @@ def _pairs_block(domain, basis, drop) -> bool:
                combinations_with_replacement(domain, 2))
 
 
+# A world meets few distinct Checks (at most 23 in a 40-process benchmark
+# world: a payload per requester, times the tombs it meets).  256 entries
+# hold ten such worlds, so the worlds of a sweep over one system share hits,
+# while the cache stays bounded however long the sweep runs.
+@lru_cache(maxsize=256)
+def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
+    """The tob-ordered Check of ``declared`` quorums, with ``extra``
+    (tentative) quorums in the domain, minus ``drop``.  Pure, so every node
+    and world of the process may share its cache: each node delivers the
+    same Check with the same tomb and gets the same answer."""
+    return _pairs_block(set(declared) | extra, declared, drop)
+
+
+def _with_summary(quorums) -> tuple:
+    """``quorums`` as a frozenset antichain, with ``state_summary``'s Q for
+    it: sorted_quorums order, from one sort per quorum."""
+    kept = frozenset(antichain(quorums))
+    return kept, ordered([sorted_ids(q) for q in kept], mixed=quorum_key)
+
+
 class ReconfigNode(Node):
     def __init__(self, pid, quorums, followers=(), in_sink=None, mode=AC,
                  combined_checks=True):
         super().__init__(pid)
-        self.quorums = set(antichain(quorums))
+        # no touch(): run()'s first snapshot serialises a new node anyway
+        self.quorums, self._summary_q = _with_summary(quorums)
         self.followers = set(followers)
         self.in_sink = in_sink            # None means unknown: always coordinate
         self.mode = mode
@@ -66,7 +88,8 @@ class ReconfigNode(Node):
         return [q for (_, q) in self.tentative]
 
     def _set_quorums(self, quorums):
-        self.quorums = set(antichain(quorums))
+        """The only writer of ``quorums`` after construction; sorts Q once."""
+        self.quorums, self._summary_q = _with_summary(quorums)
         self.touch()
 
     def _finish(self, api, response):
@@ -95,8 +118,8 @@ class ReconfigNode(Node):
             self._notify_left(api)
 
     def state_summary(self) -> dict:
-        return {   # Q in sorted_quorums order, from one sort per quorum
-            "Q": ordered([sorted_ids(q) for q in self.quorums], mixed=quorum_key),
+        return {
+            "Q": self._summary_q,
             "tomb": sorted_ids(self.tomb),
             "tentative": ordered([[str(r), sorted_ids(q)] for (r, q) in self.tentative],
                                  mixed=lambda t: (t[0], quorum_key(t[1]))),
@@ -156,11 +179,9 @@ class ReconfigNode(Node):
         tag = payload[0]
         if tag not in ("LeaveCheck", "RemoveCheck"):
             return
-        declared = [frozenset(q) for q in payload[-1]]
-        domain = set(declared)
-        if self.combined_checks:
-            domain |= set(self._tentative_quorums())
-        if not _pairs_block(domain, declared, {src} | self.tomb):
+        extra = frozenset(self._tentative_quorums()) if self.combined_checks else frozenset()
+        if not _check_passes(tuple(map(frozenset, payload[-1])), extra,
+                             frozenset(self.tomb | {src})):
             if src == api.me:
                 self._finish(api, "LeaveFail" if tag == "LeaveCheck" else "RemoveFail")
             return

@@ -58,40 +58,44 @@ SCENARIO_NAMES = (
 
 
 class _QuorumView:
-    """(pid, quorums) of every well-behaved protocol node of one world, as a
-    value shared by that world's probes.
+    """What the probes of one world read, as values they share by identity:
+    ``quorums``, {pid: quorums} of every well-behaved protocol node, and
+    ``left``, a frozen copy of ``world.l_set``.
 
     Each quorum set is copied into a tuple in ``sorted_quorums`` order, so a
     probe's witness does not depend on the iteration order of a set (for
-    str ids that order changes with the hash seed), and a later in-place
-    change cannot alter the copy.  A node changes its quorums only with a
-    ``touch()``, so only the touched nodes are compared again, and one is
-    re-sorted only when its quorum set differs from the copied one; ``value``
-    stays the same object while no quorum moved.
+    str ids that order changes with the hash seed).  A node changes its
+    quorums only with a ``touch()``, so only the touched nodes are compared
+    again.  Nothing is changed in place: a move replaces the dict or the
+    frozenset (copy on write), so while nothing moved each probe's memo
+    sees the very objects its last result was computed from.
     """
 
     def __init__(self, world):
         wb = world.well_behaved
         self.size = len(world.nodes)
-        self.sets = {pid: frozenset(node.quorums) for pid, node in world.nodes.items()
+        self.sets = {pid: node.quorums for pid, node in world.nodes.items()
                      if pid in wb and isinstance(node, ReconfigNode)}
         self.quorums = {pid: tuple(sorted_quorums(qs)) for pid, qs in self.sets.items()}
-        self.value = tuple(self.quorums.items())
+        self.left = frozenset(world.l_set)
 
-    def current(self, world) -> tuple:
-        moved = False
+    def current(self, world) -> "_QuorumView":
+        moved = {}
         for pid in world.touched:
-            if pid in self.sets and world.nodes[pid].quorums != self.sets[pid]:
-                self.sets[pid] = quorums = frozenset(world.nodes[pid].quorums)
-                self.quorums[pid] = tuple(sorted_quorums(quorums))
-                moved = True
+            was = self.sets.get(pid)
+            now = world.nodes[pid].quorums   # a frozenset, replaced on a change
+            if was is not None and now is not was and now != was:
+                self.sets[pid] = now
+                moved[pid] = tuple(sorted_quorums(now))
         if moved:
-            self.value = tuple(self.quorums.items())
-        return self.value
+            self.quorums = {**self.quorums, **moved}
+        if world.l_set != self.left:
+            self.left = frozenset(world.l_set)
+        return self
 
 
-def _wb_node_quorums(world) -> tuple:
-    """(pid, quorums) of every well-behaved protocol node, as a value."""
+def _view(world) -> _QuorumView:
+    """The world's probe view, brought up to date."""
     view = world.probe_state.get(_QuorumView)
     if view is None or view.size != len(world.nodes):   # a node was added since
         view = world.probe_state[_QuorumView] = _QuorumView(world)
@@ -101,7 +105,8 @@ def _wb_node_quorums(world) -> tuple:
 def _memoized(inputs, check):
     """A probe that re-runs ``check(*inputs(world))`` only when the inputs
     differ by value from the ones its last result was computed from; an
-    unchanged violation is returned (and so recorded) again."""
+    unchanged violation is returned (and so recorded) again.  ``check``
+    looks its checker up when it runs, so a patched one is seen."""
     last_inputs, last_result = None, None
 
     def fn(world):
@@ -115,28 +120,28 @@ def _memoized(inputs, check):
     return fn
 
 
+def _quorums_and_left(world) -> tuple:
+    view = _view(world)
+    return view.quorums, view.left
+
+
 def probe_intersection(outlived):
     outlived = frozenset(outlived)
-    return _memoized(
-        lambda world: (_wb_node_quorums(world), outlived - world.l_set),
-        lambda quorums, at: consistency_witness(dict(quorums), at))
+    return _memoized(_quorums_and_left, lambda quorums, left: consistency_witness(
+        quorums, outlived - left))
 
 
 def probe_active_inclusion(outlived):
     outlived = frozenset(outlived)
     return _memoized(
-        lambda world: (_wb_node_quorums(world), frozenset(world.l_set),
-                       world.well_behaved),
-        lambda quorums, left, wb: inclusion_witness(dict(quorums), outlived, wb,
-                                                    left=left))
+        lambda world: (*_quorums_and_left(world), world.well_behaved),
+        lambda quorums, left, wb: inclusion_witness(quorums, outlived, wb, left=left))
 
 
 def probe_active_availability(outlived):
     outlived = frozenset(outlived)
-    return _memoized(
-        lambda world: (_wb_node_quorums(world), frozenset(world.l_set)),
-        lambda quorums, left: active_availability_witness(dict(quorums), outlived,
-                                                          left))
+    return _memoized(_quorums_and_left, lambda quorums, left: active_availability_witness(
+        quorums, outlived, left))
 
 
 def probe_tentative_inclusion(outlived):
@@ -146,12 +151,12 @@ def probe_tentative_inclusion(outlived):
         tentative = tuple((pid, frozenset(node.tentative))
                           for pid, node in world.nodes.items()
                           if isinstance(node, ReconfigNode))
-        return _wb_node_quorums(world), tentative, world.well_behaved
+        return _view(world).quorums, tentative, world.well_behaved
 
     return _memoized(
         inputs,
         lambda quorums, tentative, wb: inclusion_witness(
-            dict(quorums), outlived, wb, tentative=dict(tentative)))
+            quorums, outlived, wb, tentative=dict(tentative)))
 
 
 def probe_add_no_split(world):
@@ -196,8 +201,8 @@ def probe_intersection_full(at_set):
     """Consistency at a fixed set, irrespective of who has departed; the
     policy-preserving protocols promise this at the full well-behaved set."""
     at_set = frozenset(at_set)
-    return _memoized(lambda world: (_wb_node_quorums(world),),
-                     lambda quorums: consistency_witness(dict(quorums), at_set))
+    return _memoized(lambda world: (_view(world).quorums,),
+                     lambda quorums: consistency_witness(quorums, at_set))
 
 
 PROBES = {
@@ -603,6 +608,11 @@ def run_scenario(spec, seed_override=None):
         if request[0] == "Join" and node in qs.active & attack.well_behaved:
             raise ScenarioError(f"requests[{i}].node: {node!r} is already an active "
                                 f"well-behaved process; only a new one can Join")
+    joiners = {node for _, node, request in requests if request[0] == "Join"}
+    for i, pid in enumerate(policy.tob_order):   # a hint no process meets stalls the rest
+        if pid not in qs.universe and pid not in joiners:
+            raise ScenarioError(f"policy.tob_order[{i}]: {pid!r} is not a process "
+                                f"of this system")
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,
@@ -616,7 +626,7 @@ def run_scenario(spec, seed_override=None):
             mode=PC if protocol == "pc" else AC,
             combined_checks=combined_checks, sink_info=sink_info,
             adversary=adversary, step_cap=step_cap,
-            joiners={node for _, node, req in requests if req[0] == "Join"})
+            joiners=joiners)
 
     for i, name in enumerate(probes):
         _choice(name, f"probes[{i}]", "unknown probe", (*PROBES, *GLOBAL_PROBES))

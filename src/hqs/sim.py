@@ -384,10 +384,7 @@ class World:
     def _record(self, event):
         self.trace.events.append(event)
 
-    def _api_for(self, node: Node) -> "NodeApi":
-        return NodeApi(self, node)
-
-    def _sequence_tob(self):
+    def _sequence_tob(self, pids):
         if not self._pending_tob:
             return
         if self.policy.mode == SCRIPTED and self._tob_hints:
@@ -406,13 +403,13 @@ class World:
         self._record({"step": self.step, "kind": "tob_order", "index": index,
                       "src": env.src, "msg": env.payload})
         self.adversary.on_tob(self, index, env)
-        for pid in sorted_ids(self.nodes):
+        for pid in pids:
             self._push(self.step + self.rng.randint(1, self.policy.fairness_bound),
                        "tob_dlv", (pid, index))
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
-    def _deliver_tob(self, pid, index):
+    def _deliver_tob(self, apis, pid, index):
         buf = self._tob_buffer[pid]
         buf[index] = self._tob_order[index]
         while self._tob_next[pid] in buf:
@@ -424,7 +421,7 @@ class World:
                 continue
             self._record({"step": self.step, "kind": "tob", "dst": pid,
                           "index": i, "src": env.src, "msg": env.payload})
-            node.on_tob(self._api_for(node), env.src, env.payload)
+            node.on_tob(apis[pid], env.src, env.payload)
 
     def _run_probes(self):
         for name, fn in self.probes:
@@ -455,10 +452,13 @@ class World:
         self._fragments = [key + canon_json(node.state_summary())
                            for node, (_, key) in zip(by_key, self._slot.values())]
         self.adversary.on_init(self)
-        for pid in sorted_ids(self.nodes):
-            node = self.nodes[pid]
-            node.on_start(self._api_for(node))
-        self._flush_dirty()
+        pids = sorted_ids(self.nodes)   # fixed from here on, as is each node's api
+        apis = {pid: NodeApi(self, self.nodes[pid]) for pid in pids}   # local: no cycle
+        for pid in pids:
+            self.nodes[pid].on_start(apis[pid])
+        touched = self.touched
+        if touched:
+            self._flush_dirty()
         while self._queue:
             if self._events_processed >= self.step_cap:
                 self.trace.outcome = STEP_CAP
@@ -480,26 +480,27 @@ class World:
                     else:
                         self._record({"step": self.step, "kind": "apl", "src": env.src,
                                       "dst": env.dst, "msg": env.payload})
-                        node.on_message(self._api_for(node), env.src, env.payload)
+                        node.on_message(apis[env.dst], env.src, env.payload)
             elif kind == "tob_seq":
-                self._sequence_tob()
+                self._sequence_tob(pids)
             elif kind == "tob_dlv":
-                self._deliver_tob(*data)
+                self._deliver_tob(apis, *data)
             elif kind == "timer":
                 pid, tag = data
                 node = self._live(pid)
                 if node is not None:
                     self._record({"step": self.step, "kind": "timer", "node": pid,
                                   "tag": tag})
-                    node.on_timer(self._api_for(node), tag)
+                    node.on_timer(apis[pid], tag)
             elif kind == "request":
                 pid, request = data
                 node = self._live(pid)
                 if node is not None:
                     self._record({"step": self.step, "kind": "request", "node": pid,
                                   "request": request})
-                    node.on_request(self._api_for(node), request)
-            self._flush_dirty()
+                    node.on_request(apis[pid], request)
+            if touched:
+                self._flush_dirty()
         else:
             self.trace.outcome = QUIESCENT
         self._record({"step": self.step, "kind": "end", "outcome": self.trace.outcome,
@@ -507,10 +508,10 @@ class World:
         return self.trace
 
     def _flush_dirty(self):
-        if self.touched:
-            self._run_probes()      # probes may read touched before it is cleared
-            self._record({"step": self.step, "kind": "state",
-                          "snap": self._snapshot_digest()})
+        """Probes, then a ``state`` event; called only when a node was touched."""
+        self._run_probes()      # probes may read touched before it is cleared
+        self._record({"step": self.step, "kind": "state",
+                      "snap": self._snapshot_digest()})
 
 
 class NodeApi:

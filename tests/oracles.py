@@ -44,6 +44,20 @@ def oracle_is_blocking(quorums, candidate):
     return True
 
 
+def oracle_check_passes(declared, extra, drop):
+    """The tob-ordered Check, literally: for every two quorums of the domain
+    (declared and extra, a quorum with itself too), their intersection minus
+    ``drop`` meets every declared quorum."""
+    domain = list(declared) + list(extra)
+    for q1 in domain:
+        for q2 in domain:
+            rest = {p for p in q1 if p in q2 and p not in drop}
+            for b in declared:
+                if not any(p in rest for p in b):
+                    return False
+    return True
+
+
 def oracle_consistency(qs, attack, at_set):
     pairs = declared_pairs(qs, only=attack.well_behaved)
     for (_, q1) in pairs:

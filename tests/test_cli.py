@@ -210,6 +210,8 @@ def test_simulate_adversary_without_args_names_them(capsys, tmp_path, adversary)
     # keys that parse to one process id would silently replace each other
     ({"active": [1, 2], "quorums": {"1": [[1, 2]], "1 ": [[1]], "2": [[2]]}}, "quorums.1 "),
     ({"active": [1, 2], "quorums": {"01": [[1, 2]], "2": [[2]], "1": [[1]]}}, "quorums.1"),
+    # 1 and "1" would share one entry of every state snapshot
+    ({"active": [1, 2], "quorums": {"1": [[1, 2, "1"]], "2": [[1, 2]]}}, "universe"),
 ])
 def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                system, path):
@@ -257,6 +259,11 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     ({"adversary": {"name": "join_responder",
                     "args": {"declarations": {"4": [[4]], "04": [[4, 5]]}}}},
      "adversary.args.declarations.04"),
+    # a hint for an id that never broadcasts stalls every later hint
+    ({"policy": {"seed": 0, "mode": "ScriptedInterleaving", "tob_order": [99]}},
+     "policy.tob_order[0]"),
+    ({"policy": {"seed": 0, "mode": "ScriptedInterleaving", "tob_order": [5, "5"]}},
+     "policy.tob_order[1]"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):
@@ -315,10 +322,36 @@ def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
     ("ac_leave_fig1", {"sink_info": "oracle"}),
     ("ac_leave_fig1", {"combined_checks": False}),
     ("discovery_fig2_deceive", {"validq": "threshold"}),
+    # a Byzantine id is a process of the system too
+    ("ac_leave_fig1", {"policy": {"seed": 0, "mode": "ScriptedInterleaving",
+                                  "tob_order": [4, 5]}}),
 ])
 def test_scenario_keys_with_a_valid_value_still_run(capsys, tmp_path, name, change):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps({**_shipped_scenario(name), **change}))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code in (0, 1) and not err
+
+
+@pytest.mark.parametrize("system", [
+    {"active": [1, 2], "quorums": {"1": [[1, 2, "1"]], "2": [[1, 2]]}},
+    {"universe": ["1", 1, 2], "active": [1, 2], "quorums": {"1": [[1, 2]], "2": [[1, 2]]}},
+])
+def test_ids_spelt_alike_are_an_input_error_naming_both(capsys, tmp_path, system):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(system))
+    code, out, err = run_cli(capsys, "check", "--system", str(sys_path), "--all")
+    assert code == 2 and not out
+    assert err.startswith("error: universe: ids [1, '1'] ") and len(err.splitlines()) == 1
+
+
+def test_a_scripted_tob_order_may_name_a_process_that_joins(capsys, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "system": "fig1", "policy": {"seed": 0, "mode": "ScriptedInterleaving",
+                                     "tob_order": [9, 5]},
+        "requests": [{"at": 1, "node": 9, "op": "Join", "seed_set": [2]},
+                     {"at": 1, "node": 5, "op": "Leave"}]}))
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code in (0, 1) and not err
 

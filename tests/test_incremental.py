@@ -7,7 +7,9 @@ that changes its ``state_summary`` without ``touch()`` breaks the first
 test, a probe keyed on too little breaks the second group.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -16,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqs import scenarios
-from hqs.core import Attack, new_quorum_system, sorted_ids
+from hqs.core import Attack, new_quorum_system, sorted_ids, sorted_quorums
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
-from hqs.reconfig import AC, PC
+from hqs.reconfig import AC, PC, ReconfigNode
 from hqs.scenarios import (
     PROBES,
     SCENARIO_NAMES,
@@ -63,9 +65,9 @@ def test_snapshot_digest_matches_fingerprint_on_named_scenarios(name):
     assert seen["end"] == 1 and seen["state"] > 0
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.sampled_from((AC, PC)))
-def test_snapshot_digest_matches_fingerprint_on_leave_worlds(system_seed, seed, mode):
+def leave_world(system_seed, seed, mode=AC):
+    """A criterion-05 world: a generated outlived system, CheckSpammer, up
+    to three Leave or Remove requests and the three outlived probes."""
     rng = random.Random(system_seed)
     qs, attack, outlived = outlived_system(rng, n_max=6)
     world = make_reconfig_world(qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
@@ -79,9 +81,57 @@ def test_snapshot_digest_matches_fingerprint_on_leave_worlds(system_seed, seed, 
         else:
             q = rng.choice(sorted(qs.quorums_of(pid), key=sorted_ids))
             world.request(1 + 2 * j, pid, ("Remove", q))
+    return world
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.sampled_from((AC, PC)))
+def test_snapshot_digest_matches_fingerprint_on_leave_worlds(system_seed, seed, mode):
+    world = leave_world(system_seed, seed, mode)
     with snapshots_checked() as seen:
         world.run()
     assert seen["end"] == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.sampled_from((AC, PC)))
+def test_kept_q_list_matches_a_fresh_sort_after_every_handler(system_seed, seed, mode):
+    # Q is sorted when the quorums change, not when a summary is asked for
+    handled = Counter()
+
+    def checked(name):
+        handler = getattr(ReconfigNode, name)
+
+        def run_then_check(self, *args):
+            handler(self, *args)
+            assert isinstance(self.quorums, frozenset)
+            assert self.state_summary()["Q"] == [sorted_ids(q) for q in
+                                                 sorted_quorums(self.quorums)]
+            handled[name] += 1
+
+        return run_then_check
+
+    names = ("on_request", "on_message", "on_tob", "on_timer")
+    with mock.patch.multiple(ReconfigNode, **{name: checked(name) for name in names}):
+        leave_world(system_seed, seed, mode).run()
+    assert handled["on_request"] > 0
+
+
+def test_a_finished_world_is_freed_without_the_cycle_collector():
+    # the kernel's per-node api handles point at the world: kept on the
+    # world they would form a cycle that only the collector frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        world = leave_world(7, 3)
+        trace = world.run()
+        assert trace.events
+        ref = weakref.ref(world)
+        del world, trace
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,7 +6,7 @@ from hqs.core import Attack, new_quorum_system, quorum_key, sorted_ids
 from hqs.fixtures import load_fixture
 from hqs.gen import outlived_system
 from hqs.props import availability_witness, inclusion_witness
-from hqs.reconfig import ReconfigNode
+from hqs.reconfig import ReconfigNode, _check_passes, _pairs_block
 from hqs.scenarios import (
     CheckSpammer,
     JoinResponder,
@@ -379,3 +379,33 @@ def test_state_summary_lists_quorums_in_the_quorum_key_order(quorums):
     node = ReconfigNode(0, quorums)
     assert node.state_summary()["Q"] == [sorted_ids(q)
                                          for q in sorted(node.quorums, key=quorum_key)]
+
+
+# --- the memoized Check ------------------------------------------------------------
+
+
+_check_ids = st.integers(1, 4) | st.sampled_from(["a", "b", "1"])
+_check_quorums = st.frozensets(_check_ids, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_check_quorums, min_size=1, max_size=4),
+       st.lists(st.tuples(st.frozensets(_check_quorums, max_size=2),
+                          st.frozensets(_check_ids, max_size=3)), min_size=1, max_size=6))
+def test_memoized_check_agrees_with_the_direct_check_and_the_oracle(declared, variants):
+    # one payload meets many tombs and tentative sets, as in one world, and
+    # the cache lives across examples: a hit on a stale key would disagree
+    declared = tuple(declared)
+    for extra, drop in variants + variants:
+        want = _pairs_block(set(declared) | extra, declared, drop)
+        assert _check_passes(declared, extra, drop) == want
+        assert oracles.oracle_check_passes(declared, extra, drop) == want
+
+
+def test_a_repeated_check_is_a_cache_hit():
+    declared, drop = (fs(1, 2), fs(2, "a")), fs(2)
+    _check_passes(declared, frozenset(), drop)
+    hits = _check_passes.cache_info().hits
+    assert _check_passes(declared, frozenset(), frozenset({2})) is False
+    assert _check_passes.cache_info().hits == hits + 1
+    assert _check_passes(declared, frozenset(), frozenset()) is True
