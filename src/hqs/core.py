@@ -148,6 +148,16 @@ class QuorumSystem:
         return data
 
 
+def distinct_spellings(ids: frozenset, path: str) -> frozenset:
+    """``ids`` if ``str`` spells no two alike; else ``MalformedInput`` at ``path``."""
+    # only a str id can spell an int id, so int-only sets make no str() calls
+    if str in set(map(type, ids)) and len(set(map(str, ids))) < len(ids):
+        twins = sorted_ids(p for p in ids if sum(str(q) == str(p) for q in ids) > 1)
+        raise MalformedInput(f"{path}: ids {twins} share one spelling, which would "
+                             f"merge them in every state snapshot")
+    return ids
+
+
 def new_quorum_system(
     active: Iterable[ProcessId],
     decls: Mapping[ProcessId, Iterable[Iterable[ProcessId]]],
@@ -184,12 +194,8 @@ def new_quorum_system(
     for p in sorted_ids(active - byz):
         if p not in quorums:
             raise EmptyDeclaration(f"well-behaved active process {p!r} declared no quorums")
-    uni = frozenset(universe) if universe is not None else active | members | byz
-    # snapshots key a process by str(pid); only a str id can spell an int id
-    if str in set(map(type, uni)) and len(set(map(str, uni))) < len(uni):
-        twins = sorted_ids(p for p in uni if sum(str(q) == str(p) for q in uni) > 1)
-        raise MalformedInput(f"universe: ids {twins} share one spelling, which would "
-                             f"merge them in every state snapshot")
+    uni = distinct_spellings(
+        frozenset(universe) if universe is not None else active | members | byz, "universe")
     outside = members - uni
     if outside:
         raise UnknownMember(f"quorum members outside universe: {sorted_ids(outside)}")
@@ -334,46 +340,45 @@ def _type_name(value) -> str:
             type(None): "null"}.get(type(value), "a number")
 
 
-def expect(value, path: str, what: str, *types, error=MalformedInput):
+def expect(value, path: str, what: str, *types):
     """``value`` if it is one of ``types`` (a boolean is not a number); else
-    ``error`` naming the field path."""
+    ``MalformedInput`` naming the field path."""
     if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
         return value
-    raise error(f"{path}: expected {what}, got {_type_name(value)}")
+    raise MalformedInput(f"{path}: expected {what}, got {_type_name(value)}")
 
 
-def choice(value, path: str, what: str, known, error=MalformedInput):
-    """``value`` if it is one of ``known``; else ``error`` naming its path."""
+def choice(value, path: str, what: str, known):
+    """``value`` if it is one of ``known``; else ``MalformedInput`` naming its path."""
     if value not in known:
-        raise error(f"{path}: {what} {value!r}; known: "
-                    f"{', '.join(map(str, known)) or 'none'}")
+        raise MalformedInput(f"{path}: {what} {value!r}; known: "
+                             f"{', '.join(map(str, known)) or 'none'}")
     return value
 
 
-def known_keys(obj: dict, prefix: str, what: str, known, error=MalformedInput) -> dict:
-    """``obj`` if every key is one of ``known``; else ``error`` at ``prefix + key``."""
+def known_keys(obj: dict, prefix: str, what: str, known) -> dict:
+    """``obj`` if every key is one of ``known``; else ``MalformedInput`` at ``prefix + key``."""
     for key in obj:   # a misspelt key would otherwise be ignored
-        choice(key, prefix + key, what, known, error)
+        choice(key, prefix + key, what, known)
     return obj
 
 
-def id_list(value, path: str, error=MalformedInput) -> list:
+def id_list(value, path: str) -> list:
     """``value`` as a list of process ids (integers or strings)."""
-    for i, p in enumerate(expect(value, path, "a list of process ids", list, error=error)):
-        expect(p, f"{path}[{i}]", "a process id", int, str, error=error)
+    for i, p in enumerate(expect(value, path, "a list of process ids", list)):
+        expect(p, f"{path}[{i}]", "a process id", int, str)
     return value
 
 
-def quorum_decls(raw, path: str, error=MalformedInput) -> dict:
+def quorum_decls(raw, path: str) -> dict:
     """``raw`` as {process id: [quorum, ...]}; keys parse as process ids."""
     decls = {}
-    for k, v in expect(raw, path, "an object", dict, error=error).items():
-        quorums = expect(v, f"{path}.{k}", "a list of quorums", list, error=error)
+    for k, v in expect(raw, path, "an object", dict).items():
+        quorums = expect(v, f"{path}.{k}", "a list of quorums", list)
         p = parse_id(k)   # "1", "01" and " 1" all parse to 1
         if p in decls:
-            raise error(f"{path}.{k}: process {p!r} is declared twice")
-        decls[p] = [frozenset(id_list(q, f"{path}.{k}[{i}]", error))
-                    for i, q in enumerate(quorums)]
+            raise MalformedInput(f"{path}.{k}: process {p!r} is declared twice")
+        decls[p] = [frozenset(id_list(q, f"{path}.{k}[{i}]")) for i, q in enumerate(quorums)]
     return decls
 
 

@@ -2,9 +2,9 @@
 
 Each checker returns a :class:`PropertyReport`; a failing report always
 carries a witness that violates the definition when re-checked directly.
-The module-level ``*_holds`` helpers operate on plain quorum maps so the
-simulator can probe the same predicates on every step without building
-full system objects.
+The ``*_witness`` functions take plain quorum maps (process -> quorums)
+and return the first violation or None, so the simulator's probes test the
+same predicates on every step without building full system objects.
 """
 
 from __future__ import annotations

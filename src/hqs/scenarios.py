@@ -10,7 +10,6 @@ impossibility arguments) are pure-state scenarios at the bottom.
 from __future__ import annotations
 
 import json
-from functools import partial
 from importlib import resources
 
 from .broadcast import BrbNode
@@ -19,6 +18,7 @@ from .core import (
     ReconfigOp,
     apply_reconfig,
     choice,
+    distinct_spellings,
     expect,
     followers,   # the benchmark's tracer wraps this name here
     followers_map,
@@ -462,25 +462,20 @@ def load_scenario(ref):
         return json.load(fh)
 
 
-_want = partial(expect, error=ScenarioError)   # (value, path, what, *types)
-_choice = partial(choice, error=ScenarioError)   # (value, path, what, known)
-_known_keys = partial(known_keys, error=ScenarioError)   # (obj, prefix, what, known)
-
-
 def _pid(value, path: str):
-    return _want(value, path, "a process id", int, str)
+    return expect(value, path, "a process id", int, str)
 
 
 def _ids(value, path: str) -> frozenset:
-    return frozenset(id_list(value, path, ScenarioError))
+    return frozenset(id_list(value, path))
 
 
 def _value(value, path: str):
-    return _want(value, path, "a string or a number", str, int, float)
+    return expect(value, path, "a string or a number", str, int, float)
 
 
 def _values(value, path: str) -> list:
-    if not _want(value, path, "a list of values", list):
+    if not expect(value, path, "a list of values", list):
         raise ScenarioError(f"{path}: expected at least one value")
     return [_value(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
@@ -491,19 +486,19 @@ _ADVERSARY_ARGS = {
     "sender": lambda v, path: None if v is None else _pid(v, path),
     "stolen": _ids, "q_c": _ids, "success_first": _ids,
     "values": _values,
-    "fake_votes": lambda v, path: _want(v, path, "a boolean", bool),
-    "declarations": lambda v, path: quorum_decls(v, path, ScenarioError),
+    "fake_votes": lambda v, path: expect(v, path, "a boolean", bool),
+    "declarations": quorum_decls,
 }
 
 
 def _adversary(adv_spec) -> Adversary:
     if isinstance(adv_spec, str):
         adv_spec = {"name": adv_spec}
-    adv_spec = {"name": "none", **_known_keys(
-        _want(adv_spec, "adversary", "a name or an object", dict),
+    adv_spec = {"name": "none", **known_keys(
+        expect(adv_spec, "adversary", "a name or an object", dict),
         "adversary.", "unknown adversary key", ("name", "args"))}
-    name = _choice(adv_spec["name"], "adversary.name", "unknown adversary", tuple(ADVERSARIES))
-    args = _want(adv_spec.get("args", {}), "adversary.args", "an object", dict)
+    name = choice(adv_spec["name"], "adversary.name", "unknown adversary", tuple(ADVERSARIES))
+    args = expect(adv_spec.get("args", {}), "adversary.args", "an object", dict)
     args = {k: _ADVERSARY_ARGS[k](v, f"adversary.args.{k}") if k in _ADVERSARY_ARGS else v
             for k, v in args.items()}
     try:
@@ -522,10 +517,10 @@ _REQUEST_KEYS = {"Leave": ("at", "node", "op"),
 
 def _request(req, path: str) -> tuple:
     """(at, node, request) for one entry of a scenario's ``requests``."""
-    op = _choice(_want(req, path, "an object", dict).get("op"), f"{path}.op",
-                 "unknown request op", tuple(_REQUEST_KEYS))
-    _known_keys(req, f"{path}.", f"a {op} request takes no key", _REQUEST_KEYS[op])
-    at = _want(req.get("at", 1), f"{path}.at", "an integer", int)
+    op = choice(expect(req, path, "an object", dict).get("op"), f"{path}.op",
+                "unknown request op", tuple(_REQUEST_KEYS))
+    known_keys(req, f"{path}.", f"a {op} request takes no key", _REQUEST_KEYS[op])
+    at = expect(req.get("at", 1), f"{path}.at", "an integer", int)
     if at < 0:
         raise ScenarioError(f"{path}.at: a request cannot come before step 0, got {at}")
     node = _pid(req.get("node"), f"{path}.node")
@@ -535,7 +530,7 @@ def _request(req, path: str) -> tuple:
         return at, node, (op, _ids(req.get("quorum"), f"{path}.quorum"))
     if op == "Join":
         return at, node, ("Join", _ids(req.get("seed_set"), f"{path}.seed_set"),
-                          _want(req.get("timeout", 200), f"{path}.timeout", "an integer", int))
+                          expect(req.get("timeout", 200), f"{path}.timeout", "an integer", int))
     return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
 
 
@@ -550,48 +545,45 @@ _PROTOCOL_KEYS = tuple(dict.fromkeys(key for keys, _, _ in _PROTOCOLS.values()
                                      for key in keys))
 SCENARIO_KEYS = ("system", "protocol", "policy", "adversary", "probes", "requests",
                  "step_cap", *_PROTOCOL_KEYS)
-POLICY_KEYS = ("seed", "mode", "fairness_bound", "tob_order")
+POLICY_KEYS = ("seed", "fairness_bound", "tob_order")
 
 
 def run_scenario(spec, seed_override=None):
     """Execute one scenario file; returns (world, trace, verdict).
 
-    A field of the wrong shape raises :class:`ScenarioError` naming its
-    path, e.g. ``requests[0].quorum``.
+    A field of the wrong shape or an unknown key or name raises :class:`MalformedInput`
+    naming its path, e.g. ``requests[0].quorum``; other input errors raise :class:`ScenarioError`.
     """
-    spec = _want(load_scenario(spec), "scenario", "an object", dict)
-    _known_keys(spec, "", "unknown scenario key", SCENARIO_KEYS)
-    pol = _known_keys(_want(spec.get("policy", {}), "policy", "an object", dict),
-                      "policy.", "unknown policy key", POLICY_KEYS)
+    spec = expect(load_scenario(spec), "scenario", "an object", dict)
+    known_keys(spec, "", "unknown scenario key", SCENARIO_KEYS)
+    pol = known_keys(expect(spec.get("policy", {}), "policy", "an object", dict),
+                     "policy.", "unknown policy key", POLICY_KEYS)
     if "seed" not in pol and seed_override is None:
         raise ScenarioError("scenario must pin a seed for reproducibility")
-    system = _want(spec.get("system"), "system", "a fixture name or a file path", str)
+    system = expect(spec.get("system"), "system", "a fixture name or a file path", str)
     if "\0" in system:
         raise ScenarioError("system: a file path cannot contain a NUL byte")
     qs, attack = resolve_system(system)
     policy = SchedulePolicy(
         seed=(seed_override if seed_override is not None
-              else _want(pol["seed"], "policy.seed", "an integer", int)),
-        mode=pol.get("mode", "RandomFair"),
+              else expect(pol["seed"], "policy.seed", "an integer", int)),
         fairness_bound=pol.get("fairness_bound", 6),
-        tob_order=tuple(id_list(pol.get("tob_order", []), "policy.tob_order",
-                                ScenarioError)),
+        tob_order=tuple(id_list(pol.get("tob_order", []), "policy.tob_order")),
     )
     adversary = _adversary(spec.get("adversary", "none"))
-    protocol = _choice(spec.get("protocol", "ac"), "protocol", "unknown protocol",
-                       PROTOCOLS)
+    protocol = choice(spec.get("protocol", "ac"), "protocol", "unknown protocol", PROTOCOLS)
     keys, ops, protocol_probes = _PROTOCOLS[protocol]
     for key in spec:   # another protocol's key would be ignored here
         if key in _PROTOCOL_KEYS and key not in keys:
             raise ScenarioError(f"{key}: the {protocol} protocol does not read this key")
-    validq = _choice(spec.get("validq", "oracle"), "validq", "unknown predicate",
-                     ("oracle", "threshold"))
+    validq = choice(spec.get("validq", "oracle"), "validq", "unknown predicate",
+                    ("oracle", "threshold"))
     sink_info = spec.get("sink_info")   # absent: no sink oracle
     if "sink_info" in spec:
-        _choice(sink_info, "sink_info", "unknown sink source", ("oracle",))
-    combined_checks = _want(spec.get("combined_checks", True), "combined_checks",
-                            "a boolean", bool)
-    step_cap = _want(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
+        choice(sink_info, "sink_info", "unknown sink source", ("oracle",))
+    combined_checks = expect(spec.get("combined_checks", True), "combined_checks",
+                             "a boolean", bool)
+    step_cap = expect(spec.get("step_cap", 10_000), "step_cap", "an integer", int)
     if step_cap < 1:   # a run of no steps would read as a failed property
         raise ScenarioError(f"step_cap: expected an integer >= 1, got {step_cap}")
     live = qs.active & attack.well_behaved   # the probes check outlived ids as live
@@ -599,17 +591,19 @@ def run_scenario(spec, seed_override=None):
     if not live.issuperset(outlived):
         raise ScenarioError(f"outlived: {sorted_ids(set(outlived) - live)} are not "
                             f"active well-behaved processes")
-    probes = _want(spec.get("probes", []), "probes", "a list of probe names", list)
+    probes = expect(spec.get("probes", []), "probes", "a list of probe names", list)
     requests = [_request(req, f"requests[{i}]") for i, req in enumerate(
-        _want(spec.get("requests", []), "requests", "a list of requests", list))]
+        expect(spec.get("requests", []), "requests", "a list of requests", list))]
+    joiners = set()
     for i, (_, node, request) in enumerate(requests):
-        _choice(request[0], f"requests[{i}].op", f"the {protocol} protocol serves no op",
-                ops)
-        if request[0] == "Join" and node in qs.active & attack.well_behaved:
-            raise ScenarioError(f"requests[{i}].node: {node!r} is already an active "
-                                f"well-behaved process; only a new one can Join")
-    joiners = {node for _, node, request in requests if request[0] == "Join"}
-    for i, pid in enumerate(policy.tob_order):   # a hint no process meets stalls the rest
+        choice(request[0], f"requests[{i}].op", f"the {protocol} protocol serves no op", ops)
+        if request[0] == "Join":
+            if node in live:
+                raise ScenarioError(f"requests[{i}].node: {node!r} is already an active "
+                                    f"well-behaved process; only a new one can Join")
+            joiners.add(node)   # a twin spelling would share the node's snapshot key
+            distinct_spellings(qs.universe | joiners, f"requests[{i}].node")
+    for i, pid in enumerate(policy.tob_order):   # a hint no process can meet is a typo
         if pid not in qs.universe and pid not in joiners:
             raise ScenarioError(f"policy.tob_order[{i}]: {pid!r} is not a process "
                                 f"of this system")
@@ -629,9 +623,9 @@ def run_scenario(spec, seed_override=None):
             joiners=joiners)
 
     for i, name in enumerate(probes):
-        _choice(name, f"probes[{i}]", "unknown probe", (*PROBES, *GLOBAL_PROBES))
-        _choice(name, f"probes[{i}]", f"the {protocol} protocol can trip no probe",
-                protocol_probes)
+        choice(name, f"probes[{i}]", "unknown probe", (*PROBES, *GLOBAL_PROBES))
+        choice(name, f"probes[{i}]", f"the {protocol} protocol can trip no probe",
+               protocol_probes)
         world.add_probe(name, PROBES[name](outlived) if name in PROBES
                         else GLOBAL_PROBES[name])
 

@@ -20,10 +20,6 @@ from typing import Callable, Optional
 from .core import Attack, sorted_ids
 from .errors import ForgedSender, ForgedSigner, ScenarioError
 
-RANDOM_FAIR = "RandomFair"
-ADVERSARIAL = "AdversarialReorder"
-SCRIPTED = "ScriptedInterleaving"
-
 QUIESCENT = "quiescent"
 STEP_CAP = "step_cap"
 
@@ -31,20 +27,13 @@ STEP_CAP = "step_cap"
 @dataclass(frozen=True)
 class SchedulePolicy:
     seed: int
-    mode: str = RANDOM_FAIR
     fairness_bound: int = 6
-    tob_order: tuple = ()  # scripted mode: preferred src order for sequencing
+    tob_order: tuple = ()  # hints: the src order in which to sequence broadcasts
 
     def __post_init__(self):
-        if self.mode not in (RANDOM_FAIR, ADVERSARIAL, SCRIPTED):
-            raise ScenarioError(f"unknown schedule mode {self.mode!r}; known: "
-                                f"{RANDOM_FAIR}, {ADVERSARIAL}, {SCRIPTED}")
         bound = self.fairness_bound   # a boolean is not a number
         if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
             raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
-        if self.tob_order and self.mode != SCRIPTED:   # no other mode reads it
-            raise ScenarioError(f"policy.tob_order: read only in {SCRIPTED} mode, "
-                                f"not in {self.mode}")
 
 
 @dataclass(frozen=True)
@@ -161,11 +150,13 @@ class Node:
 
 
 class Adversary:
-    """Hooks through which scripted Byzantine behavior drives the run.
+    """Hooks through which the Byzantine adversary drives the run.
 
     The adversary owns exactly the Byzantine ids: it can send and sign on
-    their behalf, sees every message addressed to them, and (depending on
-    the schedule mode) can bias delivery timing within the fairness bound.
+    their behalf and sees every message addressed to them.  It also makes
+    every schedule choice: ``delay``, ``reorder`` and, once the policy's
+    ``tob_order`` hints run out, ``pick_tob``.  Their defaults draw from
+    ``world.rng``: the random-fair schedule.
     """
 
     def on_init(self, world):
@@ -182,11 +173,12 @@ class Adversary:
         return world.rng.randint(1, world.policy.fairness_bound)
 
     def reorder(self, world, env) -> int:
-        """Delay for well-behaved traffic in AdversarialReorder mode (clamped)."""
+        """Delay for well-behaved traffic, clamped to [1, fairness_bound]."""
         return world.rng.randint(1, world.policy.fairness_bound)
 
     def pick_tob(self, world, pending) -> int:
-        return 0
+        """Index into ``pending`` of the broadcast to sequence; out of range is 0."""
+        return world.rng.randrange(len(pending))
 
 
 def _line(kind, *fields):
@@ -370,11 +362,9 @@ class World:
                               "dst": env.dst, "msg": env.payload})
                 return
             delay = max(1, int(delay))
-        elif self.policy.mode == ADVERSARIAL:
+        else:
             delay = min(max(1, int(self.adversary.reorder(self, env))),
                         self.policy.fairness_bound)
-        else:
-            delay = self.rng.randint(1, self.policy.fairness_bound)
         self._push(self.step + delay, "apl", env)
 
     def _push(self, due, kind, data):
@@ -385,19 +375,17 @@ class World:
         self.trace.events.append(event)
 
     def _sequence_tob(self, pids):
-        if not self._pending_tob:
+        pending, hints = self._pending_tob, self._tob_hints
+        if not pending:
             return
-        if self.policy.mode == SCRIPTED and self._tob_hints:
-            want = self._tob_hints[0]
-            idx = next((i for i, e in enumerate(self._pending_tob) if e.src == want), 0)
-            if self._pending_tob[idx].src == want:
-                self._tob_hints.pop(0)
-        elif self.policy.mode == ADVERSARIAL:
-            idx = self.adversary.pick_tob(self, tuple(self._pending_tob))
-            idx = idx if 0 <= idx < len(self._pending_tob) else 0
+        if hints:   # the earliest-hinted pending src goes first, else the oldest
+            srcs = [env.src for env in pending]
+            hint = next((h for h, src in enumerate(hints) if src in srcs), None)
+            idx = 0 if hint is None else srcs.index(hints.pop(hint))
         else:
-            idx = self.rng.randrange(len(self._pending_tob))
-        env = self._pending_tob.pop(idx)
+            idx = self.adversary.pick_tob(self, tuple(pending))
+            idx = idx if 0 <= idx < len(pending) else 0
+        env = pending.pop(idx)
         index = len(self._tob_order)
         self._tob_order.append(env)
         self._record({"step": self.step, "kind": "tob_order", "index": index,

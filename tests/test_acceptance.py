@@ -42,7 +42,7 @@ from hqs.scenarios import (
     probe_tentative_inclusion,
     run_scenario,
 )
-from hqs.sim import SCRIPTED, SchedulePolicy
+from hqs.sim import SchedulePolicy
 
 from test_graph import graph_lemma_violations
 
@@ -147,7 +147,7 @@ def test_criterion_06_leave_serialization_both_orders():
     for order in (("a", "b"), ("b", "a")):
         world = make_reconfig_world(
             qs, attack,
-            SchedulePolicy(seed=0, mode=SCRIPTED, tob_order=order))
+            SchedulePolicy(seed=0, tob_order=order))
         world.add_probe("intersection", probe_intersection(fs("a", "b", "c")))
         world.request(1, "a", ("Leave",))
         world.request(1, "b", ("Leave",))

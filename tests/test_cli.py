@@ -60,6 +60,23 @@ def test_graph_text_and_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_graph_json_names_components_sinks_and_preconditions(capsys):
+    code, out, _ = run_cli(capsys, "graph", "--system", "fig2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"components": [[1, 2, 3, 5], [4], [6]],
+                               "sinks": [[1, 2, 3, 5]], "well_behaved_sink": [1, 2, 3],
+                               "multiple_sinks": False, "preconditions_hold": True}
+
+
+def test_check_all_holds_on_fig2_and_fails_on_attack_s5(capsys):
+    code, out, _ = run_cli(capsys, "check", "--system", "fig2", "--all")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(reports) == 3 and all(r["holds"] for r in reports)
+    code, out, _ = run_cli(capsys, "check", "--system", "attack_s5", "--all")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and not all(r["holds"] for r in reports)
+
+
 def test_graph_flags_multiple_sinks(capsys, tmp_path):
     twin = {"universe": [1, 2, 3, 4], "byzantine": [], "active": [1, 2, 3, 4],
             "quorums": {"1": [[1, 2]], "2": [[1, 2]], "3": [[3, 4]], "4": [[3, 4]]}}
@@ -119,6 +136,18 @@ def test_simulate_json_and_trace_formats(capsys):
     assert lines[-1]["kind"] == "end"
 
 
+def test_simulate_text_prints_each_violation_and_exits_1(capsys, tmp_path):
+    # attack_s5 is inconsistent from the start: the first flush trips the probe
+    spec = {"system": "attack_s5", "policy": {"seed": 0}, "probes": ["intersection"],
+            "requests": [{"at": 1, "node": 1, "op": "Leave"}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 1 and not err
+    assert "  VIOLATION step 3: intersection: [[2, 4], [1, 3]]" in out.splitlines()
+    assert "PASS" not in out
+
+
 def test_simulate_scenario_without_seed_rejected(capsys, tmp_path):
     spec = {"system": "fig1", "protocol": "ac", "requests": [], "policy": {}}
     path = tmp_path / "s.json"
@@ -135,6 +164,15 @@ def test_canonical_round_trip(tmp_path):
     qs2, attack2 = load_system(path)
     assert qs2 == qs and attack2 == attack
     assert dump_system(qs2, attack2) == blob
+
+
+def test_canonicalize_output_loads_back_into_an_equal_system(capsys, tmp_path):
+    for name in ("fig1", "attack_s5", "pbqs_sample"):
+        code, out, _ = run_cli(capsys, "canonicalize", "--system", name)
+        assert code == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(out)
+        assert load_system(path) == load_fixture(name)
 
 
 def test_fixture_files_are_canonical():
@@ -253,17 +291,16 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
                    {"node": 2, "op": "Join", "seed_set": [1, 2]}]}, "requests[1].node"),
     ({"step_cap": -1}, "step_cap"),     # a run of no steps once exited 1
     ({"step_cap": 0}, "step_cap"),
-    ({"policy": {"seed": 0, "tob_order": [2, 3]}}, "policy.tob_order"),   # RandomFair
+    # 1 and "1" would share one entry of every state snapshot
+    ({"requests": [{"node": "1", "op": "Join", "seed_set": [2]}]}, "requests[0].node"),
     ({"policy": {"seed": 0, "mode": "AdversarialReorder", "tob_order": [2]}},
-     "policy.tob_order"),
+     "policy.mode"),
     ({"adversary": {"name": "join_responder",
                     "args": {"declarations": {"4": [[4]], "04": [[4, 5]]}}}},
      "adversary.args.declarations.04"),
-    # a hint for an id that never broadcasts stalls every later hint
-    ({"policy": {"seed": 0, "mode": "ScriptedInterleaving", "tob_order": [99]}},
-     "policy.tob_order[0]"),
-    ({"policy": {"seed": 0, "mode": "ScriptedInterleaving", "tob_order": [5, "5"]}},
-     "policy.tob_order[1]"),
+    # a hint must name a process of the system
+    ({"policy": {"seed": 0, "tob_order": [99]}}, "policy.tob_order[0]"),
+    ({"policy": {"seed": 0, "tob_order": [5, "5"]}}, "policy.tob_order[1]"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):
@@ -323,8 +360,7 @@ def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
     ("ac_leave_fig1", {"combined_checks": False}),
     ("discovery_fig2_deceive", {"validq": "threshold"}),
     # a Byzantine id is a process of the system too
-    ("ac_leave_fig1", {"policy": {"seed": 0, "mode": "ScriptedInterleaving",
-                                  "tob_order": [4, 5]}}),
+    ("ac_leave_fig1", {"policy": {"seed": 0, "tob_order": [4, 5]}}),
 ])
 def test_scenario_keys_with_a_valid_value_still_run(capsys, tmp_path, name, change):
     scenario = tmp_path / "s.json"
@@ -348,8 +384,7 @@ def test_ids_spelt_alike_are_an_input_error_naming_both(capsys, tmp_path, system
 def test_a_scripted_tob_order_may_name_a_process_that_joins(capsys, tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps({
-        "system": "fig1", "policy": {"seed": 0, "mode": "ScriptedInterleaving",
-                                     "tob_order": [9, 5]},
+        "system": "fig1", "policy": {"seed": 0, "tob_order": [9, 5]},
         "requests": [{"at": 1, "node": 9, "op": "Join", "seed_set": [2]},
                      {"at": 1, "node": 5, "op": "Leave"}]}))
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))

@@ -28,7 +28,7 @@ from hqs.scenarios import (
     probe_tentative_inclusion,
     run_scenario,
 )
-from hqs.sim import RANDOM_FAIR, SCRIPTED, SchedulePolicy
+from hqs.sim import SchedulePolicy
 
 
 def digest(trace) -> str:
@@ -57,8 +57,7 @@ def test_named_scenario_digest(name):
 
 def reconfig_trace(qs, attack, requests, *, mode="ac", sink_info=None,
                    tob_order=(), outlived=None):
-    policy = SchedulePolicy(seed=0, mode=SCRIPTED if tob_order else RANDOM_FAIR,
-                            tob_order=tuple(tob_order))
+    policy = SchedulePolicy(seed=0, tob_order=tuple(tob_order))
     world = make_reconfig_world(
         qs, attack, policy, mode=mode, sink_info=sink_info,
         joiners=[pid for _, pid, req in requests if req[0] == "Join"])

@@ -17,7 +17,7 @@ from hqs.scenarios import (
     probe_intersection,
     probe_intersection_full,
 )
-from hqs.sim import SCRIPTED, SchedulePolicy
+from hqs.sim import SchedulePolicy
 
 import oracles
 
@@ -29,8 +29,7 @@ def fs(*xs):
 def run_requests(qs, attack, requests, *, seed=0, mode="ac", sink_info=None,
                  adversary=None, probes=(), outlived=(), tob_order=(),
                  combined=True):
-    policy = SchedulePolicy(seed=seed, mode=SCRIPTED if tob_order else "RandomFair",
-                            tob_order=tuple(tob_order))
+    policy = SchedulePolicy(seed=seed, tob_order=tuple(tob_order))
     world = make_reconfig_world(qs, attack, policy, mode=mode,
                                 combined_checks=combined, sink_info=sink_info,
                                 adversary=adversary,
@@ -116,6 +115,21 @@ def test_concurrent_leaves_serialize_one_completes():
         assert got[winner] == "LeaveComplete"
         assert got[loser] == "LeaveFail"
         assert not trace.violations
+
+
+def test_a_hint_for_an_idle_process_does_not_stall_the_later_hints():
+    # c never broadcasts: b, the earliest-hinted pending src, goes first
+    qs = new_quorum_system(
+        ["a", "b", "c"],
+        {"a": [{"a", "b"}], "b": [{"a", "b"}], "c": [{"a", "b", "c"}]})
+    attack = Attack.of(["a", "b", "c"])
+    world, trace = run_requests(
+        qs, attack, [(1, "a", ("Leave",)), (1, "b", ("Leave",))],
+        tob_order=("c", "b", "a"), probes=("intersection",), outlived=fs("a", "b", "c"))
+    got = dict(responses(trace))
+    assert got["b"] == "LeaveComplete" and got["a"] == "LeaveFail"
+    assert world._tob_hints == ["c"]
+    assert not trace.violations
 
 
 def test_busy_response_for_overlapping_requests():

@@ -10,7 +10,6 @@ from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.sim import (
-    ADVERSARIAL,
     Adversary,
     Node,
     NodeApi,
@@ -50,11 +49,10 @@ class EchoNode(Node):
         return {"inbox": [list(map(str, e)) for e in self.inbox]}
 
 
-def small_world(seed=0, mode="RandomFair", adversary=None, byz=(4,), step_cap=10_000,
-                node=EchoNode):
+def small_world(seed=0, adversary=None, byz=(4,), step_cap=10_000, node=EchoNode):
     qs, _ = load_fixture("fig1")
     attack = Attack.of(qs.universe, byz)
-    world = World(attack, SchedulePolicy(seed=seed, mode=mode),
+    world = World(attack, SchedulePolicy(seed=seed),
                   adversary=adversary, step_cap=step_cap)
     for pid in sorted(qs.active & attack.well_behaved):
         world.add_node(node(pid))
@@ -217,12 +215,63 @@ def test_adversarial_reorder_stays_within_bound():
         def reorder(self, w, env):
             return 99  # clamped to the fairness bound
 
-    world = small_world(seed=1, mode=ADVERSARIAL, adversary=Reorderer())
+    world = small_world(seed=1, adversary=Reorderer())
     world.request(1, 2, ("send", 3, ("ping",)))
     trace = world.run()
     arrival = [e for e in trace.events
                if e["kind"] == "apl" and e["msg"] == ("ping",)]
     assert arrival and arrival[0]["step"] <= 1 + world.policy.fairness_bound
+
+
+@pytest.mark.parametrize("delay, waited", [(3, 3), (0, 1), (99, 6)])
+def test_reorder_sets_each_well_behaved_delay_within_the_bound(delay, waited):
+    class Fixed(Adversary):
+        def reorder(self, w, env):
+            return delay
+
+    world = small_world(adversary=Fixed())
+    world.request(1, 2, ("send", 3, ("ping",)))
+    trace = world.run()
+    steps = [e["step"] for e in trace.events if e["kind"] == "apl"]
+    assert steps == [1 + waited, 1 + 2 * waited]   # the ping, then the pong
+
+
+class Picker(Adversary):
+    """Sequences the pending broadcast at a fixed index."""
+
+    def __init__(self, index):
+        self.index = index
+        self.asked = []
+
+    def pick_tob(self, w, pending):
+        self.asked.append([env.src for env in pending])
+        return self.index
+
+
+@pytest.mark.parametrize("index, order", [(1, [3, 2]), (0, [2, 3]), (2, [2, 3]),
+                                          (-1, [2, 3])])
+def test_pick_tob_is_honoured_and_an_index_out_of_range_means_the_oldest(index, order):
+    picker = Picker(index)
+    world = small_world(adversary=picker)
+    world.tob_broadcast(2, ("a",))
+    world.tob_broadcast(3, ("b",))
+    trace = world.run()
+    assert [e["src"] for e in trace.events if e["kind"] == "tob_order"] == order
+    assert picker.asked == [[2, 3], [order[1]]]
+
+
+def test_tob_order_hints_come_before_pick_tob():
+    picker = Picker(0)
+    qs, _ = load_fixture("fig1")
+    world = World(Attack.of(qs.universe, (4,)), SchedulePolicy(seed=0, tob_order=(5,)),
+                  adversary=picker)
+    for pid in (2, 3, 5):
+        world.add_node(EchoNode(pid))
+    for pid in (2, 3, 5):
+        world.tob_broadcast(pid, ("m", pid))
+    trace = world.run()
+    assert [e["src"] for e in trace.events if e["kind"] == "tob_order"] == [5, 2, 3]
+    assert picker.asked == [[2, 3], [3]]
 
 
 def test_canon_sorts_sets_deterministically():
@@ -257,7 +306,7 @@ def test_frozen_node_gets_no_delivery_timer_request_or_tob():
     assert world.l_set == set()
 
 
-@pytest.mark.parametrize("field", [{"mode": "Typo"}, {"fairness_bound": 0},
+@pytest.mark.parametrize("field", [{"fairness_bound": 0},
                                    {"fairness_bound": True}, {"fairness_bound": 2.0}])
 def test_schedule_policy_rejects_unknown_mode_and_bad_bound(field):
     with pytest.raises(ScenarioError):
