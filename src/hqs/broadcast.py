@@ -13,13 +13,15 @@ from .core import antichain, sorted_ids
 from .errors import DuplicateInstance
 from .sim import Node
 
+_NO_VOTES = frozenset()
+
 
 class BrbNode(Node):
     def __init__(self, pid, quorums, followers=(), active=()):
         super().__init__(pid)
         self.quorums = tuple(antichain(quorums))
-        self.followers = set(followers)
-        self.active = set(active)
+        self.followers = tuple(sorted_ids(followers))   # sorted once: sent to in order
+        self.active = tuple(sorted_ids(active))
         self.sent_instances = set()
         self.echoed = {}     # instance -> value
         self.readied = {}    # instance -> value
@@ -34,7 +36,7 @@ class BrbNode(Node):
                 raise DuplicateInstance(f"{api.me!r} already broadcast")
             self.sent_instances.add(api.me)
             send = ("Send", api.me, value)   # one payload object for every copy
-            for p in sorted_ids(self.active):
+            for p in self.active:
                 api.send(p, send)
 
     def on_message(self, api, src, payload):
@@ -45,11 +47,14 @@ class BrbNode(Node):
             self._echo(api, instance, value)
         elif tag == "Echo":
             self.echo_votes.setdefault((instance, value), set()).add(src)
-            self._maybe_ready(api, instance, value)
+            if instance not in self.readied:
+                self._maybe_ready(api, instance, value)
         elif tag == "Ready":
             self.ready_votes.setdefault((instance, value), set()).add(src)
-            self._maybe_ready(api, instance, value)
-            self._maybe_deliver(api, instance, value)
+            if instance not in self.readied:
+                self._maybe_ready(api, instance, value)
+            if instance not in self.delivered:
+                self._maybe_deliver(api, instance, value)
 
     def _echo(self, api, instance, value):
         if instance in self.echoed:
@@ -57,29 +62,28 @@ class BrbNode(Node):
         self.echoed[instance] = value
         self.touch()
         echo = ("Echo", instance, value)
-        for p in sorted_ids(self.followers):
+        for p in self.followers:
             api.send(p, echo)
 
     def _maybe_ready(self, api, instance, value):
-        if instance in self.readied:
-            return
-        echoes = self.echo_votes.get((instance, value), set())
-        readies = self.ready_votes.get((instance, value), set())
-        full_quorum = any(q <= echoes for q in self.quorums)
-        blocking = self.quorums and all(q & readies for q in self.quorums)
+        """Ready on a quorum of echoes or a blocking set of readies; not readied yet."""
+        echoes = self.echo_votes.get((instance, value), _NO_VOTES)
+        readies = self.ready_votes.get((instance, value), _NO_VOTES)
+        full_quorum = any(map(echoes.issuperset, self.quorums))
+        blocking = self.quorums and not any(map(readies.isdisjoint, self.quorums))
         if full_quorum or blocking:
             self.readied[instance] = value
             self.touch()
             ready = ("Ready", instance, value)
-            for p in sorted_ids(self.followers):
+            for p in self.followers:
                 api.send(p, ready)
-            self._maybe_deliver(api, instance, value)
+            if instance not in self.delivered:
+                self._maybe_deliver(api, instance, value)
 
     def _maybe_deliver(self, api, instance, value):
-        if instance in self.delivered:
-            return
-        readies = self.ready_votes.get((instance, value), set())
-        if any(q <= readies for q in self.quorums):
+        """Deliver on a full quorum of readies; ``instance`` is not delivered yet."""
+        readies = self.ready_votes.get((instance, value), _NO_VOTES)
+        if any(map(readies.issuperset, self.quorums)):
             self.delivered[instance] = value
             self.touch()
 

@@ -339,19 +339,21 @@ class BrbByzantine(Adversary):
         self.fake_votes = fake_votes
 
     def on_init(self, world):
+        self.pids = sorted_ids(world.nodes)   # fixed once the world runs
         if self.sender is None or self.sender not in world.attack.byzantine:
             return
         sends = [("Send", self.sender, value) for value in self.values]
-        for i, p in enumerate(sorted_ids(world.nodes)):
+        for i, p in enumerate(self.pids):
             world.adversary_send(self.sender, p, sends[i % len(sends)])
 
     def on_deliver(self, world, env):
         if not self.fake_votes or env.payload[0] not in ("Echo", "Ready", "Send"):
             return
         readies = [("Ready", env.payload[1], value) for value in self.values]
-        for p in sorted_ids(world.nodes):
-            if world.rng.random() < 0.3:
-                world.adversary_send(env.dst, p, readies[world.rng.randrange(len(readies))])
+        random, pick = world.rng.random, world.rng._randbelow   # randrange's draw
+        for p in self.pids:
+            if random() < 0.3:
+                world.adversary_send(env.dst, p, readies[pick(len(readies))])
 
 
 ADVERSARIES = {
@@ -564,10 +566,13 @@ def run_scenario(spec, seed_override=None):
     if "\0" in system:
         raise ScenarioError("system: a file path cannot contain a NUL byte")
     qs, attack = resolve_system(system)
+    bound = expect(pol.get("fairness_bound", 6), "policy.fairness_bound", "an integer", int)
+    if bound < 1:   # SchedulePolicy would reject it without the path
+        raise ScenarioError(f"policy.fairness_bound: expected an integer >= 1, got {bound}")
     policy = SchedulePolicy(
         seed=(seed_override if seed_override is not None
               else expect(pol["seed"], "policy.seed", "an integer", int)),
-        fairness_bound=pol.get("fairness_bound", 6),
+        fairness_bound=bound,
         tob_order=tuple(id_list(pol.get("tob_order", []), "policy.tob_order")),
     )
     adversary = _adversary(spec.get("adversary", "none"))

@@ -156,7 +156,8 @@ class Adversary:
     their behalf and sees every message addressed to them.  It also makes
     every schedule choice: ``delay``, ``reorder`` and, once the policy's
     ``tob_order`` hints run out, ``pick_tob``.  Their defaults draw from
-    ``world.rng``: the random-fair schedule.
+    ``world.rng``: the random-fair schedule, through ``rng._randbelow`` as
+    ``randint(1, b)`` and ``randrange(n)`` draw, without their wrapper frames.
     """
 
     def on_init(self, world):
@@ -170,15 +171,15 @@ class Adversary:
 
     def delay(self, world, env) -> Optional[int]:
         """Delay for a message touching a Byzantine endpoint; None drops it."""
-        return world.rng.randint(1, world.policy.fairness_bound)
+        return 1 + world.rng._randbelow(world.policy.fairness_bound)
 
     def reorder(self, world, env) -> int:
         """Delay for well-behaved traffic, clamped to [1, fairness_bound]."""
-        return world.rng.randint(1, world.policy.fairness_bound)
+        return 1 + world.rng._randbelow(world.policy.fairness_bound)
 
     def pick_tob(self, world, pending) -> int:
         """Index into ``pending`` of the broadcast to sequence; out of range is 0."""
-        return world.rng.randrange(len(pending))
+        return world.rng._randbelow(len(pending))
 
 
 def _line(kind, *fields):
@@ -275,7 +276,6 @@ class World:
         self._tob_next = {}         # pid -> next global index expected
         self._tob_buffer = {}       # pid -> {index: env}
         self._tob_hints = list(policy.tob_order)
-        self._events_processed = 0
         self.touched = set()        # ids of nodes touched since the last flush
         # snapshot cache: each node's serialised entry, in str(pid) order
         self._slot = None           # pid -> (index into _fragments, '"pid":'), once started
@@ -365,7 +365,8 @@ class World:
         else:
             delay = min(max(1, int(self.adversary.reorder(self, env))),
                         self.policy.fairness_bound)
-        self._push(self.step + delay, "apl", env)
+        self._seq += 1
+        heapq.heappush(self._queue, (self.step + delay, self._seq, "apl", env))
 
     def _push(self, due, kind, data):
         self._seq += 1
@@ -391,24 +392,23 @@ class World:
         self._record({"step": self.step, "kind": "tob_order", "index": index,
                       "src": env.src, "msg": env.payload})
         self.adversary.on_tob(self, index, env)
+        step, bound, randbelow = self.step + 1, self.policy.fairness_bound, self.rng._randbelow
         for pid in pids:
-            self._push(self.step + self.rng.randint(1, self.policy.fairness_bound),
-                       "tob_dlv", (pid, index))
+            self._push(step + randbelow(bound), "tob_dlv", (pid, index))
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
     def _deliver_tob(self, apis, pid, index):
-        buf = self._tob_buffer[pid]
+        buf, node, record = self._tob_buffer[pid], self.nodes[pid], self.trace.events.append
         buf[index] = self._tob_order[index]
         while self._tob_next[pid] in buf:
             i = self._tob_next[pid]
             env = buf.pop(i)
             self._tob_next[pid] = i + 1
-            node = self._live(pid)
-            if node is None:
+            if node.frozen:
                 continue
-            self._record({"step": self.step, "kind": "tob", "dst": pid,
-                          "index": i, "src": env.src, "msg": env.payload})
+            record({"step": self.step, "kind": "tob", "dst": pid,
+                    "index": i, "src": env.src, "msg": env.payload})
             node.on_tob(apis[pid], env.src, env.payload)
 
     def _run_probes(self):
@@ -447,28 +447,30 @@ class World:
         touched = self.touched
         if touched:
             self._flush_dirty()
-        while self._queue:
-            if self._events_processed >= self.step_cap:
+        queue, pop, record = self._queue, heapq.heappop, self.trace.events.append
+        byz, nodes, processed = self.attack.byzantine, self.nodes, 0
+        while queue:
+            if processed >= self.step_cap:
                 self.trace.outcome = STEP_CAP
                 break
-            due, _, kind, data = heapq.heappop(self._queue)
+            due, _, kind, data = pop(queue)
             self.step = due
-            self._events_processed += 1
+            processed += 1
             if kind == "apl":
-                env = data
-                if env.dst in self.attack.byzantine:
-                    self._record({"step": self.step, "kind": "apl", "src": env.src,
-                                  "dst": env.dst, "msg": env.payload, "byz": True})
-                    self.adversary.on_deliver(self, env)
+                dst = data.dst
+                if dst in byz:
+                    record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
+                            "msg": data.payload, "byz": True})
+                    self.adversary.on_deliver(self, data)
                 else:
-                    node = self._live(env.dst)
-                    if node is None:
-                        self._record({"step": self.step, "kind": "apl", "src": env.src,
-                                      "dst": env.dst, "msg": env.payload, "frozen": True})
+                    node = nodes.get(dst)
+                    if node is None or node.frozen:
+                        record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
+                                "msg": data.payload, "frozen": True})
                     else:
-                        self._record({"step": self.step, "kind": "apl", "src": env.src,
-                                      "dst": env.dst, "msg": env.payload})
-                        node.on_message(apis[env.dst], env.src, env.payload)
+                        record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
+                                "msg": data.payload})
+                        node.on_message(apis[dst], data.src, data.payload)
             elif kind == "tob_seq":
                 self._sequence_tob(pids)
             elif kind == "tob_dlv":
@@ -503,7 +505,11 @@ class World:
 
 
 class NodeApi:
-    """Per-node capability handle: authenticated sends, tob, signing, timers."""
+    """Per-node capability handle: authenticated sends, tob, signing, timers.
+
+    A handle is built only for a node of its world, so its sends are
+    authenticated by construction and go straight to the router;
+    ``World.send`` keeps the forged-sender check for direct callers."""
 
     __slots__ = ("world", "node")
 
@@ -516,7 +522,7 @@ class NodeApi:
         return self.node.pid
 
     def send(self, dst, payload):
-        self.world.send(self.node.pid, dst, payload)
+        self.world._route(Envelope(self.node.pid, dst, payload))
 
     def tob(self, payload):
         self.world.tob_broadcast(self.node.pid, payload)

@@ -301,6 +301,9 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     # a hint must name a process of the system
     ({"policy": {"seed": 0, "tob_order": [99]}}, "policy.tob_order[0]"),
     ({"policy": {"seed": 0, "tob_order": [5, "5"]}}, "policy.tob_order[1]"),
+    # the bound is checked here, where its path is known, not by SchedulePolicy
+    ({"policy": {"seed": 0, "fairness_bound": "6"}}, "policy.fairness_bound"),
+    ({"policy": {"seed": 0, "fairness_bound": 0}}, "policy.fairness_bound"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):

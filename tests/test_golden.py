@@ -19,11 +19,14 @@ from hqs.core import Attack, new_quorum_system
 from hqs.fixtures import load_fixture
 from hqs.scenarios import (
     AddEquivocator,
+    BrbByzantine,
     CheckSpammer,
+    make_brb_world,
     make_reconfig_world,
     probe_active_availability,
     probe_active_inclusion,
     probe_add_no_split,
+    probe_brb_consistency,
     probe_intersection,
     probe_tentative_inclusion,
     run_scenario,
@@ -177,6 +180,27 @@ def str_ids_two_quorums():
     return trace
 
 
+def brb_equivocation_mixed_ids():
+    # reliable broadcast under an equivocating Byzantine sender "z" whose
+    # fake Ready votes reach every node, over str ids plus one int id: the
+    # handlers' fan-out, the adversary's value picks and both id sorts
+    ids = ["a", "b", "c", "d", 5, "z"]
+    qs = new_quorum_system(
+        ids, {"a": [{"a", "b", "c"}], "b": [{"a", "b", "c"}], "c": [{"b", "c", 5}],
+              "d": [{"a", "d", "z"}], 5: [{"c", 5, "z"}], "z": [{"z", "a"}]},
+        byzantine={"z"})
+    world = make_brb_world(qs, Attack.of(ids, {"z"}), SchedulePolicy(seed=2),
+                           adversary=BrbByzantine(sender="z", values=("u", "v")))
+    world.add_probe("brb_consistency", probe_brb_consistency)
+    world.request(2, "a", ("Broadcast", "m"))
+    trace = world.run()
+    assert not trace.violations and {
+        pid: node.delivered for pid, node in world.nodes.items()} == {
+        "a": {"z": "u", "a": "m"}, "b": {"z": "u", "a": "m"}, "c": {"z": "u"},
+        "d": {}, 5: {"z": "u"}}
+    return trace
+
+
 BUILT = {
     ac_remove:
         "344482c270e6ebfdc8a2ff6de2b142c98a87c02bfa14405e94dd8ded0b89576c",
@@ -196,6 +220,8 @@ BUILT = {
         "293b3a23ca44c02b8537a5603319fa0a273804558b87d4afd06c7bd9106f00e5",
     str_ids_two_quorums:
         "bfb9161ed15ed8c1b4a070a97128d984941066df8b354fa060c4d11499d9312e",
+    brb_equivocation_mixed_ids:
+        "2a5dc21f177de3b24d861652aa11a72294f00183e90d17570a5d05c26f7e131b",
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter, namedtuple
 from unittest import mock
 
@@ -9,8 +10,10 @@ from hqs import sim
 from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
+from hqs.scenarios import BrbByzantine
 from hqs.sim import (
     Adversary,
+    Envelope,
     Node,
     NodeApi,
     SchedulePolicy,
@@ -272,6 +275,72 @@ def test_tob_order_hints_come_before_pick_tob():
     trace = world.run()
     assert [e["src"] for e in trace.events if e["kind"] == "tob_order"] == [5, 2, 3]
     assert picker.asked == [[2, 3], [3]]
+
+
+# The schedule's bounded draws call ``rng._randbelow`` directly.  Each must
+# make the draws of ``randint(1, b)`` or ``randrange(n)``, so that a change in
+# ``random`` fails here by name rather than in every golden digest at once.
+DRAW_SEEDS = (0, 1, 7)
+BOUNDS = range(1, 65)
+
+
+def bounded_world(seed, bound, adversary=None, pids=()):
+    world = World(Attack.of([0, *pids], [0]), SchedulePolicy(seed=seed, fairness_bound=bound),
+                  adversary=adversary)
+    for pid in pids:
+        world.add_node(Node(pid))
+    return world
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("hook", ["delay", "reorder"])
+def test_the_default_delays_draw_what_randint_draws(seed, hook):
+    for bound in BOUNDS:
+        world = bounded_world(seed, bound)
+        got = [getattr(world.adversary, hook)(world, None) for _ in range(20)]
+        ref = random.Random(seed)
+        assert got == [ref.randint(1, bound) for _ in range(20)], bound
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_the_default_pick_tob_draws_what_randrange_draws(seed):
+    for n in BOUNDS:
+        world = bounded_world(seed, 6)
+        got = [world.adversary.pick_tob(world, (None,) * n) for _ in range(20)]
+        ref = random.Random(seed)
+        assert got == [ref.randrange(n) for _ in range(20)], n
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_the_tob_delivery_delays_draw_what_randint_draws(seed):
+    pids = list(range(1, 21))
+    for bound in BOUNDS:
+        world = bounded_world(seed, bound, adversary=Picker(0))   # pick_tob draws nothing
+        world.tob_broadcast(1, ("m",))
+        world._sequence_tob(pids)
+        got = [due for due, _, kind, _ in sorted(world._queue, key=lambda e: e[1])
+               if kind == "tob_dlv"]
+        ref = random.Random(seed)
+        assert got == [ref.randint(1, bound) for _ in pids], bound
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_brb_byzantine_picks_the_value_randrange_picks(seed):
+    pids = list(range(1, 41))
+    for n in BOUNDS:
+        values = tuple(f"v{i}" for i in range(n))
+        adversary = BrbByzantine(values=values)
+        world = bounded_world(seed, 6, adversary=adversary, pids=pids)
+        adversary.on_init(world)
+        adversary.on_deliver(world, Envelope(1, 0, ("Echo", 1, "m")))
+        got = [env.payload[2] for _, _, kind, env in sorted(world._queue, key=lambda e: e[1])
+               if kind == "apl"]
+        ref, want = random.Random(seed), []
+        for _ in pids:
+            if ref.random() < 0.3:
+                want.append(values[ref.randrange(n)])
+                ref.randint(1, 6)   # the fake vote's delay
+        assert got == want, n
 
 
 def test_canon_sorts_sets_deterministically():
