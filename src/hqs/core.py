@@ -35,6 +35,8 @@ def ordered(items: Iterable, plain=None, mixed=id_key) -> list:
     that meets one always raises, and only those pay for ``mixed`` (which
     puts each id's type first, as ``id_key`` does)."""
     items = list(items)
+    if len(items) < 2:
+        return items
     try:
         return sorted(items, key=plain)
     except TypeError:
@@ -57,14 +59,16 @@ def sorted_quorums(qs: Iterable[Quorum]) -> list:
 
 def canon_quorums(qs: Iterable[Quorum]) -> tuple:
     """Deduplicated quorums in a stable order (by size, then members)."""
-    return tuple(ordered({frozenset(q) for q in qs}, lambda q: (len(q), sorted_ids(q)),
+    return tuple(ordered(set(map(frozenset, qs)), lambda q: (len(q), sorted(q)),
                          lambda q: (len(q), quorum_key(q))))
 
 
 def antichain(qs: Iterable[Quorum]) -> tuple:
-    """Drop every quorum that is a strict superset of a sibling."""
-    uniq = canon_quorums(qs)
-    kept = [q for q in uniq if not any(o < q for o in uniq)]
+    """Drop every quorum that is a strict superset of a kept one (it sorts later)."""
+    kept = []
+    for q in canon_quorums(qs):
+        if not any(map(q.__gt__, kept)):
+            kept.append(q)
     return tuple(kept)
 
 
@@ -185,15 +189,15 @@ def new_quorum_system(
             if not q:
                 raise EmptyQuorum(f"process {p!r} declared an empty quorum")
             per.append(q)
-            members |= q
+        members.update(*per)
         normalized = antichain(per)
-        if normalized and not any(p in q for q in normalized):
-            diagnostics.append(f"process {p!r} is not a member of any of its own quorums")
         if normalized:
+            if p not in frozenset().union(*normalized):
+                diagnostics.append(f"process {p!r} is not a member of any of its own quorums")
             quorums[p] = normalized
-    for p in sorted_ids(active - byz):
-        if p not in quorums:
-            raise EmptyDeclaration(f"well-behaved active process {p!r} declared no quorums")
+    if missing := active - byz - quorums.keys():
+        raise EmptyDeclaration(f"well-behaved active process {min(missing, key=id_key)!r} "
+                               f"declared no quorums")
     uni = distinct_spellings(
         frozenset(universe) if universe is not None else active | members | byz, "universe")
     outside = members - uni

@@ -16,17 +16,19 @@ from .props import check_consistency, check_quorum_sharing, maximal_outlived_set
 
 def arbitrary_system(rng: random.Random, n_max: int = 7):
     """Unconstrained random declarations; only the constructor invariants hold."""
-    n = rng.randint(2, n_max)
+    if n_max < 2:   # _randbelow(0) would never return
+        raise ValueError(f"arbitrary_system needs n_max >= 2, got {n_max}")
+    n = 2 + rng._randbelow(n_max - 1)
     universe = list(range(1, n + 1))
     byz = frozenset(p for p in universe if rng.random() < 0.2)
     decls = {}
     for p in universe:
         if p in byz and rng.random() < 0.5:
             continue
-        count = rng.randint(1, 3)
+        count = 1 + rng._randbelow(3)
         quorums = []
         for _ in range(count):
-            size = rng.randint(1, n)
+            size = 1 + rng._randbelow(n)
             q = set(rng.sample(universe, size))
             q.add(p)
             quorums.append(frozenset(q))
@@ -42,15 +44,17 @@ def sharing_system(rng: random.Random, n_max: int = 7):
     intersect at it; processes outside the core declare supersets of core
     quorums, which preserves sharing.  The Byzantine set avoids the pivot.
     """
-    n = rng.randint(3, n_max)
+    if n_max < 3:
+        raise ValueError(f"sharing_system needs n_max >= 3, got {n_max}")
+    n = 3 + rng._randbelow(n_max - 2)
     universe = list(range(1, n + 1))
-    pivot = rng.choice(universe)
+    pivot = universe[rng._randbelow(n)]
     core_pool = [p for p in universe if p != pivot]
     rng.shuffle(core_pool)
-    mq_count = rng.randint(1, min(3, n - 1))
+    mq_count = 1 + rng._randbelow(min(3, n - 1))
     minimal = []
     for _ in range(mq_count):
-        extra = rng.randint(1, max(1, min(2, len(core_pool))))
+        extra = 1 + rng._randbelow(min(2, len(core_pool)))
         members = {pivot} | set(rng.sample(core_pool, extra))
         minimal.append(frozenset(members))
     # drop nested cores so they really are minimal
@@ -61,13 +65,12 @@ def sharing_system(rng: random.Random, n_max: int = 7):
         if p in core:
             decls[p] = [q for q in minimal if p in q]
         else:
-            picks = rng.sample(minimal, rng.randint(1, len(minimal)))
+            picks = rng.sample(minimal, 1 + rng._randbelow(len(minimal)))
             decls[p] = [q | {p} for q in picks]
     byz = frozenset(p for p in universe
                     if p != pivot and rng.random() < 0.25)
     qs = new_quorum_system(universe, decls, universe=universe, byzantine=byz)
-    attack = Attack.of(universe, byz)
-    return qs, attack
+    return qs, Attack.of(universe, byz)
 
 
 def checked_sharing_system(rng: random.Random, n_max: int = 7):

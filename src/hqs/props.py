@@ -60,8 +60,8 @@ def report_to_json(report: PropertyReport) -> str:
 
 def _wb_quorum_map(qs: QuorumSystem, attack: Attack) -> dict:
     # unordered: every witness below walks processes in id order itself
-    return {p: qs.quorums_of(p) for p in qs.active & attack.well_behaved
-            if qs.declares(p)}
+    wb = qs.active & attack.well_behaved
+    return {p: quorums for p, quorums in qs._quorums.items() if p in wb}
 
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---

@@ -95,10 +95,13 @@ class _QuorumView:
 
 
 def _view(world) -> _QuorumView:
-    """The world's probe view, brought up to date."""
+    """The world's probe view, brought up to date once per flush or per call outside one."""
     view = world.probe_state.get(_QuorumView)
     if view is None or view.size != len(world.nodes):   # a node was added since
         view = world.probe_state[_QuorumView] = _QuorumView(world)
+    elif world.flush and view.flush == world.flush:
+        return view
+    view.flush = world.flush
     return view.current(world)
 
 
@@ -334,6 +337,8 @@ class BrbByzantine(Adversary):
     """Equivocating sender and fake votes from Byzantine members."""
 
     def __init__(self, sender=None, values=("a", "b"), fake_votes=True):
+        if not values:   # a fake vote draws one of them
+            raise ScenarioError("brb_byzantine needs at least one value")
         self.sender = sender
         self.values = values
         self.fake_votes = fake_votes

@@ -37,6 +37,15 @@ def oracle_minimal_quorums(qs, attack):
     return result
 
 
+def oracle_antichain(quorums):
+    """The distinct quorums with no strict subset among them, by size, then
+    by member list in id order (ints before strs)."""
+    uniq = {frozenset(q) for q in quorums}
+    kept = [q for q in uniq if not any(other < q for other in uniq)]
+    return tuple(sorted(kept, key=lambda q: (len(q), [(isinstance(p, str), p)
+                                                      for p in _id_order(q)])))
+
+
 def oracle_is_blocking(quorums, candidate):
     for q in quorums:
         if not set(q) & set(candidate):

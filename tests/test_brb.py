@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hqs.broadcast import BrbNode
 from hqs.core import Attack, new_quorum_system, sorted_ids
-from hqs.errors import DuplicateInstance
+from hqs.errors import DuplicateInstance, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
 from hqs.scenarios import BrbByzantine, make_brb_world, probe_brb_consistency
@@ -70,6 +70,13 @@ def test_byzantine_sender_equivocation_stays_consistent():
         assert not trace.violations
         got = delivered(world, 4)
         assert len(set(got.values())) <= 1
+
+
+@pytest.mark.parametrize("values", [(), []])
+def test_an_equivocator_with_no_values_is_an_input_error(values):
+    # a fake vote picks one of the values; with none that draw never returned
+    with pytest.raises(ScenarioError, match="at least one value"):
+        BrbByzantine(sender=4, values=values)
 
 
 def test_byzantine_member_equivocating_ready_votes():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from hqs.core import (
 from hqs.errors import (
     EmptyDeclaration,
     EmptyQuorum,
+    MalformedInput,
     PreconditionViolated,
     UnknownMember,
     UnknownProcess,
@@ -65,6 +67,38 @@ def test_constructor_rejects_quorumless_well_behaved():
 def test_constructor_rejects_member_outside_universe():
     with pytest.raises(UnknownMember):
         new_quorum_system([1], {1: [{1, 9}]}, universe=[1])
+
+
+@pytest.mark.parametrize("active,decls,kwargs,error,message", [
+    ([1, 2], {1: [{1}], 2: [{2}, set()]}, {}, EmptyQuorum,
+     "process 2 declared an empty quorum"),
+    ([1], {1: [{1}], 2: [{2}]}, {}, UnknownProcess, "declaration for inactive process 2"),
+    ([1, 3, 2], {3: [{3}]}, {}, EmptyDeclaration,
+     "well-behaved active process 1 declared no quorums"),
+    (["c", "b", "a"], {"c": [{"c"}]}, {}, EmptyDeclaration,
+     "well-behaved active process 'a' declared no quorums"),
+    (["b", 10, "a", 2], {"b": [{"b"}]}, {"byzantine": [2]}, EmptyDeclaration,
+     "well-behaved active process 10 declared no quorums"),
+    ([1], {1: [{1, 9}]}, {"universe": [1]}, UnknownMember,
+     "quorum members outside universe: [9]"),
+    ([1, 5], {1: [{1}]}, {"universe": [1], "byzantine": [5]}, UnknownMember,
+     "active processes outside universe: [5]"),
+    (["1", 1], {"1": [{"1"}], 1: [{1}]}, {}, MalformedInput,
+     "universe: ids [1, '1'] share one spelling, which would merge them in every "
+     "state snapshot"),
+    # the first failing check wins: the declarations in id order, then the
+    # missing ones, then the universe
+    ([1, 2, 3], {3: [set()], 4: [{4}]}, {}, EmptyQuorum,
+     "process 3 declared an empty quorum"),
+    ([2, 3], {1: [{1}], 3: [set()]}, {}, UnknownProcess,
+     "declaration for inactive process 1"),
+    ([1, 2], {1: [{1, 9}]}, {"universe": [1, 2]}, EmptyDeclaration,
+     "well-behaved active process 2 declared no quorums"),
+])
+def test_constructor_raises_one_error_per_malformed_declaration(active, decls, kwargs,
+                                                                error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        new_quorum_system(active, decls, **kwargs)
 
 
 def test_self_membership_warning_diagnostic():
@@ -164,6 +198,21 @@ def test_antichain_no_strict_containment(quorums):
     # every dropped quorum is a superset of a survivor
     for q in quorums:
         assert any(kept <= q for kept in result)
+
+
+@st.composite
+def nested_mixed_quorums(draw):
+    """Quorums over int and str ids, with repeats and strict supersets."""
+    ids = st.integers(-1, 4) | st.sampled_from("abc")
+    base = draw(st.lists(st.frozensets(ids, min_size=1, max_size=4), max_size=6))
+    grown = [q | draw(st.frozensets(ids, max_size=2)) for q in base]
+    return draw(st.permutations(base + grown + base[:2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_mixed_quorums())
+def test_antichain_matches_the_oracle_in_order(quorums):
+    assert antichain(quorums) == oracles.oracle_antichain(quorums)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,18 +4,22 @@ Criterion 12 only compares a run with its rerun, so a change that alters
 every trace in the same way would pass it.  These digests pin the bytes
 themselves: the six named scenarios, plus one small hand-built world for
 each protocol path that neither those scenarios nor the benchmark pools
-reach.  A change that is meant to keep behaviour keeps every digest.
+reach.  A change that is meant to keep behaviour keeps every digest.  The
+generated-system digests pin the generators' output the same way.
 """
 
 import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import oracles
-from hqs.core import Attack, new_quorum_system
+from hqs import gen
+from hqs.core import Attack, new_quorum_system, sorted_ids
 from hqs.fixtures import load_fixture
 from hqs.scenarios import (
     AddEquivocator,
@@ -251,3 +255,54 @@ GOLDEN = {**{name: lambda name=name: run_scenario(name)[1] for name in NAMED},
 def test_to_jsonl_matches_the_whole_event_oracle_on_every_golden_trace(name):
     trace = GOLDEN[name]()
     assert trace.to_jsonl() == oracles.oracle_to_jsonl(trace.events)
+
+
+class NoEmptyDraws(random.Random):
+    """``random.Random`` with the same stream, except that a bounded draw
+    with a bound below 1 fails at once: ``Random._randbelow`` would loop
+    forever on it."""
+
+    def _randbelow(self, n):
+        assert n >= 1, f"a draw below {n}"
+        return super()._randbelow(n)
+
+
+def generated_digest(name, n_max) -> str:
+    """sha256 over seeds 0-49 of each system's JSON form, Byzantine set
+    included, its diagnostics and, for ``outlived_system``, the outlived set."""
+    h = hashlib.sha256()
+    for seed in range(50):
+        qs, attack, *outlived = getattr(gen, name)(NoEmptyDraws(seed), n_max=n_max)
+        h.update(json.dumps([qs.to_json(attack), qs.diagnostics,
+                             [sorted_ids(s) for s in outlived]], sort_keys=True).encode())
+    return h.hexdigest()
+
+
+GENERATED = {
+    ("sharing_system", 7):
+        "f9aaa74c739b2c8a9af49555fe8e72180725b3fcf390fa93e48fb4f2c500258b",
+    ("sharing_system", 12):
+        "c627e123d56a78773e818de1b4a8f3e18db978655d855686affadea47c2b2c32",
+    ("sharing_system", 80):
+        "a0b430631e022f31c44b557e28ddd4948787d4aed7d3186d9001878ee9e2fe99",
+    ("arbitrary_system", 7):
+        "986b28ad1538269ef852a1e1ac1c8d4f699c15973c21de35f25a293c7aa11a02",
+    ("arbitrary_system", 12):
+        "319745d9edbec9c619d0258e2768d1a0bb94e541a1baa574d05a5655f1f60808",
+    ("outlived_system", 6):
+        "b1b9a67d313bf2b25bc065846059c6f3d70ac33699fd2d6693c8d5415e5ab4be",
+}
+
+
+@pytest.mark.parametrize("name,n_max", list(GENERATED),
+                         ids=[f"{name}-{n_max}" for name, n_max in GENERATED])
+def test_generated_system_digest(name, n_max):
+    # the generators' draws, their order and the constructor's normal form
+    assert generated_digest(name, n_max) == GENERATED[name, n_max]
+
+
+@pytest.mark.parametrize("name,n_max", [("sharing_system", 2), ("sharing_system", 0),
+                                        ("arbitrary_system", 1), ("arbitrary_system", -3)])
+def test_a_generator_bound_below_its_least_size_is_a_value_error(name, n_max):
+    with pytest.raises(ValueError):
+        getattr(gen, name)(NoEmptyDraws(0), n_max=n_max)
