@@ -215,7 +215,11 @@ def minimal_quorums(qs: QuorumSystem, attack: Attack) -> frozenset:
     for p in qs.active & attack.well_behaved:
         if qs.declares(p):
             declared.update(qs.quorums_of(p))
-    return frozenset(q for q in declared if not any(o < q for o in declared))
+    kept = []
+    for q in sorted(declared, key=len):   # a strict subset is shorter: it comes first
+        if not any(map(q.__gt__, kept)):
+            kept.append(q)
+    return frozenset(kept)
 
 
 def is_system_quorum(qs: QuorumSystem, attack: Attack, s: Iterable[ProcessId]) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Attack, ProcessId, QuorumSystem, id_key, sorted_ids
+from .core import Attack, ProcessId, QuorumSystem, id_key, ordered, sorted_ids
 from .errors import PreconditionNotVerified, UnknownProcess
 from .props import check_consistency, check_quorum_sharing
 
@@ -26,40 +26,45 @@ class Condensation:
 
 
 def build_graph(qs: QuorumSystem) -> QuorumGraph:
-    edges = {(p, p2) for p, q in qs.declared() for p2 in q}
+    edges = {(p, p2) for p, quorums in qs._quorums.items() for q in quorums for p2 in q}
     return QuorumGraph(frozenset(qs.universe), frozenset(edges))
 
 
 def condense(g: QuorumGraph) -> Condensation:
     """Tarjan SCC (iterative), components in a stable order.
 
-    The search walks the vertex and edge sets in their own iteration order,
+    A vertex no other vertex points to is a component on its own, and no
+    edge leads from any other vertex into it; those are set apart first (the
+    trim step), and Tarjan walks only the rest, which no edge leaves.  The
+    search walks the vertex and edge sets in their own iteration order,
     which changes the order components are found in but not the components.
     They are then ordered by least member under ``id_key``; components are
     disjoint, so that is the order of their sorted member lists.
     """
-    succ = {v: [] for v in g.vertices}
+    pointed = {b for a, b in g.edges if a != b}
+    sccs = [frozenset((v,)) for v in g.vertices - pointed]
+    succ = {v: [] for v in pointed}
     for a, b in g.edges:
-        succ[a].append(b)
+        if a in succ:
+            succ[a].append(b)
 
     index = {}
     low = {}
     on_stack = set()
     stack = []
-    sccs = []
 
     def visit(v):
         index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        return v, iter(succ[v])
+        return v, iter(succ[v]), len(stack) - 1
 
-    for root in g.vertices:
+    for root in pointed:
         if root in index:
             continue
         work = [visit(root)]
         while work:
-            v, todo = work[-1]
+            v, todo, at = work[-1]
             for w in todo:
                 if w not in index:
                     work.append(visit(w))
@@ -71,14 +76,12 @@ def condense(g: QuorumGraph) -> Condensation:
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    comp = set()
-                    while v not in comp:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                    sccs.append(frozenset(comp))
+                    comp = frozenset(stack[at:])
+                    del stack[at:]
+                    on_stack -= comp
+                    sccs.append(comp)
 
-    components = tuple(sorted(sccs, key=lambda c: min(map(id_key, c))))
+    components = tuple(ordered(sccs, min, lambda c: min(map(id_key, c))))
     comp_of = {p: i for i, comp in enumerate(components) for p in comp}
     dag_edges = {(comp_of[a], comp_of[b]) for a, b in g.edges if comp_of[a] != comp_of[b]}
     return Condensation(components, frozenset(dag_edges))

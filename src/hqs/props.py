@@ -107,37 +107,34 @@ def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: fro
     return None
 
 
-def _covered(q: frozenset, members, get) -> bool:
-    """Whether each of ``members`` has a candidate, ``get(member, ())``,
-    inside q."""
-    for p2 in members:
-        for c in get(p2, ()):
-            if c <= q:
-                break
-        else:
-            return False
-    return True
-
-
-def _first_failure(quorums: Mapping, owed, candidates: Mapping):
+def _first_failure(quorums: Mapping, within, candidates: Mapping):
     """First (q, p2) such that no set in ``candidates[p2]`` lies inside q,
     walking processes in id order, each one's quorums in their own order and
-    the members ``owed(q)`` in id order; else None.
+    the members of ``q & within`` (all of q if ``within`` is None) in id
+    order; else None.
 
     Almost every check holds, so each distinct quorum is first walked once,
-    in any order and without a sort.  Only a failure pays for the ordered
-    walk, which then names the witness the ordered walk alone would.
+    in any order and without a sort or a call per member.  Only a failure
+    pays for the ordered walk, which then names the witness the ordered walk
+    alone would.
     """
     get = candidates.get
     for q in {q for qs in quorums.values() for q in qs}:
-        if not _covered(q, owed(q), get):
-            break
+        for p2 in (q if within is None else q & within):
+            for c in get(p2, ()):
+                if c <= q:
+                    break
+            else:
+                break   # p2 has no candidate inside q
+        else:
+            continue
+        break           # a failure: the ordered walk below names the first one
     else:
         return None
     for p in sorted_ids(quorums):
         for q in quorums[p]:
-            for p2 in sorted_ids(owed(q)):
-                if not _covered(q, (p2,), get):
+            for p2 in sorted_ids(q if within is None else q & within):
+                if not any(map(q.__ge__, get(p2, ()))):
                     return q, p2
 
 
@@ -148,20 +145,21 @@ def inclusion_witness(wb_quorums: Mapping, p_set: frozenset, wb: frozenset,
     ``left`` weakens the check to the active variant: departed members owe
     no witness, and a witness quorum only needs its well-behaved active part
     inside the enclosing quorum.  ``tentative`` extends the witness
-    candidates per process.  Each process's candidates are cut to that part
-    once, and :func:`_first_failure` looks for a failure before it orders
+    candidates per process.  Each candidate is cut to that part once per
+    call, and :func:`_first_failure` looks for a failure before it orders
     anything, so the witness is the one the ordered loop alone names.
     """
-    cut = {p2: [(q2 & wb) - left for q2 in quorums] for p2, quorums in wb_quorums.items()}
+    cut = (wb - left).__rand__
+    cuts = {p2: list(map(cut, quorums)) for p2, quorums in wb_quorums.items()}
     for p2, pairs in (tentative or {}).items():
-        cut.setdefault(p2, []).extend((tq & wb) - left for _, tq in pairs)
-    return _first_failure(wb_quorums, lambda q: (q & p_set) - left, cut)
+        cuts.setdefault(p2, []).extend(cut(tq) for _, tq in pairs)
+    return _first_failure(wb_quorums, p_set - left, cuts)
 
 
 def sharing_witness(quorums: Mapping):
     """Witness (q, p2): a member p2 of q none of whose quorums lies inside
     q, else None; found as in :func:`_first_failure`."""
-    return _first_failure(quorums, lambda q: q, quorums)
+    return _first_failure(quorums, None, quorums)
 
 
 # --- PropertyReport front ends -------------------------------------------
@@ -254,8 +252,9 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     wb_quorums = _wb_quorum_map(qs, attack)
     wb = attack.well_behaved
     declared = {q for quorums in wb_quorums.values() for q in quorums}
+    cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
     fails_inclusion = {p2 for q in declared for p2 in q
-                       if not any(q2 & wb <= q for q2 in wb_quorums.get(p2, ()))}
+                       if not any(map(q.__ge__, cuts.get(p2, ())))}
     o = set(wb_quorums) - fails_inclusion
     while (inside := {p for p in o if any(q <= o for q in wb_quorums[p])}) != o:
         o = inside

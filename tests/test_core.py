@@ -215,6 +215,28 @@ def test_antichain_matches_the_oracle_in_order(quorums):
     assert antichain(quorums) == oracles.oracle_antichain(quorums)
 
 
+@st.composite
+def mixed_id_systems(draw):
+    """A system over int and str ids with a drawn Byzantine set; quorums come
+    from a small pool, so they repeat and nest across processes."""
+    ids = draw(st.lists(st.integers(1, 5) | st.sampled_from("abcd"), unique=True,
+                        min_size=1, max_size=8))
+    pool = draw(st.lists(st.frozensets(st.sampled_from(ids), min_size=1), min_size=1,
+                         max_size=6))
+    byz = draw(st.frozensets(st.sampled_from(ids)))
+    decls = {p: draw(st.lists(st.sampled_from(pool), min_size=p not in byz, max_size=3))
+             for p in ids}
+    decls = {p: qs for p, qs in decls.items() if qs}
+    return new_quorum_system(ids, decls, byzantine=byz), Attack.of(ids, byz)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_id_systems())
+def test_minimal_quorums_matches_the_oracle_on_mixed_ids(system):
+    qs, attack = system
+    assert minimal_quorums(qs, attack) == oracles.oracle_minimal_quorums(qs, attack)
+
+
 @settings(max_examples=60, deadline=None)
 @given(quorums_strategy, st.frozensets(small_ids, max_size=5))
 def test_blocking_matches_bruteforce(quorums, candidate):

@@ -202,3 +202,31 @@ def test_out_sink_leave_preserves_consistency():
                 removed = apply_reconfig(qs, ReconfigOp.remove(p, q))
                 assert check_consistency(removed, attack, wb).holds
     assert tried > 10
+
+
+def test_condense_matches_the_sorted_tarjan_oracle_on_large_sharing_systems():
+    # past 12 processes nearly every component is a lone vertex no other
+    # vertex points to, which condense emits before it runs Tarjan
+    rng = random.Random(47)
+    for _ in range(60):
+        qs, _ = sharing_system(rng, n_max=80)
+        assert_condense_matches_oracle(build_graph(qs))
+
+
+@pytest.mark.parametrize("vertices,edges,components,dag_edges", [
+    # a source that points into a cycle
+    ({1, 2, 3}, {(1, 2), (2, 3), (3, 2)}, ({1}, {2, 3}), {(0, 1)}),
+    # a vertex whose only in-edge is its own self-loop, pointing into a cycle
+    ({1, 2, 3}, {(1, 1), (1, 2), (2, 3), (3, 2)}, ({1}, {2, 3}), {(0, 1)}),
+    # an edge into a vertex with no out-edges
+    ({1, 2, 3}, {(1, 2), (2, 1), (2, 3)}, ({1, 2}, {3}), {(0, 1)}),
+    # mixed int and str ids: ints first, a str source into an int cycle
+    ({"a", "b", 2, 10}, {("b", 10), (10, 2), (2, 10), ("a", "a")},
+     ({2, 10}, {"a"}, {"b"}), {(2, 0)}),
+])
+def test_condense_on_hand_built_graphs(vertices, edges, components, dag_edges):
+    g = QuorumGraph(frozenset(vertices), frozenset(edges))
+    cond = condense(g)
+    assert cond.components == tuple(map(frozenset, components))
+    assert cond.dag_edges == frozenset(dag_edges)
+    assert_condense_matches_oracle(g)

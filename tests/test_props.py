@@ -462,3 +462,28 @@ def test_inclusion_and_sharing_witnesses_match_their_oracles_on_generated_system
             oracles.oracle_inclusion_witness(wb_quorums, wb, wb)
         failed += w is not None
     assert 0 < failed < 300   # both paths ran
+
+
+def test_inclusion_and_sharing_witnesses_match_their_oracles_past_12_processes():
+    rng = random.Random(53)
+    failed = 0
+    checked = 0
+    while checked < 60:
+        qs, attack = sharing_system(rng, n_max=40)
+        wb = attack.well_behaved
+        if len(qs.active & wb) <= 12:
+            continue
+        checked += 1
+        quorums = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
+        if checked % 2:   # a pivot, in every quorum, grows its own, so checks can fail
+            pivots = frozenset.intersection(*(q for qq in quorums.values() for q in qq))
+            p = rng.choice(sorted(pivots))
+            quorums[p] = tuple(q | {rng.choice(sorted(qs.universe))} for q in quorums[p])
+        wb_quorums = {p: q for p, q in quorums.items() if p in wb}
+        assert sharing_witness(quorums) == oracles.oracle_sharing_witness(quorums)
+        left = frozenset(rng.sample(sorted(wb), 1 + rng._randbelow(3)))
+        for args in ((), (left,)):
+            w = inclusion_witness(wb_quorums, wb, wb, *args)
+            assert w == oracles.oracle_inclusion_witness(wb_quorums, wb, wb, *args)
+            failed += w is not None
+    assert 0 < failed < 120   # both paths ran
