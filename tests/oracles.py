@@ -261,6 +261,15 @@ def oracle_inclusion_witness(wb_quorums, p_set, wb, left=frozenset(), tentative=
     return None
 
 
+def oracle_availability_witness(quorums, for_set, at_set):
+    """Availability as the plain loop: the first process of ``for_set`` in id
+    order with no quorum inside ``at_set``, as a 1-tuple."""
+    for p in _id_order(for_set):
+        if not any(q <= at_set for q in quorums.get(p, ())):
+            return (p,)
+    return None
+
+
 def oracle_sharing_witness(quorums):
     """Sharing as the plain ordered loop, in the order of the one above."""
     for p in _id_order(quorums):

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system
-from hqs.errors import BadSubset
+from hqs.errors import BadSubset, HqsError, UnknownProcess
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system, sharing_system
 from hqs.props import (
+    AVAILABILITY,
+    AVAILABLE_INSIDE,
+    CONSISTENCY,
+    INCLUSION,
+    OUTLIVED,
+    SHARING,
     check_active_availability,
     check_active_inclusion,
     check_availability,
@@ -487,3 +493,159 @@ def test_inclusion_and_sharing_witnesses_match_their_oracles_past_12_processes()
             assert w == oracles.oracle_inclusion_witness(wb_quorums, wb, wb, *args)
             failed += w is not None
     assert 0 < failed < 120   # both paths ran
+
+
+# --- every front end answers as a fresh call would --------------------------
+
+_UNRELATED = new_quorum_system([1], {1: [{1}]})
+
+FRONT_ENDS = {
+    "consistency": lambda qs, attack, s, t: check_consistency(qs, attack, s),
+    "inclusion": lambda qs, attack, s, t: check_quorum_inclusion(qs, attack, s),
+    "availability": lambda qs, attack, s, t: check_availability(qs, s, t),
+    "available_inside": lambda qs, attack, s, t: check_available_inside(qs, s),
+    "sharing": lambda qs, attack, s, t: check_quorum_sharing(qs),
+    "outlived": lambda qs, attack, s, t: check_outlived(qs, attack, s),
+    "maxout": lambda qs, attack, s, t: maximal_outlived_sets(qs, attack),
+}
+
+
+def _outcome(call):
+    """(property, holds, witness) of a report, the sorted sets of a
+    maximal_outlived_sets answer, or the type of the error raised."""
+    try:
+        result = call()
+    except HqsError as e:
+        return type(e)
+    if isinstance(result, list):
+        return sorted(result, key=sorted)
+    return result.property, result.holds, result.witness
+
+
+def _fresh(call):
+    """``call``'s outcome right after checking an unrelated system."""
+    check_quorum_sharing(_UNRELATED)
+    return _outcome(call)
+
+
+def _oracle_outcome(name, qs, attack, s, t):
+    """What tests/oracles.py answers for a front-end call that raised nothing."""
+    wb = attack.well_behaved
+    declared = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
+    wb_quorums = {p: q for p, q in declared.items() if p in wb}
+    if name == "maxout":
+        return sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
+    parts = {
+        CONSISTENCY: lambda: oracles.oracle_consistency_witness(wb_quorums, s),
+        AVAILABLE_INSIDE: lambda: oracles.oracle_availability_witness(declared, s, s),
+        INCLUSION: lambda: oracles.oracle_inclusion_witness(wb_quorums, s, wb),
+    }
+    prop, witness = {
+        "consistency": (CONSISTENCY, parts[CONSISTENCY]),
+        "inclusion": (INCLUSION, parts[INCLUSION]),
+        "availability": (AVAILABILITY,
+                         lambda: oracles.oracle_availability_witness(declared, s, t)),
+        "available_inside": (AVAILABLE_INSIDE, parts[AVAILABLE_INSIDE]),
+        "sharing": (SHARING, lambda: oracles.oracle_sharing_witness(declared)),
+        "outlived": (OUTLIVED, lambda: next(((part, *w) for part, w in
+                                             ((part, f()) for part, f in parts.items())
+                                             if w is not None), None)),
+    }[name]
+    w = witness()
+    return prop, w is None, w
+
+
+@st.composite
+def generated_systems(draw):
+    """A system from gen.arbitrary_system or gen.sharing_system with n <= 8,
+    or a sharing system with more than 12 active well-behaved processes."""
+    kind = draw(st.sampled_from(("arbitrary", "sharing", "past_12")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "arbitrary":
+        return arbitrary_system(rng, n_max=8)
+    if kind == "sharing":
+        return sharing_system(rng, n_max=8)
+    while True:
+        qs, attack = sharing_system(rng, n_max=30)
+        if len(qs.active & attack.well_behaved) > 12:
+            return qs, attack
+
+
+def _subsets(ids):
+    return st.frozensets(st.sampled_from(sorted(ids))) if ids else st.just(frozenset())
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_systems(), generated_systems(), st.data())
+def test_front_ends_answer_as_fresh_calls_in_any_order(first, second, data):
+    """Every front end on one system, in a drawn order with repeats,
+    interleaved with a second Attack on that system and with a second
+    system: each outcome equals the same call made on its own, and for
+    n <= 8 the oracles' answer."""
+    qs, attack = first
+    other = Attack.of(qs.universe, data.draw(st.frozensets(st.sampled_from(sorted(qs.universe)),
+                                                           max_size=3)))
+    targets = (first, (qs, other), second)
+    # the two attacks on the first system are asked the same calls, and
+    # most of its sets are well-behaved under both
+    shared = qs.active & attack.well_behaved & other.well_behaved
+    menus = [(shared, shared, qs.active & attack.well_behaved, attack.well_behaved,
+              data.draw(_subsets(shared)), data.draw(_subsets(qs.universe)))]
+    wb = second[1].well_behaved
+    menus.append((second[0].active & wb, second[0].active & wb, wb,
+                  data.draw(_subsets(wb)), data.draw(_subsets(second[0].universe))))
+
+    def drawn_sets(menu):
+        return data.draw(st.sampled_from(menu)), data.draw(st.sampled_from(menu))
+
+    pool = []
+    for name in FRONT_ENDS:
+        s, t = drawn_sets(menus[0])
+        pool += [(0, name, s, t), (1, name, s, t), (2, name, *drawn_sets(menus[1]))]
+    order = data.draw(st.permutations(pool)) + data.draw(st.lists(st.sampled_from(pool),
+                                                                 max_size=10))
+
+    def run(call):
+        i, name, s, t = call
+        return lambda: FRONT_ENDS[name](*targets[i], s, t)
+
+    want = {call: _fresh(run(call)) for call in pool}
+    for call in order:
+        assert _outcome(run(call)) == want[call], call
+    for (i, name, s, t), outcome in want.items():
+        tqs, tattack = targets[i]
+        if len(tqs.universe) <= 8 and not isinstance(outcome, type):
+            assert outcome == _oracle_outcome(name, tqs, tattack, s, t), (name, s, t)
+
+
+def test_a_rejected_call_leaves_the_next_report_intact():
+    qs, attack = load_fixture("fig1")
+    wb = qs.active & attack.well_behaved
+    with_byzantine = wb | attack.byzantine
+    trusting = Attack.of(qs.universe)   # the same ids, none of them Byzantine
+    for check in (check_consistency, check_quorum_inclusion, check_outlived):
+        for valid_attack, valid_set in ((attack, wb), (trusting, with_byzantine)):
+            want = _fresh(lambda: check(qs, valid_attack, valid_set))
+            with pytest.raises(BadSubset):
+                check(qs, attack, with_byzantine)
+            assert _outcome(lambda: check(qs, valid_attack, valid_set)) == want
+
+
+def test_outlived_with_an_inactive_member_raises_whether_or_not_its_parts_hold():
+    # 4 is well-behaved but inactive; every quorum holds 1 and 2
+    qs = new_quorum_system([1, 2, 3], {1: [{1, 2}], 2: [{1, 2}], 3: [{1, 2, 3}]},
+                           universe=[1, 2, 3, 4])
+    attack = Attack.of(qs.universe)
+    for o, consistent in ((frozenset({1, 2, 4}), True), (frozenset({3, 4}), False)):
+        for parts_first in (False, True):
+            check_quorum_sharing(_UNRELATED)
+            if parts_first:
+                assert check_consistency(qs, attack, o).holds is consistent
+                check_quorum_inclusion(qs, attack, o)
+                with pytest.raises(UnknownProcess):
+                    check_available_inside(qs, o)
+            with pytest.raises(UnknownProcess):
+                check_outlived(qs, attack, o)
+            with pytest.raises(UnknownProcess):
+                check_outlived(qs, attack, o)
+        assert _fresh(lambda: check_consistency(qs, attack, o))[1] is consistent
