@@ -64,6 +64,33 @@ def _wb_quorum_map(qs: QuorumSystem, attack: Attack) -> dict:
     return {p: quorums for p, quorums in qs._quorums.items() if p in wb}
 
 
+# The last system a front end checked, with what the front ends learned
+# about it: each Attack's well-behaved quorum map, and each part check's
+# witness keyed by (property, the attack if the check reads one, the set).
+# A QuorumSystem is immutable and held here, so its id cannot be reused and
+# ``is`` is a sound key.  One system is kept: a caller that checks many
+# systems pays one dict per system and holds no more.  The pair is replaced
+# whole, so a thread never files a witness under another thread's system.
+_memo = (None, {})
+_UNSEEN = object()   # a witness of None means the property holds
+
+
+def _memo_of(qs: QuorumSystem) -> dict:
+    global _memo
+    held, memo = _memo
+    if held is not qs:
+        memo = {}
+        _memo = (qs, memo)
+    return memo
+
+
+def _wb_quorums(memo: dict, qs: QuorumSystem, attack: Attack) -> dict:
+    wb_quorums = memo.get(attack)
+    if wb_quorums is None:
+        wb_quorums = memo[attack] = _wb_quorum_map(qs, attack)
+    return wb_quorums
+
+
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
 
 def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
@@ -94,17 +121,16 @@ def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
 
 
 def availability_witness(quorums: Mapping, for_p, at_p: frozenset):
+    inside = at_p.__ge__
     for p in sorted_ids(for_p):
-        if not any(q <= at_p for q in quorums.get(p, ())):
+        if not any(map(inside, quorums.get(p, ()))):
             return (p,)
     return None
 
 
 def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: frozenset):
-    for p in sorted_ids(inside_p - left):
-        if not any((q - left) <= inside_p for q in quorums.get(p, ())):
-            return (p,)
-    return None
+    # q - left lies inside inside_p exactly when q lies inside inside_p | left
+    return availability_witness(quorums, inside_p - left, inside_p | left)
 
 
 def _first_failure(quorums: Mapping, within, candidates: Mapping):
@@ -176,19 +202,47 @@ def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
     return p_set
 
 
+def _consistency(qs: QuorumSystem, attack: Attack, at_p: frozenset):
+    memo = _memo_of(qs)
+    key = (CONSISTENCY, attack, at_p)
+    w = memo.get(key, _UNSEEN)
+    if w is _UNSEEN:
+        w = memo[key] = consistency_witness(_wb_quorums(memo, qs, attack), at_p)
+    return w
+
+
+def _availability(qs: QuorumSystem, for_p: frozenset, at_p: frozenset):
+    memo = _memo_of(qs)
+    key = (AVAILABILITY, for_p, at_p)
+    w = memo.get(key, _UNSEEN)
+    if w is _UNSEEN:
+        quorums = {p: qs.quorums_of(p) for p in for_p}  # raises UnknownProcess
+        w = memo[key] = availability_witness(quorums, for_p, at_p)
+    return w
+
+
+def _quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set: frozenset):
+    memo = _memo_of(qs)
+    key = (INCLUSION, attack, p_set)
+    w = memo.get(key, _UNSEEN)
+    if w is _UNSEEN:
+        w = memo[key] = inclusion_witness(_wb_quorums(memo, qs, attack), p_set,
+                                          attack.well_behaved)
+    return w
+
+
 def check_consistency(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
     at_p = _well_behaved(at_p, attack, "consistency set")
-    return _report(CONSISTENCY, consistency_witness(_wb_quorum_map(qs, attack), at_p))
+    return _report(CONSISTENCY, _consistency(qs, attack, at_p))
 
 
 def check_availability(qs: QuorumSystem, for_p, at_p) -> PropertyReport:
-    for_p = frozenset(for_p)
-    quorums = {p: qs.quorums_of(p) for p in for_p}  # raises UnknownProcess
-    return _report(AVAILABILITY, availability_witness(quorums, for_p, frozenset(at_p)))
+    return _report(AVAILABILITY, _availability(qs, frozenset(for_p), frozenset(at_p)))
 
 
 def check_available_inside(qs: QuorumSystem, p_set) -> PropertyReport:
-    return _report(AVAILABLE_INSIDE, check_availability(qs, p_set, p_set).witness)
+    p_set = frozenset(p_set)
+    return _report(AVAILABLE_INSIDE, _availability(qs, p_set, p_set))
 
 
 def check_active_availability(qs: QuorumSystem, p_set, left) -> PropertyReport:
@@ -197,20 +251,21 @@ def check_active_availability(qs: QuorumSystem, p_set, left) -> PropertyReport:
     return _report(ACTIVE_AVAILABILITY, active_availability_witness(quorums, p_set, left))
 
 
-def _inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
-               tentative: Mapping = None) -> PropertyReport:
-    # one definition; left and tentative weaken it (see inclusion_witness)
+def check_quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set) -> PropertyReport:
+    p_set = _well_behaved(p_set, attack, "inclusion set")
+    return _report(INCLUSION, _quorum_inclusion(qs, attack, p_set))
+
+
+def _weak_inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
+                    tentative: Mapping = None) -> PropertyReport:
+    # inclusion weakened by left or tentative (see inclusion_witness); unmemoized
     p_set = _well_behaved(p_set, attack, "inclusion set")
     return _report(name, inclusion_witness(_wb_quorum_map(qs, attack), p_set,
                                            attack.well_behaved, frozenset(left), tentative))
 
 
-def check_quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set) -> PropertyReport:
-    return _inclusion(INCLUSION, qs, attack, p_set)
-
-
 def check_active_inclusion(qs: QuorumSystem, attack: Attack, p_set, left) -> PropertyReport:
-    return _inclusion(ACTIVE_INCLUSION, qs, attack, p_set, left=left)
+    return _weak_inclusion(ACTIVE_INCLUSION, qs, attack, p_set, left=left)
 
 
 def check_tentative_inclusion(qs: QuorumSystem, attack: Attack, p_set,
@@ -219,21 +274,27 @@ def check_tentative_inclusion(qs: QuorumSystem, attack: Attack, p_set,
 
     ``tentative`` maps a process to a set of (requester, quorum) pairs.
     """
-    return _inclusion(TENTATIVE_INCLUSION, qs, attack, p_set, tentative=tentative)
+    return _weak_inclusion(TENTATIVE_INCLUSION, qs, attack, p_set, tentative=tentative)
 
 
 def check_quorum_sharing(qs: QuorumSystem) -> PropertyReport:
-    quorums = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
-    return _report(SHARING, sharing_witness(quorums))
+    memo = _memo_of(qs)
+    w = memo.get(SHARING, _UNSEEN)
+    if w is _UNSEEN:
+        active = qs.active
+        w = memo[SHARING] = sharing_witness(
+            {p: quorums for p, quorums in qs._quorums.items() if p in active})
+    return _report(SHARING, w)
 
 
 def check_outlived(qs: QuorumSystem, attack: Attack, outlived_set) -> PropertyReport:
-    """Conjunction of consistency at O, availability inside O and inclusion for O."""
+    """Conjunction of consistency at O, availability inside O and inclusion
+    for O.  All three parts are evaluated, in this order, before the first
+    failure is named, so an inactive member of O always raises."""
     o = _well_behaved(outlived_set, attack, "outlived set")
-    wb_quorums = _wb_quorum_map(qs, attack)
-    parts = ((CONSISTENCY, consistency_witness(wb_quorums, o)),
-             (AVAILABLE_INSIDE, availability_witness({p: qs.quorums_of(p) for p in o}, o, o)),
-             (INCLUSION, inclusion_witness(wb_quorums, o, attack.well_behaved)))
+    parts = ((CONSISTENCY, _consistency(qs, attack, o)),
+             (AVAILABLE_INSIDE, _availability(qs, o, o)),
+             (INCLUSION, _quorum_inclusion(qs, attack, o)))
     return _report(OUTLIVED, next(((name, *w) for name, w in parts if w is not None), None))
 
 
@@ -249,7 +310,7 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     The empty set is outlived only when no active well-behaved process
     declares a quorum.
     """
-    wb_quorums = _wb_quorum_map(qs, attack)
+    wb_quorums = _wb_quorums(_memo_of(qs), qs, attack)
     wb = attack.well_behaved
     declared = {q for quorums in wb_quorums.values() for q in quorums}
     cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
@@ -259,4 +320,4 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     while (inside := {p for p in o if any(q <= o for q in wb_quorums[p])}) != o:
         o = inside
     o = frozenset(o)
-    return [o] if consistency_witness(wb_quorums, o) is None else []
+    return [o] if _consistency(qs, attack, o) is None else []

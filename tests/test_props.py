@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -530,28 +532,23 @@ def _fresh(call):
 
 def _oracle_outcome(name, qs, attack, s, t):
     """What tests/oracles.py answers for a front-end call that raised nothing."""
+    if name == "maxout":
+        return sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
     wb = attack.well_behaved
     declared = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
     wb_quorums = {p: q for p, q in declared.items() if p in wb}
-    if name == "maxout":
-        return sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
-    parts = {
-        CONSISTENCY: lambda: oracles.oracle_consistency_witness(wb_quorums, s),
-        AVAILABLE_INSIDE: lambda: oracles.oracle_availability_witness(declared, s, s),
-        INCLUSION: lambda: oracles.oracle_inclusion_witness(wb_quorums, s, wb),
-    }
-    prop, witness = {
+    parts = {CONSISTENCY: oracles.oracle_consistency_witness(wb_quorums, s),
+             AVAILABLE_INSIDE: oracles.oracle_availability_witness(declared, s, s),
+             INCLUSION: oracles.oracle_inclusion_witness(wb_quorums, s, wb)}
+    prop, w = {
         "consistency": (CONSISTENCY, parts[CONSISTENCY]),
         "inclusion": (INCLUSION, parts[INCLUSION]),
-        "availability": (AVAILABILITY,
-                         lambda: oracles.oracle_availability_witness(declared, s, t)),
+        "availability": (AVAILABILITY, oracles.oracle_availability_witness(declared, s, t)),
         "available_inside": (AVAILABLE_INSIDE, parts[AVAILABLE_INSIDE]),
-        "sharing": (SHARING, lambda: oracles.oracle_sharing_witness(declared)),
-        "outlived": (OUTLIVED, lambda: next(((part, *w) for part, w in
-                                             ((part, f()) for part, f in parts.items())
-                                             if w is not None), None)),
+        "sharing": (SHARING, oracles.oracle_sharing_witness(declared)),
+        "outlived": (OUTLIVED, next(((part, *pw) for part, pw in parts.items()
+                                     if pw is not None), None)),
     }[name]
-    w = witness()
     return prop, w is None, w
 
 
@@ -649,3 +646,37 @@ def test_outlived_with_an_inactive_member_raises_whether_or_not_its_parts_hold()
             with pytest.raises(UnknownProcess):
                 check_outlived(qs, attack, o)
         assert _fresh(lambda: check_consistency(qs, attack, o))[1] is consistent
+
+
+def test_threads_sharing_the_memo_get_each_system_its_own_answers():
+    # one universe and one attack, so every system's memo keys are the same
+    rng = random.Random(61)
+    attack = Attack.of(range(1, 7))
+    systems = [(_generated(make, rng, 6)[0], attack)
+               for make in (arbitrary_system, sharing_system) * 4]
+
+    def calls(qs, attack):
+        wb = qs.active & attack.well_behaved
+        return [lambda f=f: f(qs, attack, wb, wb) for f in FRONT_ENDS.values()]
+
+    want = [list(map(_fresh, calls(*system))) for system in systems]
+    wrong = []
+
+    def worker(k):
+        for i in range(40):
+            j = (i * (k + 1)) % len(systems)
+            if list(map(_outcome, calls(*systems[j]))) != want[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
