@@ -15,7 +15,7 @@ from .core import (Attack, dump_system, is_blocking, minimal_quorums, parse_id, 
                    sorted_quorums)
 from .errors import HqsError, MalformedInput
 from .fixtures import resolve_system
-from .graph import build_graph, condense, sink_components, to_dot, well_behaved_sink
+from .graph import build_graph, condense, sink_components, to_dot
 from .props import (
     check_available_inside,
     check_consistency,
@@ -73,7 +73,7 @@ def cmd_graph(args) -> int:
     summary = {
         "components": [sorted_ids(c) for c in cond.components],
         "sinks": [sorted_ids(c) for c in sinks],
-        "well_behaved_sink": sorted_ids(well_behaved_sink(qs, attack)),
+        "well_behaved_sink": sorted_ids(frozenset().union(*sinks) & attack.well_behaved),
         "multiple_sinks": len(sinks) > 1,
         "preconditions_hold": preconditions,
     }

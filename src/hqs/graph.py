@@ -6,28 +6,52 @@ minimal-quorum-by-agreement oracle used by the discovery protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from itertools import starmap
 
 from .core import Attack, ProcessId, QuorumSystem, id_key, ordered, sorted_ids
 from .errors import PreconditionNotVerified, UnknownProcess
 from .props import check_consistency, check_quorum_sharing
 
 
-@dataclass(frozen=True)
 class QuorumGraph:
-    vertices: frozenset
-    edges: frozenset  # of (p, p') pairs
+    """The quorum graph as each vertex's successor set: ``succ[p]`` holds
+    every p' with an edge p -> p'.  ``QuorumGraph(vertices, edges)`` derives
+    the sets from (p, p') pairs; a graph from :func:`build_graph` derives
+    ``edges`` from the sets when it is first read."""
+
+    def __init__(self, vertices, edges):
+        self.vertices, self.edges = frozenset(vertices), frozenset(edges)
+        succ = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            succ[a].add(b)
+        self.succ = {v: frozenset(bs) for v, bs in succ.items()}
+
+    @cached_property
+    def edges(self) -> frozenset:   # of (p, p') pairs
+        return frozenset((a, b) for a, bs in self.succ.items() for b in bs)
 
 
-@dataclass(frozen=True)
 class Condensation:
-    components: tuple        # of frozensets, deterministic order
-    dag_edges: frozenset     # of (component index, component index)
+    """A quorum graph's components, in a deterministic order; ``dag_edges``
+    (component index pairs) is derived from ``succ`` when first read."""
+
+    def __init__(self, components: tuple, succ: dict):
+        self.components, self.succ = components, succ
+
+    @cached_property
+    def dag_edges(self) -> frozenset:
+        comp_of = {p: i for i, comp in enumerate(self.components) for p in comp}
+        return frozenset((comp_of[a], comp_of[b]) for a, bs in self.succ.items()
+                         for b in bs if comp_of[a] != comp_of[b])
 
 
 def build_graph(qs: QuorumSystem) -> QuorumGraph:
-    edges = {(p, p2) for p, quorums in qs._quorums.items() for q in quorums for p2 in q}
-    return QuorumGraph(frozenset(qs.universe), frozenset(edges))
+    g = object.__new__(QuorumGraph)   # the successor sets come straight from the quorums
+    g.vertices = frozenset(qs.universe)
+    g.succ = dict.fromkeys(g.vertices, frozenset())
+    g.succ.update(zip(qs._quorums, starmap(frozenset().union, qs._quorums.values())))
+    return g
 
 
 def condense(g: QuorumGraph) -> Condensation:
@@ -36,17 +60,14 @@ def condense(g: QuorumGraph) -> Condensation:
     A vertex no other vertex points to is a component on its own, and no
     edge leads from any other vertex into it; those are set apart first (the
     trim step), and Tarjan walks only the rest, which no edge leaves.  The
-    search walks the vertex and edge sets in their own iteration order,
+    search walks the vertex and successor sets in their own iteration order,
     which changes the order components are found in but not the components.
     They are then ordered by least member under ``id_key``; components are
     disjoint, so that is the order of their sorted member lists.
     """
-    pointed = {b for a, b in g.edges if a != b}
+    succ = g.succ
+    pointed = set().union(*[bs - {a} for a, bs in succ.items()])
     sccs = [frozenset((v,)) for v in g.vertices - pointed]
-    succ = {v: [] for v in pointed}
-    for a, b in g.edges:
-        if a in succ:
-            succ[a].append(b)
 
     index = {}
     low = {}
@@ -81,24 +102,24 @@ def condense(g: QuorumGraph) -> Condensation:
                     on_stack -= comp
                     sccs.append(comp)
 
-    components = tuple(ordered(sccs, min, lambda c: min(map(id_key, c))))
-    comp_of = {p: i for i, comp in enumerate(components) for p in comp}
-    dag_edges = {(comp_of[a], comp_of[b]) for a, b in g.edges if comp_of[a] != comp_of[b]}
-    return Condensation(components, frozenset(dag_edges))
+    return Condensation(tuple(ordered(sccs, min, lambda c: min(map(id_key, c)))), succ)
 
 
 def sink_components(c: Condensation) -> list:
-    """Components with no outgoing condensation edge."""
-    out = {i for (i, _) in c.dag_edges}
-    return [comp for i, comp in enumerate(c.components) if i not in out]
+    """Components no edge leaves: every member's successors lie inside."""
+    succ = c.succ
+    sinks = []
+    for comp in c.components:
+        for v in comp:
+            if not succ[v] <= comp:
+                break
+        else:
+            sinks.append(comp)
+    return sinks
 
 
 def sink_members(qs: QuorumSystem) -> frozenset:
-    sinks = sink_components(condense(build_graph(qs)))
-    members = set()
-    for comp in sinks:
-        members |= comp
-    return frozenset(members)
+    return frozenset().union(*sink_components(condense(build_graph(qs))))
 
 
 def in_sink(qs: QuorumSystem, attack: Attack, p: ProcessId) -> bool:
@@ -137,7 +158,7 @@ def is_min_quorum_by_agreement(qs: QuorumSystem, attack: Attack, q) -> bool:
 def to_dot(qs: QuorumSystem, attack: Attack) -> str:
     """Graphviz rendering: Byzantine vertices dashed, sink members filled."""
     g = build_graph(qs)
-    sink = sink_members(qs)
+    sink = frozenset().union(*sink_components(condense(g)))
     lines = ["digraph quorums {"]
     for v in sorted_ids(g.vertices):
         attrs = []

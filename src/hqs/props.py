@@ -58,14 +58,8 @@ def report_to_json(report: PropertyReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
 
-def _wb_quorum_map(qs: QuorumSystem, attack: Attack) -> dict:
-    # unordered: every witness below walks processes in id order itself
-    wb = qs.active & attack.well_behaved
-    return {p: quorums for p, quorums in qs._quorums.items() if p in wb}
-
-
 # The last system a front end checked, with what the front ends learned
-# about it: each Attack's well-behaved quorum map, and each part check's
+# about it: each Attack's pair from _wb_quorums, and each part check's
 # witness keyed by (property, the attack if the check reads one, the set).
 # A QuorumSystem is immutable and held here, so its id cannot be reused and
 # ``is`` is a sound key.  One system is kept: a caller that checks many
@@ -84,11 +78,14 @@ def _memo_of(qs: QuorumSystem) -> dict:
     return memo
 
 
-def _wb_quorums(memo: dict, qs: QuorumSystem, attack: Attack) -> dict:
-    wb_quorums = memo.get(attack)
-    if wb_quorums is None:
-        wb_quorums = memo[attack] = _wb_quorum_map(qs, attack)
-    return wb_quorums
+def _wb_quorums(memo: dict, qs: QuorumSystem, attack: Attack) -> tuple:
+    """(W, W's quorum map) for W the active well-behaved set; the map is
+    unordered: every witness walks processes in id order itself."""
+    held = memo.get(attack)
+    if held is None:
+        w_set = qs.active & attack.well_behaved
+        held = memo[attack] = (w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set})
+    return held
 
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
@@ -207,7 +204,7 @@ def _consistency(qs: QuorumSystem, attack: Attack, at_p: frozenset):
     key = (CONSISTENCY, attack, at_p)
     w = memo.get(key, _UNSEEN)
     if w is _UNSEEN:
-        w = memo[key] = consistency_witness(_wb_quorums(memo, qs, attack), at_p)
+        w = memo[key] = consistency_witness(_wb_quorums(memo, qs, attack)[1], at_p)
     return w
 
 
@@ -226,7 +223,7 @@ def _quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set: frozenset):
     key = (INCLUSION, attack, p_set)
     w = memo.get(key, _UNSEEN)
     if w is _UNSEEN:
-        w = memo[key] = inclusion_witness(_wb_quorums(memo, qs, attack), p_set,
+        w = memo[key] = inclusion_witness(_wb_quorums(memo, qs, attack)[1], p_set,
                                           attack.well_behaved)
     return w
 
@@ -260,7 +257,7 @@ def _weak_inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
                     tentative: Mapping = None) -> PropertyReport:
     # inclusion weakened by left or tentative (see inclusion_witness); unmemoized
     p_set = _well_behaved(p_set, attack, "inclusion set")
-    return _report(name, inclusion_witness(_wb_quorum_map(qs, attack), p_set,
+    return _report(name, inclusion_witness(_wb_quorums({}, qs, attack)[1], p_set,
                                            attack.well_behaved, frozenset(left), tentative))
 
 
@@ -308,15 +305,17 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     members that fail inclusion alone, then those with no quorum inside the
     rest until none is left to drop, and keep O iff consistency holds there.
     The empty set is outlived only when no active well-behaved process
-    declares a quorum.
+    declares a quorum.  When the memo holds inclusion at W as holding, no
+    member of W fails it, and the first drop is skipped.
     """
-    wb_quorums = _wb_quorums(_memo_of(qs), qs, attack)
-    wb = attack.well_behaved
-    declared = {q for quorums in wb_quorums.values() for q in quorums}
-    cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
-    fails_inclusion = {p2 for q in declared for p2 in q
-                       if not any(map(q.__ge__, cuts.get(p2, ())))}
-    o = set(wb_quorums) - fails_inclusion
+    memo = _memo_of(qs)
+    w_set, wb_quorums = _wb_quorums(memo, qs, attack)
+    o = set(wb_quorums)
+    if memo.get((INCLUSION, attack, w_set), _UNSEEN) is not None:
+        wb = attack.well_behaved
+        cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
+        o -= {p2 for q in {q for quorums in wb_quorums.values() for q in quorums}
+              for p2 in q if not any(map(q.__ge__, cuts.get(p2, ())))}
     while (inside := {p for p in o if any(q <= o for q in wb_quorums[p])}) != o:
         o = inside
     o = frozenset(o)

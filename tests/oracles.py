@@ -138,13 +138,13 @@ def oracle_maximal_outlived_sets(qs, attack):
     return [o for o in sets if not any(o < other for other in sets)]
 
 
-def reachable(edges, start):
+def reachable(succ, start):
+    """Every vertex reachable from ``start`` over ``succ`` (vertex -> list)."""
     seen = {start}
     frontier = [start]
     while frontier:
-        v = frontier.pop()
-        for (a, b) in edges:
-            if a == v and b not in seen:
+        for b in succ.get(frontier.pop(), ()):
+            if b not in seen:
                 seen.add(b)
                 frontier.append(b)
     return seen
@@ -152,7 +152,10 @@ def reachable(edges, start):
 
 def oracle_components(vertices, edges):
     """SCCs by mutual reachability; independent of any stack-based algorithm."""
-    reach = {v: reachable(edges, v) for v in vertices}
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    reach = {v: reachable(succ, v) for v in vertices}
     comps = []
     assigned = set()
     for v in sorted(vertices, key=lambda x: (isinstance(x, str), x)):

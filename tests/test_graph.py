@@ -230,3 +230,66 @@ def test_condense_on_hand_built_graphs(vertices, edges, components, dag_edges):
     assert cond.components == tuple(map(frozenset, components))
     assert cond.dag_edges == frozenset(dag_edges)
     assert_condense_matches_oracle(g)
+
+
+# --- sinks, edges and dag_edges against the oracles -------------------------
+
+def declared_edges(qs):
+    return {(p, p2) for p, q in qs.declared() for p2 in q}
+
+
+def assert_sinks_match_oracle(g):
+    cond = condense(g)
+    assert sink_components(cond) == oracles.oracle_sinks(g.vertices, g.edges)
+    # dag_edges read after the sinks still equals the oracle's
+    assert (cond.components, cond.dag_edges) == oracles.oracle_condense(g.vertices, g.edges)
+
+
+def test_sinks_match_the_oracle_on_generated_systems_up_to_80_processes():
+    rng = random.Random(53)
+    for i in range(60):
+        make = (arbitrary_system, sharing_system)[i % 2]
+        qs, _ = make(rng, n_max=(8, 80)[i % 4 // 2])
+        assert_sinks_match_oracle(build_graph(qs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(_graph_ids, max_size=9).flatmap(lambda vs: st.tuples(
+    st.just(vs), st.frozensets(st.tuples(st.sampled_from(sorted(vs, key=str)),
+                                         st.sampled_from(sorted(vs, key=str))), max_size=20)
+    if vs else st.just(frozenset()))))
+def test_sinks_match_the_oracle_on_mixed_id_graphs(graph):
+    assert_sinks_match_oracle(QuorumGraph(*graph))
+
+
+@pytest.mark.parametrize("vertices,edges,sinks", [
+    # a vertex whose only edge is its own self-loop
+    ({1, 2}, {(1, 1), (2, 1)}, [{1}]),
+    ({1, 2, 3}, {(3, 3)}, [{1}, {2}, {3}]),
+    # a vertex that declares nothing
+    ({1, 2, 3}, {(1, 2), (2, 1), (1, 3)}, [{3}]),
+    ({"a", 1, 2}, {(1, 1), (2, 1), (2, 2)}, [{1}, {"a"}]),
+    # no edges
+    ({1, "b", 3}, set(), [{1}, {3}, {"b"}]),
+    # the empty graph
+    (set(), set(), []),
+])
+def test_sinks_on_hand_built_graphs(vertices, edges, sinks):
+    g = QuorumGraph(frozenset(vertices), frozenset(edges))
+    assert g.vertices == frozenset(vertices) and g.edges == frozenset(edges)
+    assert sink_components(condense(g)) == list(map(frozenset, sinks))
+    assert_sinks_match_oracle(g)
+
+
+def test_build_graph_edges_are_the_declared_pairs():
+    # fixtures hold Byzantine declarers and vertices that declare nothing
+    systems = [load_fixture(name)[0] for name in FIXTURE_NAMES]
+    assert any(not qs.declares(p) for qs in systems for p in qs.universe)
+    rng = random.Random(59)
+    systems += [make(rng, n_max=n)[0] for make in (arbitrary_system, sharing_system)
+                for n in (3, 8, 30, 80) for _ in range(5)]
+    for qs in systems:
+        g = build_graph(qs)
+        assert g.vertices == qs.universe
+        assert g.edges == declared_edges(qs)
+        assert_sinks_match_oracle(g)

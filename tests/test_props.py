@@ -680,3 +680,39 @@ def test_threads_sharing_the_memo_get_each_system_its_own_answers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# --- maximal_outlived_sets after inclusion at W -----------------------------
+
+def _maxout_alone_and_after_inclusion(qs, attack):
+    """maximal_outlived_sets on a fresh memo, then again right after
+    check_quorum_inclusion at W (the active well-behaved set); and whether
+    inclusion at W holds."""
+    alone = _fresh(lambda: maximal_outlived_sets(qs, attack))
+    check_quorum_sharing(_UNRELATED)
+    holds = check_quorum_inclusion(qs, attack, qs.active & attack.well_behaved).holds
+    return alone, _outcome(lambda: maximal_outlived_sets(qs, attack)), holds
+
+
+def test_maximal_outlived_sets_answer_alike_after_inclusion_at_w():
+    rng = random.Random(67)
+    seen = {True: 0, False: 0}
+    for i in range(300):
+        qs, attack = (arbitrary_system, sharing_system)[i % 2](rng, n_max=8)
+        if i % 3 == 0:   # another attack: W may hold Byzantine declarers
+            attack = Attack.of(qs.universe, rng.sample(sorted(qs.universe), i % 4))
+        alone, after, holds = _maxout_alone_and_after_inclusion(qs, attack)
+        seen[holds] += 1
+        assert after == alone == sorted(oracles.oracle_maximal_outlived_sets(qs, attack),
+                                        key=sorted), (qs, attack)
+    assert min(seen.values()) >= 50, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems(n_max=8) | generated_systems())
+def test_maximal_outlived_sets_answer_alike_after_inclusion_at_w_hypothesis(system):
+    qs, attack = system
+    alone, after, _ = _maxout_alone_and_after_inclusion(qs, attack)
+    assert after == alone
+    if len(qs.universe) <= 8:
+        assert alone == sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
