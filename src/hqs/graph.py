@@ -33,8 +33,8 @@ class QuorumGraph:
 
 
 class Condensation:
-    """A quorum graph's components, in a deterministic order; ``dag_edges``
-    (component index pairs) is derived from ``succ`` when first read."""
+    """A quorum graph's components, in a deterministic order, with its
+    ``succ``; ``dag_edges`` (component index pairs) is derived when first read."""
 
     def __init__(self, components: tuple, succ: dict):
         self.components, self.succ = components, succ
