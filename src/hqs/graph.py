@@ -16,19 +16,15 @@ from .props import check_consistency, check_quorum_sharing
 
 class QuorumGraph:
     """The quorum graph as each vertex's successor set: ``succ[p]`` holds
-    every p' with an edge p -> p'.  ``QuorumGraph(vertices, edges)`` derives
-    the sets from (p, p') pairs; a graph from :func:`build_graph` derives
-    ``edges`` from the sets when it is first read."""
+    every p' with an edge p -> p', and every vertex has an entry.
+    ``vertices`` are ``succ``'s keys; ``edges``, the (p, p') pairs, are
+    derived from the sets when first read."""
 
-    def __init__(self, vertices, edges):
-        self.vertices, self.edges = frozenset(vertices), frozenset(edges)
-        succ = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            succ[a].add(b)
-        self.succ = {v: frozenset(bs) for v, bs in succ.items()}
+    def __init__(self, succ: dict):
+        self.succ, self.vertices = succ, frozenset(succ)
 
     @cached_property
-    def edges(self) -> frozenset:   # of (p, p') pairs
+    def edges(self) -> frozenset:
         return frozenset((a, b) for a, bs in self.succ.items() for b in bs)
 
 
@@ -47,11 +43,9 @@ class Condensation:
 
 
 def build_graph(qs: QuorumSystem) -> QuorumGraph:
-    g = object.__new__(QuorumGraph)   # the successor sets come straight from the quorums
-    g.vertices = frozenset(qs.universe)
-    g.succ = dict.fromkeys(g.vertices, frozenset())
-    g.succ.update(zip(qs._quorums, starmap(frozenset().union, qs._quorums.values())))
-    return g
+    succ = dict.fromkeys(qs.universe, frozenset())
+    succ.update(zip(qs._quorums, starmap(frozenset().union, qs._quorums.values())))
+    return QuorumGraph(succ)
 
 
 def condense(g: QuorumGraph) -> Condensation:

@@ -58,34 +58,37 @@ def report_to_json(report: PropertyReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
 
-# The last system a front end checked, with what the front ends learned
-# about it: each Attack's pair from _wb_quorums, and each part check's
-# witness keyed by (property, the attack if the check reads one, the set).
-# A QuorumSystem is immutable and held here, so its id cannot be reused and
-# ``is`` is a sound key.  One system is kept: a caller that checks many
-# systems pays one dict per system and holds no more.  The pair is replaced
-# whole, so a thread never files a witness under another thread's system.
-_memo = (None, {})
+_memo = (None, {})   # (the last system checked, its answers keyed by (fn, args))
 _UNSEEN = object()   # a witness of None means the property holds
 
 
-def _memo_of(qs: QuorumSystem) -> dict:
-    global _memo
-    held, memo = _memo
-    if held is not qs:
-        memo = {}
-        _memo = (qs, memo)
-    return memo
+def _per_system(fn):
+    """``fn(qs, *args)``, answered from ``_memo`` while ``qs`` is the held
+    system.  A QuorumSystem is immutable and held there, so its id cannot be
+    reused and ``is`` is a sound key.  One system is kept: a caller that
+    checks many systems holds one system's answers.  The pair is replaced
+    whole, so a thread never files an answer under another thread's system;
+    a call that raises stores nothing."""
+    def per_system(qs, *args):
+        global _memo
+        held, memo = _memo
+        if held is not qs:
+            memo = {}
+            _memo = (qs, memo)
+        key = fn, args
+        w = memo.get(key, _UNSEEN)
+        if w is _UNSEEN:
+            w = memo[key] = fn(qs, *args)
+        return w
+    return per_system
 
 
-def _wb_quorums(memo: dict, qs: QuorumSystem, attack: Attack) -> tuple:
+@_per_system
+def _wb_quorums(qs: QuorumSystem, attack: Attack) -> tuple:
     """(W, W's quorum map) for W the active well-behaved set; the map is
     unordered: every witness walks processes in id order itself."""
-    held = memo.get(attack)
-    if held is None:
-        w_set = qs.active & attack.well_behaved
-        held = memo[attack] = (w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set})
-    return held
+    w_set = qs.active & attack.well_behaved
+    return w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set}
 
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
@@ -199,33 +202,28 @@ def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
     return p_set
 
 
+@_per_system
 def _consistency(qs: QuorumSystem, attack: Attack, at_p: frozenset):
-    memo = _memo_of(qs)
-    key = (CONSISTENCY, attack, at_p)
-    w = memo.get(key, _UNSEEN)
-    if w is _UNSEEN:
-        w = memo[key] = consistency_witness(_wb_quorums(memo, qs, attack)[1], at_p)
-    return w
+    return consistency_witness(_wb_quorums(qs, attack)[1], at_p)
 
 
+@_per_system
 def _availability(qs: QuorumSystem, for_p: frozenset, at_p: frozenset):
-    memo = _memo_of(qs)
-    key = (AVAILABILITY, for_p, at_p)
-    w = memo.get(key, _UNSEEN)
-    if w is _UNSEEN:
-        quorums = {p: qs.quorums_of(p) for p in for_p}  # raises UnknownProcess
-        w = memo[key] = availability_witness(quorums, for_p, at_p)
-    return w
+    if not for_p <= qs._quorums.keys():
+        for p in for_p:
+            qs.quorums_of(p)   # raises UnknownProcess at the first undeclared p
+    return availability_witness(qs._quorums, for_p, at_p)
 
 
+@_per_system
 def _quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set: frozenset):
-    memo = _memo_of(qs)
-    key = (INCLUSION, attack, p_set)
-    w = memo.get(key, _UNSEEN)
-    if w is _UNSEEN:
-        w = memo[key] = inclusion_witness(_wb_quorums(memo, qs, attack)[1], p_set,
-                                          attack.well_behaved)
-    return w
+    return inclusion_witness(_wb_quorums(qs, attack)[1], p_set, attack.well_behaved)
+
+
+@_per_system
+def _sharing(qs: QuorumSystem):
+    active = qs.active
+    return sharing_witness({p: quorums for p, quorums in qs._quorums.items() if p in active})
 
 
 def check_consistency(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
@@ -255,9 +253,9 @@ def check_quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set) -> PropertyR
 
 def _weak_inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
                     tentative: Mapping = None) -> PropertyReport:
-    # inclusion weakened by left or tentative (see inclusion_witness); unmemoized
+    # inclusion_witness weakened by left or tentative; only W's map is memoized
     p_set = _well_behaved(p_set, attack, "inclusion set")
-    return _report(name, inclusion_witness(_wb_quorums({}, qs, attack)[1], p_set,
+    return _report(name, inclusion_witness(_wb_quorums(qs, attack)[1], p_set,
                                            attack.well_behaved, frozenset(left), tentative))
 
 
@@ -275,13 +273,7 @@ def check_tentative_inclusion(qs: QuorumSystem, attack: Attack, p_set,
 
 
 def check_quorum_sharing(qs: QuorumSystem) -> PropertyReport:
-    memo = _memo_of(qs)
-    w = memo.get(SHARING, _UNSEEN)
-    if w is _UNSEEN:
-        active = qs.active
-        w = memo[SHARING] = sharing_witness(
-            {p: quorums for p, quorums in qs._quorums.items() if p in active})
-    return _report(SHARING, w)
+    return _report(SHARING, _sharing(qs))
 
 
 def check_outlived(qs: QuorumSystem, attack: Attack, outlived_set) -> PropertyReport:
@@ -305,18 +297,18 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     members that fail inclusion alone, then those with no quorum inside the
     rest until none is left to drop, and keep O iff consistency holds there.
     The empty set is outlived only when no active well-behaved process
-    declares a quorum.  When the memo holds inclusion at W as holding, no
-    member of W fails it, and the first drop is skipped.
+    declares a quorum.  The first drop asks inclusion at W, the active
+    well-behaved set (a lookup right after :func:`check_quorum_inclusion`
+    at W); when it holds, no member of W fails it and the scan is skipped.
     """
-    memo = _memo_of(qs)
-    w_set, wb_quorums = _wb_quorums(memo, qs, attack)
+    w_set, wb_quorums = _wb_quorums(qs, attack)
     o = set(wb_quorums)
-    if memo.get((INCLUSION, attack, w_set), _UNSEEN) is not None:
+    if _quorum_inclusion(qs, attack, w_set) is not None:
         wb = attack.well_behaved
         cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
         o -= {p2 for q in {q for quorums in wb_quorums.values() for q in quorums}
               for p2 in q if not any(map(q.__ge__, cuts.get(p2, ())))}
-    while (inside := {p for p in o if any(q <= o for q in wb_quorums[p])}) != o:
+    while (inside := {p for p in o if any(map(o.__ge__, wb_quorums[p]))}) != o:
         o = inside
     o = frozenset(o)
     return [o] if _consistency(qs, attack, o) is None else []

@@ -536,8 +536,11 @@ def _request(req, path: str) -> tuple:
     if op in ("Remove", "Add"):
         return at, node, (op, _ids(req.get("quorum"), f"{path}.quorum"))
     if op == "Join":
-        return at, node, ("Join", _ids(req.get("seed_set"), f"{path}.seed_set"),
-                          expect(req.get("timeout", 200), f"{path}.timeout", "an integer", int))
+        seed_set = _ids(req.get("seed_set"), f"{path}.seed_set")
+        timeout = expect(req.get("timeout", 200), f"{path}.timeout", "an integer", int)
+        if timeout < 1:   # the kernel would clamp the timer to one step
+            raise ScenarioError(f"{path}.timeout: expected an integer >= 1, got {timeout}")
+        return at, node, ("Join", seed_set, timeout)
     return at, node, ("Broadcast", _value(req.get("value"), f"{path}.value"))
 
 

@@ -304,6 +304,11 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     # the bound is checked here, where its path is known, not by SchedulePolicy
     ({"policy": {"seed": 0, "fairness_bound": "6"}}, "policy.fairness_bound"),
     ({"policy": {"seed": 0, "fairness_bound": 0}}, "policy.fairness_bound"),
+    # a Join timer below one step once ran and passed
+    ({"requests": [{"node": 9, "op": "Join", "seed_set": [1, 2], "timeout": -5}]},
+     "requests[0].timeout"),
+    ({"requests": [{"node": 9, "op": "Join", "seed_set": [1, 2], "timeout": 0}]},
+     "requests[0].timeout"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):

@@ -123,6 +123,11 @@ def test_dot_export_of_every_fixture_is_pinned():
         "e797491cea4139c6a2ebfb221834977fe5a16233c6e0f76f9940de628550d933"
 
 
+def graph_of(vertices, edges):
+    """The QuorumGraph on ``vertices`` whose (p, p') pairs are ``edges``."""
+    return QuorumGraph({v: frozenset(b for a, b in edges if a == v) for v in vertices})
+
+
 def assert_condense_matches_oracle(g):
     cond = condense(g)
     assert (cond.components, cond.dag_edges) == oracles.oracle_condense(g.vertices, g.edges)
@@ -144,7 +149,7 @@ _graph_ids = st.integers(-2, 6) | st.text("ab", min_size=1, max_size=2)
                                          st.sampled_from(sorted(vs, key=str))), max_size=20)
     if vs else st.just(frozenset()))))
 def test_condense_matches_the_sorted_tarjan_oracle_on_mixed_id_graphs(graph):
-    assert_condense_matches_oracle(QuorumGraph(*graph))
+    assert_condense_matches_oracle(graph_of(*graph))
 
 
 def graph_lemma_violations(qs, attack):
@@ -225,7 +230,7 @@ def test_condense_matches_the_sorted_tarjan_oracle_on_large_sharing_systems():
      ({2, 10}, {"a"}, {"b"}), {(2, 0)}),
 ])
 def test_condense_on_hand_built_graphs(vertices, edges, components, dag_edges):
-    g = QuorumGraph(frozenset(vertices), frozenset(edges))
+    g = graph_of(vertices, edges)
     cond = condense(g)
     assert cond.components == tuple(map(frozenset, components))
     assert cond.dag_edges == frozenset(dag_edges)
@@ -259,7 +264,7 @@ def test_sinks_match_the_oracle_on_generated_systems_up_to_80_processes():
                                          st.sampled_from(sorted(vs, key=str))), max_size=20)
     if vs else st.just(frozenset()))))
 def test_sinks_match_the_oracle_on_mixed_id_graphs(graph):
-    assert_sinks_match_oracle(QuorumGraph(*graph))
+    assert_sinks_match_oracle(graph_of(*graph))
 
 
 @pytest.mark.parametrize("vertices,edges,sinks", [
@@ -275,7 +280,7 @@ def test_sinks_match_the_oracle_on_mixed_id_graphs(graph):
     (set(), set(), []),
 ])
 def test_sinks_on_hand_built_graphs(vertices, edges, sinks):
-    g = QuorumGraph(frozenset(vertices), frozenset(edges))
+    g = graph_of(vertices, edges)
     assert g.vertices == frozenset(vertices) and g.edges == frozenset(edges)
     assert sink_components(condense(g)) == list(map(frozenset, sinks))
     assert_sinks_match_oracle(g)

@@ -10,12 +10,14 @@ from hqs.errors import BadSubset, HqsError, UnknownProcess
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system, sharing_system
 from hqs.props import (
+    ACTIVE_INCLUSION,
     AVAILABILITY,
     AVAILABLE_INSIDE,
     CONSISTENCY,
     INCLUSION,
     OUTLIVED,
     SHARING,
+    TENTATIVE_INCLUSION,
     check_active_availability,
     check_active_inclusion,
     check_availability,
@@ -501,6 +503,12 @@ def test_inclusion_and_sharing_witnesses_match_their_oracles_past_12_processes()
 
 _UNRELATED = new_quorum_system([1], {1: [{1}]})
 
+
+def _tentative(s, t):
+    """A tentative map from two drawn sets: each member of s holds t."""
+    return {p: {(p, t)} for p in s}
+
+
 FRONT_ENDS = {
     "consistency": lambda qs, attack, s, t: check_consistency(qs, attack, s),
     "inclusion": lambda qs, attack, s, t: check_quorum_inclusion(qs, attack, s),
@@ -509,6 +517,9 @@ FRONT_ENDS = {
     "sharing": lambda qs, attack, s, t: check_quorum_sharing(qs),
     "outlived": lambda qs, attack, s, t: check_outlived(qs, attack, s),
     "maxout": lambda qs, attack, s, t: maximal_outlived_sets(qs, attack),
+    "active_inclusion": lambda qs, attack, s, t: check_active_inclusion(qs, attack, s, t),
+    "tentative_inclusion": lambda qs, attack, s, t: check_tentative_inclusion(
+        qs, attack, s, _tentative(s, t)),
 }
 
 
@@ -548,6 +559,10 @@ def _oracle_outcome(name, qs, attack, s, t):
         "sharing": (SHARING, oracles.oracle_sharing_witness(declared)),
         "outlived": (OUTLIVED, next(((part, *pw) for part, pw in parts.items()
                                      if pw is not None), None)),
+        "active_inclusion": (ACTIVE_INCLUSION,
+                             oracles.oracle_inclusion_witness(wb_quorums, s, wb, left=t)),
+        "tentative_inclusion": (TENTATIVE_INCLUSION, oracles.oracle_inclusion_witness(
+            wb_quorums, s, wb, tentative=_tentative(s, t))),
     }[name]
     return prop, w is None, w
 
