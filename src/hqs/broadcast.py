@@ -35,9 +35,7 @@ class BrbNode(Node):
             if api.me in self.sent_instances:
                 raise DuplicateInstance(f"{api.me!r} already broadcast")
             self.sent_instances.add(api.me)
-            send = ("Send", api.me, value)   # one payload object for every copy
-            for p in self.active:
-                api.send(p, send)
+            api.send_all(self.active, ("Send", api.me, value))
 
     def on_message(self, api, src, payload):
         tag, instance, value = payload[0], payload[1], payload[2]
@@ -61,9 +59,7 @@ class BrbNode(Node):
             return
         self.echoed[instance] = value
         self.touch()
-        echo = ("Echo", instance, value)
-        for p in self.followers:
-            api.send(p, echo)
+        api.send_all(self.followers, ("Echo", instance, value))
 
     def _maybe_ready(self, api, instance, value):
         """Ready on a quorum of echoes or a blocking set of readies; not readied yet."""
@@ -74,9 +70,7 @@ class BrbNode(Node):
         if full_quorum or blocking:
             self.readied[instance] = value
             self.touch()
-            ready = ("Ready", instance, value)
-            for p in self.followers:
-                api.send(p, ready)
+            api.send_all(self.followers, ("Ready", instance, value))
             if instance not in self.delivered:
                 self._maybe_deliver(api, instance, value)
 

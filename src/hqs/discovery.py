@@ -53,8 +53,7 @@ class DiscoveryNode(Node):
 
     def on_request(self, api, request):
         if request[0] == "Discover":
-            for p in self._neighbors():
-                api.send(p, ("Exchange", self.quorums))
+            api.send_all(self._neighbors(), ("Exchange", self.quorums))
 
     def on_message(self, api, src, payload):
         tag = payload[0]
@@ -77,8 +76,7 @@ class DiscoveryNode(Node):
                     self.touch()
                 if not self.sent_extend:
                     self.sent_extend = True
-                    for p in self._neighbors():
-                        api.send(p, ("Extend", q))
+                    api.send_all(self._neighbors(), ("Extend", q))
                 return
 
     def _check_phase2(self, q):

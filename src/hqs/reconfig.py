@@ -98,8 +98,7 @@ class ReconfigNode(Node):
         api.respond(response)
 
     def _notify_left(self, api):
-        for p in sorted_ids(self.followers):
-            api.send(p, ("Left",))
+        api.send_all(sorted_ids(self.followers), ("Left",))
 
     def _leave_done(self, api):
         self._finish(api, "LeaveComplete")
@@ -209,8 +208,7 @@ class ReconfigNode(Node):
         self.pending = ("Add", qn)
         self.add_req = {"qn": qn, "ack": set(), "nack": set(), "q_c": None,
                         "commits": {}}
-        for p in sorted_ids(qn):
-            api.send(p, ("Inclusion", qn))
+        api.send_all(sorted_ids(qn), ("Inclusion", qn))
 
     def _on_inclusion(self, api, src, qn):
         if any(q <= qn for q in self.quorums):
@@ -230,14 +228,13 @@ class ReconfigNode(Node):
             else:
                 q_c = frozenset(req["nack"])
                 req["q_c"] = q_c
-                for p in sorted_ids(q_c):
-                    api.send(p, ("CheckAdd", q_c))
+                api.send_all(sorted_ids(q_c), ("CheckAdd", q_c))
 
     def _on_check_add(self, api, src, q_c):
         self.tentative.add((src, q_c))
         self.touch()
-        for po in sorted_ids(set().union(*self.quorums) if self.quorums else set()):
-            api.send(po, ("AddCheck", src, q_c))
+        api.send_all(sorted_ids(set().union(*self.quorums) if self.quorums else set()),
+                     ("AddCheck", src, q_c))
 
     def _on_add_check(self, api, src, requester, q_c):
         domain = set(self._tentative_quorums()) | self.quorums
@@ -271,8 +268,7 @@ class ReconfigNode(Node):
         if set(req["commits"]) == q_c:
             self._set_quorums(self.quorums | {req["qn"]})
             sigs = tuple(req["commits"][p] for p in sorted_ids(q_c))
-            for p in sorted_ids(q_c):
-                api.send(p, ("Success", api.me, q_c, sigs))
+            api.send_all(sorted_ids(q_c), ("Success", api.me, q_c, sigs))
             self._finish(api, "AddComplete")
 
     def _on_abort(self, api, src, q_c):
@@ -280,8 +276,7 @@ class ReconfigNode(Node):
         if req is None or req["q_c"] != q_c or src not in q_c:
             return
         sig = api.sign(("Fail", api.me, q_c))
-        for p in sorted_ids(q_c):
-            api.send(p, ("Fail", api.me, q_c, sig))
+        api.send_all(sorted_ids(q_c), ("Fail", api.me, q_c, sig))
         self._finish(api, "AddFail")
 
     def _on_success(self, api, src, requester, q_c, sigs):
@@ -295,8 +290,7 @@ class ReconfigNode(Node):
                    for p in q_c):
             return
         self.succeeded[key] = True
-        for p in sorted_ids(q_c):
-            api.send(p, ("Success", requester, q_c, sigs))
+        api.send_all(sorted_ids(q_c), ("Success", requester, q_c, sigs))
         self._set_quorums(self.quorums | {q_c})
         self.tentative.discard(key)
 
@@ -308,8 +302,7 @@ class ReconfigNode(Node):
             return
         if src == requester and key not in self._echoed_fail:
             self._echoed_fail.add(key)
-            for p in sorted_ids(q_c):
-                api.send(p, ("Fail", requester, q_c, sig))
+            api.send_all(sorted_ids(q_c), ("Fail", requester, q_c, sig))
         self.failed.setdefault(key, set()).add(src)
         if q_c <= self.failed[key] and key not in self.fail_completed:
             self.fail_completed.add(key)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import cycle, repeat
 
 from .broadcast import BrbNode
 from .core import (
@@ -263,8 +264,8 @@ class AddEquivocator(Adversary):
         self._split_done = False
 
     def on_init(self, world):
-        for p in sorted_ids(self.q_c):
-            world.adversary_send(self.byz_id, p, ("CheckAdd", self.q_c))
+        world.adversary_send_all(self.byz_id,
+                                 zip(sorted_ids(self.q_c), repeat(("CheckAdd", self.q_c))))
 
     def on_deliver(self, world, env):
         if env.payload[0] != "Commit" or self._split_done:
@@ -348,17 +349,16 @@ class BrbByzantine(Adversary):
         if self.sender is None or self.sender not in world.attack.byzantine:
             return
         sends = [("Send", self.sender, value) for value in self.values]
-        for i, p in enumerate(self.pids):
-            world.adversary_send(self.sender, p, sends[i % len(sends)])
+        world.adversary_send_all(self.sender, zip(self.pids, cycle(sends)))
 
     def on_deliver(self, world, env):
         if not self.fake_votes or env.payload[0] not in ("Echo", "Ready", "Send"):
             return
         readies = [("Ready", env.payload[1], value) for value in self.values]
         random, pick = world.rng.random, world.rng._randbelow   # randrange's draw
-        for p in self.pids:
-            if random() < 0.3:
-                world.adversary_send(env.dst, p, readies[pick(len(readies))])
+        # a generator: each vote's draws come right before its delay draw
+        world.adversary_send_all(env.dst, ((p, readies[pick(len(readies))])
+                                           for p in self.pids if random() < 0.3))
 
 
 ADVERSARIES = {

@@ -14,6 +14,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Optional
 
@@ -158,6 +159,9 @@ class Adversary:
     ``tob_order`` hints run out, ``pick_tob``.  Their defaults draw from
     ``world.rng``: the random-fair schedule, through ``rng._randbelow`` as
     ``randint(1, b)`` and ``randrange(n)`` draw, without their wrapper frames.
+    While ``delay`` or ``reorder`` is this class's own, the kernel makes its
+    draw inline instead of calling it; an overriding hook (a subclass's, an
+    instance attribute, a patch) is called for every message it covers.
     """
 
     def on_init(self, world):
@@ -180,6 +184,10 @@ class Adversary:
     def pick_tob(self, world, pending) -> int:
         """Index into ``pending`` of the broadcast to sequence; out of range is 0."""
         return world.rng._randbelow(len(pending))
+
+
+# the base hooks, whose draw ``World._route`` makes inline
+_BASE_DELAY, _BASE_REORDER = Adversary.delay, Adversary.reorder
 
 
 def _line(kind, *fields):
@@ -308,12 +316,17 @@ class World:
     def send(self, src, dst, payload):
         if src in self.well_behaved and src not in self.nodes:
             raise ForgedSender(f"no node owns well-behaved id {src!r}")
-        self._route(Envelope(src, dst, payload))
+        self._route(src, ((dst, payload),))
 
     def adversary_send(self, src, dst, payload):
+        self.adversary_send_all(src, ((dst, payload),))
+
+    def adversary_send_all(self, src, pairs):
+        """``adversary_send`` of each ``(dst, payload)`` in ``pairs``, in
+        order; ``pairs`` may be a generator, read as ``_route`` reads it."""
         if src not in self.attack.byzantine:
             raise ForgedSender(f"adversary cannot send as well-behaved {src!r}")
-        self._route(Envelope(src, dst, payload))
+        self._route(src, pairs)
 
     def tob_broadcast(self, src, payload):
         self._pending_tob.append(Envelope(src, None, payload))
@@ -354,20 +367,46 @@ class World:
         node = self.nodes.get(pid)
         return None if node is None or node.frozen else node
 
-    def _route(self, env: Envelope):
-        byz = self.attack.byzantine
-        if env.src in byz or env.dst in byz:
-            delay = self.adversary.delay(self, env)
-            if delay is None:
-                self._record({"step": self.step, "kind": "drop", "src": env.src,
-                              "dst": env.dst, "msg": env.payload})
-                return
-            delay = max(1, int(delay))
-        else:
-            delay = min(max(1, int(self.adversary.reorder(self, env))),
-                        self.policy.fairness_bound)
-        self._seq += 1
-        heapq.heappush(self._queue, (self.step + delay, self._seq, "apl", env))
+    def _route(self, src, pairs):
+        """Route each ``(dst, payload)`` of ``pairs`` from ``src``, in order.
+
+        A message with a Byzantine endpoint is delayed by ``adversary.delay``
+        (None drops it), any other by ``adversary.reorder``, clamped to
+        [1, fairness_bound]; each is queued as ``(due, seq, "apl", Envelope)``.
+        A hook that is ``Adversary``'s own is not called: the loop makes its
+        draw, ``1 + rng._randbelow(fairness_bound)``, through ``_randbelow``'s
+        rejection loop over ``getrandbits``.  Any other hook is called with the
+        message's Envelope.  ``pairs`` is read one pair at a time, and each
+        pair is routed before the next is read, so draws that a generator
+        makes for a pair come right before that pair's delay draw.
+        """
+        byz, adversary = self.attack.byzantine, self.adversary
+        delay, reorder = adversary.delay, adversary.reorder
+        # None for a hook whose draw the loop makes itself
+        delay = None if getattr(delay, "__func__", None) is _BASE_DELAY else delay
+        reorder = None if getattr(reorder, "__func__", None) is _BASE_REORDER else reorder
+        bound, getrandbits = self.policy.fairness_bound, self.rng.getrandbits
+        bits, step, queue, from_byz = bound.bit_length(), self.step, self._queue, src in byz
+        for dst, payload in pairs:
+            env = Envelope(src, dst, payload)
+            byzantine = from_byz or dst in byz
+            hook = delay if byzantine else reorder
+            if hook is None:
+                r = getrandbits(bits)
+                while r >= bound:
+                    r = getrandbits(bits)
+                due = step + 1 + r
+            elif byzantine:
+                due = hook(self, env)
+                if due is None:
+                    self._record({"step": step, "kind": "drop", "src": src,
+                                  "dst": dst, "msg": payload})
+                    continue
+                due = step + max(1, int(due))
+            else:
+                due = step + min(max(1, int(hook(self, env))), bound)
+            self._seq += 1
+            heapq.heappush(queue, (due, self._seq, "apl", env))
 
     def _push(self, due, kind, data):
         self._seq += 1
@@ -393,9 +432,13 @@ class World:
         self._record({"step": self.step, "kind": "tob_order", "index": index,
                       "src": env.src, "msg": env.payload})
         self.adversary.on_tob(self, index, env)
-        step, bound, randbelow = self.step + 1, self.policy.fairness_bound, self.rng._randbelow
-        for pid in pids:
-            self._push(step + randbelow(bound), "tob_dlv", (pid, index))
+        step, bound, getrandbits = self.step + 1, self.policy.fairness_bound, self.rng.getrandbits
+        bits = bound.bit_length()
+        for pid in pids:   # randint(1, bound), as _route draws it
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            self._push(step + r, "tob_dlv", (pid, index))
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
@@ -512,7 +555,8 @@ class NodeApi:
 
     A handle is built only for a node of its world, so its sends are
     authenticated by construction and go straight to the router;
-    ``World.send`` keeps the forged-sender check for direct callers."""
+    ``World.send`` keeps the forged-sender check for direct callers.
+    ``send_all`` routes a fan-out of one payload in one router call."""
 
     __slots__ = ("world", "node")
 
@@ -525,7 +569,11 @@ class NodeApi:
         return self.node.pid
 
     def send(self, dst, payload):
-        self.world._route(Envelope(self.node.pid, dst, payload))
+        self.world._route(self.node.pid, ((dst, payload),))
+
+    def send_all(self, dsts, payload):
+        """``send(dst, payload)`` for each of ``dsts``, in order."""
+        self.world._route(self.node.pid, zip(dsts, repeat(payload)))
 
     def tob(self, payload):
         self.world.tob_broadcast(self.node.pid, payload)

@@ -56,6 +56,9 @@ def test_duplicate_instance_rejected():
         def send(self, dst, payload):
             pass
 
+        def send_all(self, dsts, payload):
+            pass
+
     node.on_request(Api(), ("Broadcast", "x"))
     with pytest.raises(DuplicateInstance):
         node.on_request(Api(), ("Broadcast", "y"))

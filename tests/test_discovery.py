@@ -44,6 +44,10 @@ def test_phase1_condition_needs_every_member():
         def send(self, dst, payload):
             self.sent.append((dst, payload))
 
+        def send_all(self, dsts, payload):
+            for dst in dsts:
+                self.send(dst, payload)
+
     api = Probe()
     node.on_message(api, 2, ("Exchange", (frozenset({1, 2}),)))
     assert not node.in_sink  # still missing 1's declaration

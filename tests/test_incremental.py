@@ -34,7 +34,7 @@ from hqs.scenarios import (
     probe_intersection,
     run_scenario,
 )
-from hqs.sim import SchedulePolicy, World, fingerprint
+from hqs.sim import Adversary, SchedulePolicy, World, fingerprint
 
 
 def fs(*xs):
@@ -65,13 +65,13 @@ def test_snapshot_digest_matches_fingerprint_on_named_scenarios(name):
     assert seen["end"] == 1 and seen["state"] > 0
 
 
-def leave_world(system_seed, seed, mode=AC):
+def leave_world(system_seed, seed, mode=AC, spammer=CheckSpammer):
     """A criterion-05 world: a generated outlived system, CheckSpammer, up
     to three Leave or Remove requests and the three outlived probes."""
     rng = random.Random(system_seed)
     qs, attack, outlived = outlived_system(rng, n_max=6)
     world = make_reconfig_world(qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
-                                mode=mode, adversary=CheckSpammer())
+                                mode=mode, adversary=spammer())
     for name in ("intersection", "active_inclusion", "active_availability"):
         world.add_probe(name, PROBES[name](outlived))
     wb_active = sorted_ids(qs.active & attack.well_behaved)
@@ -134,16 +134,23 @@ def test_a_finished_world_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 999))
-def test_snapshot_digest_matches_fingerprint_on_brb_worlds(system_seed, seed):
+def brb_world(system_seed, seed, byzantine=BrbByzantine):
+    """A broadcast from a well-behaved process, with the first Byzantine id
+    equivocating and every Byzantine member voting at random."""
     rng = random.Random(system_seed)
     qs, attack = checked_sharing_system(rng, n_max=7)
     byz = sorted_ids(attack.byzantine)
     world = make_brb_world(qs, attack, SchedulePolicy(seed=seed),
-                           adversary=BrbByzantine(sender=byz[0] if byz else None))
+                           adversary=byzantine(sender=byz[0] if byz else None))
     world.add_probe("brb_consistency", probe_brb_consistency)
     world.request(1, sorted_ids(qs.active & attack.well_behaved)[0], ("Broadcast", "v"))
+    return world
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999))
+def test_snapshot_digest_matches_fingerprint_on_brb_worlds(system_seed, seed):
+    world = brb_world(system_seed, seed)
     with snapshots_checked() as seen:
         world.run()
     assert seen["end"] == 1 and seen["state"] > 0
@@ -158,6 +165,66 @@ def test_snapshot_digest_matches_fingerprint_on_discovery_worlds(system_seed, se
     with snapshots_checked() as seen:
         world.run()
     assert seen["end"] == 1 and seen["state"] > 0
+
+
+# --- the router's inline draw ----------------------------------------------------
+
+
+class Hooked:
+    """Schedule hooks that return the base draw; overridden, the router calls
+    them for every message instead of making the draw itself."""
+
+    calls = 0
+
+    def delay(self, world, env):
+        self.calls += 1
+        return super().delay(world, env)
+
+    def reorder(self, world, env):
+        self.calls += 1
+        return super().reorder(world, env)
+
+
+class HookedCheckSpammer(Hooked, CheckSpammer):
+    pass
+
+
+class HookedBrbByzantine(Hooked, BrbByzantine):
+    pass
+
+
+def routed(world, trace) -> list:
+    """(src, dst) of every message the world routed: delivered, then queued."""
+    return ([(e["src"], e["dst"]) for e in trace.events if e["kind"] == "apl"]
+            + [(env.src, env.dst) for _, _, kind, env in world._queue if kind == "apl"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.sampled_from((AC, PC)),
+       st.booleans())
+def test_the_inline_draw_and_an_overriding_hook_write_one_trace(system_seed, seed, mode, brb):
+    if brb:
+        inline, hooked = (brb_world(system_seed, seed, byzantine=cls)
+                          for cls in (BrbByzantine, HookedBrbByzantine))
+    else:
+        inline, hooked = (leave_world(system_seed, seed, mode, spammer=cls)
+                          for cls in (CheckSpammer, HookedCheckSpammer))
+    want, got = inline.run(), hooked.run()
+    assert got.to_jsonl() == want.to_jsonl()
+    assert hooked.adversary.calls == len(routed(hooked, got))
+
+
+@pytest.mark.parametrize("system_seed", range(5))
+def test_a_patched_base_reorder_is_asked_once_per_well_behaved_message(system_seed):
+    want = brb_world(system_seed, 1).run()
+    world = brb_world(system_seed, 1)
+    with mock.patch.object(Adversary, "reorder", autospec=True,
+                           side_effect=Adversary.reorder) as reorder:
+        trace = world.run()
+    assert trace.to_jsonl() == want.to_jsonl()
+    byz = world.attack.byzantine
+    well_behaved = [m for m in routed(world, trace) if byz.isdisjoint(m)]
+    assert reorder.call_count == len(well_behaved) > 0
 
 
 # --- probes -------------------------------------------------------------------

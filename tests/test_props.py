@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system
+from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system, sorted_ids
 from hqs.errors import BadSubset, HqsError, UnknownProcess
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system, sharing_system
@@ -667,14 +667,20 @@ def test_threads_sharing_the_memo_get_each_system_its_own_answers():
     # one universe and one attack, so every system's memo keys are the same
     rng = random.Random(61)
     attack = Attack.of(range(1, 7))
-    systems = [(_generated(make, rng, 6)[0], attack)
-               for make in (arbitrary_system, sharing_system) * 4]
+    systems = []
+    for make in (arbitrary_system, sharing_system) * 4:
+        qs = _generated(make, rng, 6)[0]
+        wb = sorted_ids(qs.active & attack.well_behaved)
+        # t strictly inside W, so that active inclusion (left = t) can fail
+        systems.append((qs, attack, frozenset(rng.sample(wb, rng.randrange(len(wb))))))
 
-    def calls(qs, attack):
+    def calls(qs, attack, t):
         wb = qs.active & attack.well_behaved
-        return [lambda f=f: f(qs, attack, wb, wb) for f in FRONT_ENDS.values()]
+        return [lambda f=f: f(qs, attack, wb, t) for f in FRONT_ENDS.values()]
 
     want = [list(map(_fresh, calls(*system))) for system in systems]
+    active_inclusion = list(FRONT_ENDS).index("active_inclusion")
+    assert any(not w[active_inclusion][1] for w in want)   # some witness is owed
     wrong = []
 
     def worker(k):

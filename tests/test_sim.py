@@ -1,5 +1,6 @@
 import random
 from collections import Counter, namedtuple
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -322,6 +323,25 @@ def test_the_tob_delivery_delays_draw_what_randint_draws(seed):
                if kind == "tob_dlv"]
         ref = random.Random(seed)
         assert got == [ref.randint(1, bound) for _ in pids], bound
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_the_kernel_draws_the_default_delays_randint_draws(seed):
+    # the router makes the base hooks' draw itself: every way in, to a
+    # Byzantine destination (0) and to well-behaved ones, draws randint(1, b)
+    pids = list(range(1, 6))
+    dsts = [0, *pids]
+    for bound in BOUNDS:
+        world = bounded_world(seed, bound, pids=pids)
+        world.step = 3
+        NodeApi(world, world.nodes[1]).send_all(dsts, ("m",))
+        for dst in dsts:
+            world.send(2, dst, ("m",))
+        world.adversary_send_all(0, zip(dsts, repeat(("m",))))
+        got = [due - world.step for due, _, kind, _ in sorted(world._queue, key=lambda e: e[1])
+               if kind == "apl"]
+        ref = random.Random(seed)
+        assert got == [ref.randint(1, bound) for _ in range(3 * len(dsts))], bound
 
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
