@@ -22,12 +22,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .core import antichain, blocks, ordered, quorum_key, sorted_ids, sorted_quorums
-from .sim import Node
+from .sim import Node, canon_json
 
 AC = "ac"
 PC = "pc"
+
+_EMPTY = frozenset()
+_FROZENSET = frozenset({frozenset})
+# a ReconfigNode's snapshot fragment: its summary's keys in sorted order
+_FRAGMENT = '{"Q":%s,"frozen":%s,"tentative":%s,"tomb":%s}'
 
 
 def _pairs_block(domain, basis, drop) -> bool:
@@ -50,24 +56,39 @@ def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
     return _pairs_block(set(declared) | extra, declared, drop)
 
 
-def _with_summary(quorums) -> tuple:
-    """``quorums`` as a frozenset antichain, with ``state_summary``'s Q for
-    it: sorted_quorums order, from one sort per quorum."""
+class Kept(NamedTuple):
+    """A node's quorums as a frozenset antichain, with ``state_summary``'s Q
+    for them and Q's JSON.  The nodes built from one system share these, so
+    nothing here is ever mutated."""
+
+    quorums: frozenset
+    summary_q: list
+    q_json: str
+
+
+def kept_quorums(quorums) -> Kept:
+    """``quorums`` as a ``Kept``: Q in sorted_quorums order, from one sort
+    per quorum, and spelt once."""
     kept = frozenset(antichain(quorums))
-    return kept, ordered([sorted_ids(q) for q in kept], mixed=quorum_key)
+    summary_q = ordered([sorted_ids(q) for q in kept], mixed=quorum_key)
+    return Kept(kept, summary_q, canon_json(summary_q))
 
 
 class ReconfigNode(Node):
+    """``quorums`` is an iterable of quorums, or a ``Kept`` to adopt as it is."""
+
     def __init__(self, pid, quorums, followers=(), in_sink=None, mode=AC,
                  combined_checks=True):
         super().__init__(pid)
         # no touch(): run()'s first snapshot serialises a new node anyway
-        self.quorums, self._summary_q = _with_summary(quorums)
+        self.quorums, self._summary_q, self._q_json = (
+            quorums if type(quorums) is Kept else kept_quorums(quorums))
         self.followers = set(followers)
         self.in_sink = in_sink            # None means unknown: always coordinate
         self.mode = mode
         self.combined_checks = combined_checks
         self.tomb = set()
+        self._tomb_spelt, self._tomb_json = _EMPTY, "[]"   # the tomb state_json spelt
         self.tentative = set()            # (requester, q_c) pairs
         self.failed = {}                  # (requester, q_c) -> set of Fail senders
         self.succeeded = {}               # (requester, q_c) -> bool
@@ -88,8 +109,8 @@ class ReconfigNode(Node):
         return [q for (_, q) in self.tentative]
 
     def _set_quorums(self, quorums):
-        """The only writer of ``quorums`` after construction; sorts Q once."""
-        self.quorums, self._summary_q = _with_summary(quorums)
+        """The only writer of ``quorums`` after construction; sorts and spells Q once."""
+        self.quorums, self._summary_q, self._q_json = kept_quorums(quorums)
         self.touch()
 
     def _finish(self, api, response):
@@ -116,14 +137,28 @@ class ReconfigNode(Node):
             # lost its own availability and must not be counted on
             self._notify_left(api)
 
+    def _tentative_summary(self) -> list:
+        return ordered([[str(r), sorted_ids(q)] for (r, q) in self.tentative],
+                       mixed=lambda t: (t[0], quorum_key(t[1])))
+
     def state_summary(self) -> dict:
         return {
             "Q": self._summary_q,
             "tomb": sorted_ids(self.tomb),
-            "tentative": ordered([[str(r), sorted_ids(q)] for (r, q) in self.tentative],
-                                 mixed=lambda t: (t[0], quorum_key(t[1]))),
+            "tentative": self._tentative_summary(),
             "frozen": self.frozen,
         }
+
+    def state_json(self) -> str:
+        """``canon_json(self.state_summary())``, filled in from Q's JSON
+        (spelt when Q is replaced) and the tomb's, spelt again only when the
+        tomb differs from the copy it was spelt from (whoever changed it)."""
+        if self.tomb != self._tomb_spelt:
+            self._tomb_spelt = frozenset(self.tomb)
+            self._tomb_json = canon_json(sorted_ids(self._tomb_spelt))
+        return _FRAGMENT % (self._q_json, "true" if self.frozen else "false",
+                            canon_json(self._tentative_summary()) if self.tentative else "[]",
+                            self._tomb_json)
 
     # -- client requests -------------------------------------------------------
 
@@ -178,22 +213,27 @@ class ReconfigNode(Node):
         tag = payload[0]
         if tag not in ("LeaveCheck", "RemoveCheck"):
             return
-        extra = frozenset(self._tentative_quorums()) if self.combined_checks else frozenset()
-        if not _check_passes(tuple(map(frozenset, payload[-1])), extra,
-                             frozenset(self.tomb | {src})):
-            if src == api.me:
+        declared = payload[-1]   # a well-behaved requester's is a tuple of frozensets
+        if type(declared) is not tuple or not _FROZENSET.issuperset(map(type, declared)):
+            declared = tuple(map(frozenset, declared))
+        extra = (frozenset(self._tentative_quorums())
+                 if self.combined_checks and self.tentative else _EMPTY)
+        if not _check_passes(declared, extra, frozenset((src, *self.tomb))):
+            if src == self.pid:
                 self._finish(api, "LeaveFail" if tag == "LeaveCheck" else "RemoveFail")
             return
         self.tomb.add(src)
         self.touch()
-        if src == api.me:
+        if src == self.pid:
             if tag == "LeaveCheck":
                 self._leave_done(api)
             else:
                 self._remove_done(api, frozenset(payload[1]))
 
     def _on_left(self, api, src):
-        if self.mode == PC:
+        if not any(src in q for q in self.quorums):
+            self.touch()   # Q stays as it is; the touch keeps the Left's state event
+        elif self.mode == PC:
             self._set_quorums({q for q in self.quorums if src not in q})
         else:
             shrunk = {q - {src} for q in self.quorums}

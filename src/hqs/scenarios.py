@@ -35,13 +35,14 @@ from .discovery import DiscoveryNode, oracle_validq, threshold_validq
 from .errors import ScenarioError
 from .graph import sink_members
 from .props import (
+    _per_system,
     active_availability_witness,
     availability_witness,
     check_consistency,
     consistency_witness,
     inclusion_witness,
 )
-from .reconfig import AC, PC, ReconfigNode
+from .reconfig import AC, PC, ReconfigNode, kept_quorums
 from .sim import Adversary, SchedulePolicy, World, canon
 from .fixtures import resolve_system
 
@@ -75,47 +76,58 @@ class _QuorumView:
     def __init__(self, world):
         wb = world.well_behaved
         self.size = len(world.nodes)
+        self.flush = world.flush
         self.sets = {pid: node.quorums for pid, node in world.nodes.items()
                      if pid in wb and isinstance(node, ReconfigNode)}
         self.quorums = {pid: tuple(sorted_quorums(qs)) for pid, qs in self.sets.items()}
         self.left = frozenset(world.l_set)
 
-    def current(self, world) -> "_QuorumView":
-        moved = {}
-        for pid in world.touched:
-            was = self.sets.get(pid)
-            now = world.nodes[pid].quorums   # a frozenset, replaced on a change
-            if was is not None and now is not was and now != was:
-                self.sets[pid] = now
-                moved[pid] = tuple(sorted_quorums(now))
-        if moved:
-            self.quorums = {**self.quorums, **moved}
-        if world.l_set != self.left:
-            self.left = frozenset(world.l_set)
-        return self
-
 
 def _view(world) -> _QuorumView:
-    """The world's probe view, brought up to date once per flush or per call outside one."""
+    """The world's probe view, brought up to date once per flush, or at
+    every call outside one: only the touched nodes are compared again."""
     view = world.probe_state.get(_QuorumView)
     if view is None or view.size != len(world.nodes):   # a node was added since
         view = world.probe_state[_QuorumView] = _QuorumView(world)
-    elif world.flush and view.flush == world.flush:
+        return view
+    if world.flush and view.flush == world.flush:
         return view
     view.flush = world.flush
-    return view.current(world)
+    moved, sets, nodes = {}, view.sets, world.nodes
+    for pid in world.touched:
+        was = sets.get(pid)
+        now = nodes[pid].quorums   # a frozenset, replaced on a change
+        if was is not None and now is not was and now != was:
+            sets[pid] = now
+            moved[pid] = tuple(sorted_quorums(now))
+    if moved:
+        view.quorums = {**view.quorums, **moved}
+    if world.l_set != view.left:
+        view.left = frozenset(world.l_set)
+    return view
 
 
-def _memoized(inputs, check):
-    """A probe that re-runs ``check(*inputs(world))`` only when the inputs
-    differ by value from the ones its last result was computed from; an
-    unchanged violation is returned (and so recorded) again.  ``check``
-    looks its checker up when it runs, so a patched one is seen."""
+def _tentative(world) -> tuple:
+    """(pid, tentative set) of every protocol node, frozen."""
+    return tuple((pid, frozenset(node.tentative)) for pid, node in world.nodes.items()
+                 if isinstance(node, ReconfigNode))
+
+
+def _memoized(check, reads_left=True, reads_tentative=False):
+    """A probe that re-runs ``check(quorums, left, well_behaved, tentative)``
+    only when those inputs differ from the ones its last result was computed
+    from; an unchanged violation is returned (and so recorded) again.
+    ``left`` is None unless ``reads_left``, ``tentative`` None unless
+    ``reads_tentative``.  The view replaces a value only when it changes, so
+    a hit is a compare of the same objects.  ``check`` looks its checker up
+    when it runs, so a patched one is seen."""
     last_inputs, last_result = None, None
 
     def fn(world):
         nonlocal last_inputs, last_result
-        current = inputs(world)
+        view = _view(world)
+        current = (view.quorums, view.left if reads_left else None, world.well_behaved,
+                   _tentative(world) if reads_tentative else None)
         if current != last_inputs:
             w = check(*current)
             last_inputs, last_result = current, None if w is None else canon(w)
@@ -124,43 +136,29 @@ def _memoized(inputs, check):
     return fn
 
 
-def _quorums_and_left(world) -> tuple:
-    view = _view(world)
-    return view.quorums, view.left
-
-
 def probe_intersection(outlived):
     outlived = frozenset(outlived)
-    return _memoized(_quorums_and_left, lambda quorums, left: consistency_witness(
+    return _memoized(lambda quorums, left, wb, tentative: consistency_witness(
         quorums, outlived - left))
 
 
 def probe_active_inclusion(outlived):
     outlived = frozenset(outlived)
-    return _memoized(
-        lambda world: (*_quorums_and_left(world), world.well_behaved),
-        lambda quorums, left, wb: inclusion_witness(quorums, outlived, wb, left=left))
+    return _memoized(lambda quorums, left, wb, tentative: inclusion_witness(
+        quorums, outlived, wb, left=left))
 
 
 def probe_active_availability(outlived):
     outlived = frozenset(outlived)
-    return _memoized(_quorums_and_left, lambda quorums, left: active_availability_witness(
+    return _memoized(lambda quorums, left, wb, tentative: active_availability_witness(
         quorums, outlived, left))
 
 
 def probe_tentative_inclusion(outlived):
     outlived = frozenset(outlived)
-
-    def inputs(world):
-        tentative = tuple((pid, frozenset(node.tentative))
-                          for pid, node in world.nodes.items()
-                          if isinstance(node, ReconfigNode))
-        return _view(world).quorums, tentative, world.well_behaved
-
-    return _memoized(
-        inputs,
-        lambda quorums, tentative, wb: inclusion_witness(
-            quorums, outlived, wb, tentative=dict(tentative)))
+    return _memoized(lambda quorums, left, wb, tentative: inclusion_witness(
+        quorums, outlived, wb, tentative=dict(tentative)),
+        reads_left=False, reads_tentative=True)
 
 
 def probe_add_no_split(world):
@@ -205,8 +203,8 @@ def probe_intersection_full(at_set):
     """Consistency at a fixed set, irrespective of who has departed; the
     policy-preserving protocols promise this at the full well-behaved set."""
     at_set = frozenset(at_set)
-    return _memoized(lambda world: (_view(world).quorums,),
-                     lambda quorums: consistency_witness(quorums, at_set))
+    return _memoized(lambda quorums, left, wb, tentative: consistency_witness(
+        quorums, at_set), reads_left=False)
 
 
 PROBES = {
@@ -383,13 +381,24 @@ def _world(qs, attack, policy, adversary, step_cap, make_node) -> World:
     return world
 
 
+@_per_system
+def _reconfig_parts(qs) -> tuple:
+    """What every reconfiguration world of ``qs`` starts from, derived once
+    per system: ``followers_map(qs)`` and each declarer's ``kept_quorums``.
+    The worlds share them, so they are never mutated: a node copies its
+    followers and replaces its kept quorums whole."""
+    return followers_map(qs), {pid: kept_quorums(decl)
+                               for pid, decl in qs.quorum_map().items()}
+
+
 def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
                         sink_info=None, adversary=None, step_cap=10_000,
                         joiners=()):
     sink = sink_members(qs) if sink_info == "oracle" else None
-    fmap = followers_map(qs)
+    fmap, kept = _reconfig_parts(qs)
+    # quorums_of raises for an active process that declares nothing
     world = _world(qs, attack, policy, adversary, step_cap, lambda pid: ReconfigNode(
-        pid, qs.quorums_of(pid), followers=fmap.get(pid, ()),
+        pid, kept.get(pid) or qs.quorums_of(pid), followers=fmap.get(pid, ()),
         in_sink=(pid in sink) if sink is not None else None,
         mode=mode, combined_checks=combined_checks))
     for pid in sorted_ids(joiners):
@@ -616,6 +625,13 @@ def run_scenario(spec, seed_override=None):
                                     f"well-behaved process; only a new one can Join")
             joiners.add(node)   # a twin spelling would share the node's snapshot key
             distinct_spellings(qs.universe | joiners, f"requests[{i}].node")
+    # an Add waits on a reply from every member of its quorum: each must be
+    # an active process, one the adversary owns or one a request joins
+    members = qs.active | attack.byzantine | joiners
+    for i, (_, _, request) in enumerate(requests):
+        if request[0] == "Add" and not request[1] <= members:
+            raise ScenarioError(f"requests[{i}].quorum: {sorted_ids(request[1] - members)} "
+                                f"are not active, Byzantine or joining processes")
     for i, pid in enumerate(policy.tob_order):   # a hint no process can meet is a typo
         if pid not in qs.universe and pid not in joiners:
             raise ScenarioError(f"policy.tob_order[{i}]: {pid!r} is not a process "

@@ -114,8 +114,12 @@ class Node:
 
     A node calls ``touch()`` in the same handler as any change to its
     ``state_summary()``; ``touch()`` records the pid in the world's
-    ``touched`` set, and the kernel re-serialises only those nodes.  A
-    node enters the departed set L by calling ``api.depart()``.  A node
+    ``touched`` set, and the kernel re-serialises only those nodes, each
+    through ``state_json()``.  That must equal
+    ``canon_json(state_summary())`` whenever the kernel calls it; an
+    override may spell it from parts the node keeps current, but
+    ``touch()`` still decides when it is called.  A node enters the
+    departed set L by calling ``api.depart()``.  A node
     that sets ``frozen`` receives nothing more: its messages are recorded
     as frozen deliveries, and its timers, requests and tob deliveries are
     skipped.  Every dict in a node's ``state_summary()`` and in what it
@@ -148,6 +152,10 @@ class Node:
 
     def state_summary(self) -> dict:
         return {}
+
+    def state_json(self) -> str:
+        """This node's snapshot fragment: ``canon_json(state_summary())``."""
+        return canon_json(self.state_summary())
 
 
 class Adversary:
@@ -473,7 +481,7 @@ class World:
         fragments; re-serialises the touched nodes and clears ``touched``."""
         for pid in self.touched:
             i, key = self._slot[pid]
-            self._fragments[i] = key + canon_json(self.nodes[pid].state_summary())
+            self._fragments[i] = key + self.nodes[pid].state_json()
         self.touched.clear()
         return _digest("{" + ",".join(self._fragments) + "}")
 
@@ -483,7 +491,7 @@ class World:
                       for i, node in enumerate(by_key)}
         # touched stays as it is: a node touched before run() still yields a
         # state event (and a probe run) at the first flush
-        self._fragments = [key + canon_json(node.state_summary())
+        self._fragments = [key + node.state_json()
                            for node, (_, key) in zip(by_key, self._slot.values())]
         self.adversary.on_init(self)
         pids = sorted_ids(self.nodes)   # fixed from here on, as is each node's api

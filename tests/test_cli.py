@@ -309,6 +309,10 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
      "requests[0].timeout"),
     ({"requests": [{"node": 9, "op": "Join", "seed_set": [1, 2], "timeout": 0}]},
      "requests[0].timeout"),
+    # an Add asks every member of its quorum, so one outside the system left
+    # the request unanswered and the run passed
+    ({"requests": [{"at": 1, "node": 2, "op": "Add", "quorum": [2, 99]}]},
+     "requests[0].quorum"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):
@@ -318,6 +322,23 @@ def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_pat
     code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code == 2 and "PASS" not in out
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+def test_an_add_naming_an_inactive_process_is_an_input_error(capsys, tmp_path):
+    # 7 is in the universe but runs no node, so nothing would answer the Add
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"universe": [1, 2, 3, 4, 7], "active": [1, 2, 3, 4],
+                                  "byzantine": [4], "quorums": {
+                                      "1": [[1, 2]], "2": [[1, 2], [2, 3]], "3": [[2, 3]]}}))
+    scenario = tmp_path / "s.json"
+    errors = []
+    for quorum in ([2, 7], [2, 4]):   # the adversary owns 4, and may answer for it
+        scenario.write_text(json.dumps({"system": str(system), "policy": {"seed": 0},
+                                        "requests": [{"at": 1, "node": 2, "op": "Add",
+                                                      "quorum": quorum}]}))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+        errors.append((code == 2, err.split(": ")[:2]))
+    assert errors == [(True, ["error", "requests[0].quorum"]), (False, [""])]
 
 
 def _renamed(spec, old, new):

@@ -4,7 +4,9 @@ The kernel digests every ``state`` and ``end`` event from per-node JSON
 fragments cached by touch version; each ``PROBES`` probe re-runs only when
 its inputs (well-behaved quorums, ``l_set``, tentative sets) change.  A node
 that changes its ``state_summary`` without ``touch()`` breaks the first
-test, a probe keyed on too little breaks the second group.
+test, a probe keyed on too little breaks the probe group.  A ``ReconfigNode``
+fragment spelt from a stale part breaks the fragment fence, and a run that
+mutates what the worlds of one system share breaks the reuse fence.
 """
 
 import gc
@@ -17,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqs import scenarios
+from hqs import props, scenarios
 from hqs.core import Attack, new_quorum_system, sorted_ids, sorted_quorums
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
@@ -25,6 +27,7 @@ from hqs.reconfig import AC, PC, ReconfigNode
 from hqs.scenarios import (
     PROBES,
     SCENARIO_NAMES,
+    AddAccomplice,
     BrbByzantine,
     CheckSpammer,
     make_brb_world,
@@ -34,7 +37,7 @@ from hqs.scenarios import (
     probe_intersection,
     run_scenario,
 )
-from hqs.sim import Adversary, SchedulePolicy, World, fingerprint
+from hqs.sim import Adversary, SchedulePolicy, World, canon_json, fingerprint
 
 
 def fs(*xs):
@@ -115,6 +118,159 @@ def test_kept_q_list_matches_a_fresh_sort_after_every_handler(system_seed, seed,
     with mock.patch.multiple(ReconfigNode, **{name: checked(name) for name in names}):
         leave_world(system_seed, seed, mode).run()
     assert handled["on_request"] > 0
+
+
+# --- ReconfigNode fragments from kept parts ----------------------------------------
+
+
+# how a generated system's int ids are spelt: as they are, as strs, or mixed
+SPELLINGS = {"int": lambda p: p, "str": lambda p: f"p{p}",
+             "mixed": lambda p: p if p % 2 else f"p{p}"}
+
+
+def respelt(qs, attack, outlived, spell):
+    """The system, attack and outlived set with every id ``p`` renamed ``spell(p)``."""
+    decls = {spell(p): [[spell(x) for x in q] for q in quorums]
+             for p, quorums in qs.quorum_map().items()}
+    universe, byzantine = [spell(p) for p in qs.universe], [spell(p) for p in attack.byzantine]
+    return (new_quorum_system([spell(p) for p in qs.active], decls, universe=universe,
+                              byzantine=byzantine),
+            Attack.of(universe, byzantine), frozenset(map(spell, outlived)))
+
+
+class TombWriter(CheckSpammer):
+    """Puts each sequenced broadcaster into one node's tomb from an
+    adversary hook, outside every handler, and touches that node."""
+
+    def on_tob(self, world, index, env):
+        node = world.nodes[sorted_ids(world.nodes)[index % len(world.nodes)]]
+        node.tomb.add(env.src)
+        node.touch()
+
+
+@contextmanager
+def fragments_checked():
+    """Assert after every ReconfigNode handler that every node's
+    ``state_json()`` is ``canon_json(state_summary())``; yields how many
+    checked nodes had a tomb, a tentative set or were frozen."""
+    seen = Counter()
+
+    def checked(name):
+        handler = getattr(ReconfigNode, name)
+
+        def run_then_check(self, api, *args):
+            handler(self, api, *args)
+            for node in api.world.nodes.values():
+                assert node.state_json() == canon_json(node.state_summary()), node.pid
+                seen.update(tomb=bool(node.tomb), tentative=bool(node.tentative),
+                            frozen=node.frozen)
+
+        return run_then_check
+
+    names = ("on_start", "on_request", "on_message", "on_tob", "on_timer")
+    with mock.patch.multiple(ReconfigNode, **{name: checked(name) for name in names}):
+        yield seen
+
+
+def fenced_world(system_seed, seed, mode, spell, ops, adversary):
+    """A generated outlived system with its ids respelt, and up to three
+    requests drawn from ``ops``: Leave, Remove, or Add of a random quorum."""
+    rng = random.Random(system_seed)
+    qs, attack, outlived = respelt(*outlived_system(rng, n_max=6), SPELLINGS[spell])
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
+                                mode=mode, adversary=adversary())
+    for name in ("intersection", "active_inclusion", "active_availability"):
+        world.add_probe(name, PROBES[name](outlived))
+    wb_active = sorted_ids(qs.active & attack.well_behaved)
+    for j, (pid, op) in enumerate(zip(rng.sample(wb_active, min(3, len(wb_active))), ops)):
+        if op == "Remove":
+            request = ("Remove", rng.choice(sorted_quorums(qs.quorums_of(pid))))
+        elif op == "Add":
+            members = rng.sample(wb_active, rng.randint(1, len(wb_active)))
+            request = ("Add", frozenset(members) | {pid})
+        else:
+            request = (op,)
+        world.request(1 + 2 * j, pid, request)
+    return world
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 999), st.sampled_from((AC, PC)),
+       st.sampled_from(tuple(SPELLINGS)),
+       st.lists(st.sampled_from(("Leave", "Remove", "Add")), min_size=3, max_size=3),
+       st.sampled_from((CheckSpammer, AddAccomplice, TombWriter)))
+def test_state_json_is_the_canonical_summary_after_every_handler(
+        system_seed, seed, mode, spell, ops, adversary):
+    world = fenced_world(system_seed, seed, mode, spell, ops, adversary)
+    with fragments_checked(), snapshots_checked() as seen:
+        world.run()
+    assert seen["end"] == 1
+
+
+@pytest.mark.parametrize("spell", SPELLINGS)
+def test_state_json_fence_sees_tentative_tombs_and_frozen_nodes(spell):
+    # fig. 1's add of {3, 5} puts a tentative entry at 5; a Leave freezes
+    # its node and fills tombs
+    seen, s = Counter(), SPELLINGS[spell]
+    qs, attack, _ = respelt(*load_fixture("fig1"), (), s)
+    for requests in ([(1, s(3), ("Add", fs(s(3), s(5))))], [(1, s(5), ("Leave",))]):
+        world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0))
+        for at, pid, request in requests:
+            world.request(at, pid, request)
+        with fragments_checked() as got, snapshots_checked():
+            world.run()
+        seen.update(got)
+    assert seen["tentative"] > 0 and seen["tomb"] > 0 and seen["frozen"] > 0
+
+
+@pytest.mark.parametrize("spell", SPELLINGS)
+def test_a_tomb_changed_outside_a_check_is_spelt_again(spell):
+    s = SPELLINGS[spell]
+    qs, attack, _ = respelt(*load_fixture("fig1"), (), s)
+    node = make_reconfig_world(qs, attack, SchedulePolicy(seed=0)).nodes[s(2)]
+    for change in (lambda: node.tomb.add(s(1)), lambda: node.tomb.add(s(5)),
+                   lambda: node.tomb.discard(s(1)),
+                   lambda: (node.tomb.discard(s(5)), node.tomb.add(s(3)))):   # same size
+        assert node.state_json() == canon_json(node.state_summary())
+        change()
+        node.touch()
+        assert node.state_json() == canon_json(node.state_summary())
+
+
+# --- world building once per system -------------------------------------------------
+
+
+def node_state(world) -> dict:
+    return {pid: (node.quorums, node.followers, node.state_summary(), node.state_json())
+            for pid, node in world.nodes.items()}
+
+
+@pytest.mark.parametrize("system_seed", range(6))
+def test_a_world_built_after_a_run_starts_from_the_system_not_the_run(system_seed):
+    # the first world's Leaves shrink quorums and its joiner's Probs grow
+    # followers; the system's shared parts must come out of it unchanged
+    qs, attack, outlived = outlived_system(random.Random(system_seed), n_max=6)
+    wb = sorted_ids(qs.active & attack.well_behaved)
+    policy = SchedulePolicy(seed=system_seed)
+    for leaver in wb:   # until a Leave completes and shrinks some quorum
+        first = make_reconfig_world(qs, attack, policy, joiners=("j",))
+        first.request(1, leaver, ("Leave",))
+        first.request(1, "j", ("Join", frozenset(wb), 200))
+        first.run()
+        grown = {pid for pid in wb if "j" in first.nodes[pid].followers}
+        shrunk = {pid for pid in wb
+                  if first.nodes[pid].quorums != frozenset(qs.quorums_of(pid))}
+        if grown and shrunk:
+            break
+    assert grown and shrunk
+    reused = make_reconfig_world(qs, attack, policy)
+    again = make_reconfig_world(qs, attack, policy)
+    assert all(reused.nodes[pid].quorums is again.nodes[pid].quorums for pid in reused.nodes)
+    with mock.patch.object(props, "_memo", (None, {})):
+        fresh = make_reconfig_world(qs, attack, policy)
+    assert node_state(reused) == node_state(fresh)
+    assert all(reused.nodes[pid].followers is not again.nodes[pid].followers
+               for pid in reused.nodes)
 
 
 def test_a_finished_world_is_freed_without_the_cycle_collector():
