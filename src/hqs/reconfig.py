@@ -36,42 +36,45 @@ _FROZENSET = frozenset({frozenset})
 _FRAGMENT = '{"Q":%s,"frozen":%s,"tentative":%s,"tomb":%s}'
 
 
-def _pairs_block(domain, basis, drop) -> bool:
-    """Every pairwise intersection of ``domain`` quorums (a quorum paired with
-    itself included), minus ``drop``, intersects every quorum in ``basis``."""
-    return all(blocks(basis, (q1 & q2) - drop) for q1, q2 in
-               combinations_with_replacement(domain, 2))
-
-
 # A world meets few distinct Checks (at most 23 in a 40-process benchmark
 # world: a payload per requester, times the tombs it meets).  256 entries
 # hold ten such worlds, so the worlds of a sweep over one system share hits,
 # while the cache stays bounded however long the sweep runs.
 @lru_cache(maxsize=256)
 def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
-    """The tob-ordered Check of ``declared`` quorums, with ``extra``
-    (tentative) quorums in the domain, minus ``drop``.  Pure, so every node
-    and world of the process may share its cache: each node delivers the
-    same Check with the same tomb and gets the same answer."""
-    return _pairs_block(set(declared) | extra, declared, drop)
+    """The tob-ordered Check of ``declared`` quorums: every pairwise
+    intersection of the domain (``declared`` and the ``extra`` tentative
+    quorums, a quorum paired with itself included), minus ``drop``, must
+    intersect every ``declared`` quorum.  Pure, so every node and world of
+    the process may share its cache: each node delivers the same Check with
+    the same tomb and gets the same answer, and a requester's pre-check is
+    the Check at an empty tomb."""
+    return all(blocks(declared, (q1 & q2) - drop) for q1, q2 in
+               combinations_with_replacement(extra.union(declared), 2))
+
+
+def spell_pairs(pairs) -> list:
+    """(requester, q_c) pairs as sorted ``[str(requester), sorted ids]``
+    lists, in an order no hash seed moves, for any mix of id types."""
+    return ordered([[str(r), sorted_ids(q)] for (r, q) in pairs],
+                   mixed=lambda t: (t[0], quorum_key(t[1])))
 
 
 class Kept(NamedTuple):
-    """A node's quorums as a frozenset antichain, with ``state_summary``'s Q
-    for them and Q's JSON.  The nodes built from one system share these, so
-    nothing here is ever mutated."""
+    """A node's quorums as a frozenset antichain, as a tuple in
+    ``sorted_quorums`` order, and Q's JSON.  The nodes built from one system
+    share these, so nothing here is ever mutated."""
 
     quorums: frozenset
-    summary_q: list
+    sorted_q: tuple
     q_json: str
 
 
 def kept_quorums(quorums) -> Kept:
-    """``quorums`` as a ``Kept``: Q in sorted_quorums order, from one sort
-    per quorum, and spelt once."""
+    """``quorums`` as a ``Kept``: sorted and spelt once."""
     kept = frozenset(antichain(quorums))
-    summary_q = ordered([sorted_ids(q) for q in kept], mixed=quorum_key)
-    return Kept(kept, summary_q, canon_json(summary_q))
+    sorted_q = tuple(sorted_quorums(kept))
+    return Kept(kept, sorted_q, canon_json([sorted_ids(q) for q in sorted_q]))
 
 
 class ReconfigNode(Node):
@@ -81,7 +84,7 @@ class ReconfigNode(Node):
                  combined_checks=True):
         super().__init__(pid)
         # no touch(): run()'s first snapshot serialises a new node anyway
-        self.quorums, self._summary_q, self._q_json = (
+        self.quorums, self.sorted_q, self._q_json = (
             quorums if type(quorums) is Kept else kept_quorums(quorums))
         self.followers = set(followers)
         self.in_sink = in_sink            # None means unknown: always coordinate
@@ -109,8 +112,9 @@ class ReconfigNode(Node):
         return [q for (_, q) in self.tentative]
 
     def _set_quorums(self, quorums):
-        """The only writer of ``quorums`` after construction; sorts and spells Q once."""
-        self.quorums, self._summary_q, self._q_json = kept_quorums(quorums)
+        """The only writer of ``quorums`` after construction; sorts and
+        spells them once, into ``sorted_q`` and Q's JSON."""
+        self.quorums, self.sorted_q, self._q_json = kept_quorums(quorums)
         self.touch()
 
     def _finish(self, api, response):
@@ -118,34 +122,27 @@ class ReconfigNode(Node):
         self.add_req = None
         api.respond(response)
 
-    def _notify_left(self, api):
-        api.send_all(sorted_ids(self.followers), ("Left",))
-
-    def _leave_done(self, api):
-        self._finish(api, "LeaveComplete")
-        self._notify_left(api)
-        api.depart()
-        self.frozen = True
-        self.touch()
-
-    def _remove_done(self, api, quorum):
-        self._set_quorums(self.quorums - {quorum})
-        self._finish(api, "RemoveComplete")
-        api.depart()
-        if self.mode != PC:
-            # followers purge the remover just like a leaver: it may have
+    def _depart(self, api):
+        """Complete the pending Leave or Remove: a remover drops its quorum
+        before it responds; a leaver freezes once it has told its followers."""
+        kind = self.pending[0]
+        if kind == "Remove":
+            self._set_quorums(self.quorums - {self.pending[1]})
+        self._finish(api, kind + "Complete")
+        if kind == "Leave" or self.mode != PC:
+            # followers purge a remover just like a leaver: it may have
             # lost its own availability and must not be counted on
-            self._notify_left(api)
-
-    def _tentative_summary(self) -> list:
-        return ordered([[str(r), sorted_ids(q)] for (r, q) in self.tentative],
-                       mixed=lambda t: (t[0], quorum_key(t[1])))
+            api.send_all(sorted_ids(self.followers), ("Left",))
+        api.depart()
+        if kind == "Leave":
+            self.frozen = True
+            self.touch()
 
     def state_summary(self) -> dict:
         return {
-            "Q": self._summary_q,
+            "Q": [sorted_ids(q) for q in self.sorted_q],
             "tomb": sorted_ids(self.tomb),
-            "tentative": self._tentative_summary(),
+            "tentative": spell_pairs(self.tentative),
             "frozen": self.frozen,
         }
 
@@ -157,7 +154,7 @@ class ReconfigNode(Node):
             self._tomb_spelt = frozenset(self.tomb)
             self._tomb_json = canon_json(sorted_ids(self._tomb_spelt))
         return _FRAGMENT % (self._q_json, "true" if self.frozen else "false",
-                            canon_json(self._tentative_summary()) if self.tentative else "[]",
+                            canon_json(spell_pairs(self.tentative)) if self.tentative else "[]",
                             self._tomb_json)
 
     # -- client requests -------------------------------------------------------
@@ -167,45 +164,37 @@ class ReconfigNode(Node):
             api.respond("Busy")
             return
         kind = request[0]
-        if kind == "Leave":
-            self._request_leave(api)
-        elif kind == "Remove":
-            self._request_remove(api, frozenset(request[1]))
+        if kind in ("Leave", "Remove"):
+            self._request_departure(api, request)
         elif kind == "Add":
             self._request_add(api, frozenset(request[1]))
         elif kind == "Join":
-            timeout = request[2] if len(request) > 2 else 200
-            self._request_join(api, request[1], timeout)
+            self._request_join(api, request[1], request[2])
         else:
             api.respond("UnknownRequest")
 
     # -- leave / remove --------------------------------------------------------
 
-    def _request_leave(self, api):
-        self.pending = ("Leave",)
+    def _request_departure(self, api, request):
+        """Leave, or Remove of the quorum ``request[1]``.  The remover may
+        drop out of the outlived set, so its Check covers its full current
+        quorum set, exactly as a leaver's does."""
+        if request[0] == "Leave":
+            self.pending, check = ("Leave",), ("LeaveCheck", self.sorted_q)
+        else:
+            quorum = frozenset(request[1])
+            if quorum not in self.quorums:
+                api.respond("RemoveFail")
+                return
+            self.pending, check = ("Remove", quorum), ("RemoveCheck", quorum, self.sorted_q)
         if self.mode == PC or self.in_sink is False:
-            # followers drop whole quorums (pc), or the leaver sits outside
+            # followers drop whole quorums (pc), or the requester sits outside
             # the sink, where departing cannot endanger quorum intersection
-            self._leave_done(api)
-        elif _pairs_block(self.quorums, self.quorums, {api.me}):
-            api.tob(("LeaveCheck", tuple(sorted_quorums(self.quorums))))
+            self._depart(api)
+        elif _check_passes(self.sorted_q, _EMPTY, frozenset((self.pid,))):
+            api.tob(check)
         else:
-            self._finish(api, "LeaveFail")
-
-    def _request_remove(self, api, quorum):
-        if quorum not in self.quorums:
-            api.respond("RemoveFail")
-            return
-        self.pending = ("Remove", quorum)
-        if self.mode == PC or self.in_sink is False:
-            self._remove_done(api, quorum)
-        elif _pairs_block(self.quorums, self.quorums, {api.me}):
-            # the remover may drop out of the outlived set, so the check covers
-            # its full current quorum set, exactly as for a departure
-            api.tob(("RemoveCheck", quorum,
-                     tuple(sorted_quorums(self.quorums))))
-        else:
-            self._finish(api, "RemoveFail")
+            self._finish(api, request[0] + "Fail")
 
     def on_tob(self, api, src, payload):
         """The tob-ordered Check: every pair's intersection, minus the
@@ -219,16 +208,13 @@ class ReconfigNode(Node):
         extra = (frozenset(self._tentative_quorums())
                  if self.combined_checks and self.tentative else _EMPTY)
         if not _check_passes(declared, extra, frozenset((src, *self.tomb))):
-            if src == self.pid:
-                self._finish(api, "LeaveFail" if tag == "LeaveCheck" else "RemoveFail")
+            if src == self.pid:   # its own Check: its request is still pending
+                self._finish(api, self.pending[0] + "Fail")
             return
         self.tomb.add(src)
         self.touch()
         if src == self.pid:
-            if tag == "LeaveCheck":
-                self._leave_done(api)
-            else:
-                self._remove_done(api, frozenset(payload[1]))
+            self._depart(api)
 
     def _on_left(self, api, src):
         if not any(src in q for q in self.quorums):
@@ -422,6 +408,6 @@ class ReconfigNode(Node):
         elif tag == "Prob":
             self.followers.add(src)
             self.touch()
-            api.send(src, ("Quorums", tuple(sorted_quorums(self.quorums))))
+            api.send(src, ("Quorums", self.sorted_q))
         elif tag == "Quorums":
             self._on_quorums(api, src, payload[1])

@@ -29,7 +29,6 @@ from .core import (
     new_quorum_system,
     quorum_decls,
     sorted_ids,
-    sorted_quorums,
 )
 from .discovery import DiscoveryNode, oracle_validq, threshold_validq
 from .errors import ScenarioError
@@ -42,7 +41,7 @@ from .props import (
     consistency_witness,
     inclusion_witness,
 )
-from .reconfig import AC, PC, ReconfigNode, kept_quorums
+from .reconfig import AC, PC, ReconfigNode, kept_quorums, spell_pairs
 from .sim import Adversary, SchedulePolicy, World, canon
 from .fixtures import resolve_system
 
@@ -64,44 +63,36 @@ class _QuorumView:
     ``quorums``, {pid: quorums} of every well-behaved protocol node, and
     ``left``, a frozen copy of ``world.l_set``.
 
-    Each quorum set is copied into a tuple in ``sorted_quorums`` order, so a
-    probe's witness does not depend on the iteration order of a set (for
-    str ids that order changes with the hash seed).  A node changes its
-    quorums only with a ``touch()``, so only the touched nodes are compared
-    again.  Nothing is changed in place: a move replaces the dict or the
-    frozenset (copy on write), so while nothing moved each probe's memo
-    sees the very objects its last result was computed from.
+    Each node's quorums are its ``sorted_q`` tuple, in ``sorted_quorums``
+    order, so a probe's witness does not depend on the iteration order of a
+    set (for str ids that order changes with the hash seed).  A node
+    replaces that tuple only with a ``touch()``, so only the touched nodes
+    are compared again, by identity.  Nothing is changed in place: a move
+    replaces the dict (copy on write), so while nothing moved each probe's
+    memo sees the very objects its last result was computed from.
     """
 
     def __init__(self, world):
         wb = world.well_behaved
         self.size = len(world.nodes)
-        self.flush = world.flush
-        self.sets = {pid: node.quorums for pid, node in world.nodes.items()
-                     if pid in wb and isinstance(node, ReconfigNode)}
-        self.quorums = {pid: tuple(sorted_quorums(qs)) for pid, qs in self.sets.items()}
+        self.quorums = {pid: node.sorted_q for pid, node in world.nodes.items()
+                        if pid in wb and isinstance(node, ReconfigNode)}
         self.left = frozenset(world.l_set)
 
 
 def _view(world) -> _QuorumView:
-    """The world's probe view, brought up to date once per flush, or at
-    every call outside one: only the touched nodes are compared again."""
+    """The world's probe view, brought up to date: only the touched nodes
+    are compared again, so the later probes of a flush find nothing moved."""
     view = world.probe_state.get(_QuorumView)
     if view is None or view.size != len(world.nodes):   # a node was added since
         view = world.probe_state[_QuorumView] = _QuorumView(world)
         return view
-    if world.flush and view.flush == world.flush:
-        return view
-    view.flush = world.flush
-    moved, sets, nodes = {}, view.sets, world.nodes
-    for pid in world.touched:
-        was = sets.get(pid)
-        now = nodes[pid].quorums   # a frozenset, replaced on a change
-        if was is not None and now is not was and now != was:
-            sets[pid] = now
-            moved[pid] = tuple(sorted_quorums(now))
+    moved, quorums, nodes = {}, view.quorums, world.nodes
+    for pid in world.touched:   # a loop, not a comprehension: no frame per call
+        if pid in quorums and nodes[pid].sorted_q is not quorums[pid]:
+            moved[pid] = nodes[pid].sorted_q
     if moved:
-        view.quorums = {**view.quorums, **moved}
+        view.quorums = {**quorums, **moved}
     if world.l_set != view.left:
         view.left = frozenset(world.l_set)
     return view
@@ -170,7 +161,7 @@ def probe_add_no_split(world):
             succeeded |= {k for k, v in node.succeeded.items() if v}
             fail_done |= node.fail_completed
     both = succeeded & fail_done
-    return None if not both else canon(sorted(map(str, both)))
+    return None if not both else spell_pairs(both)
 
 
 def probe_brb_consistency(world):

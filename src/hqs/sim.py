@@ -293,7 +293,6 @@ class World:
         self._tob_buffer = {}       # pid -> {index: env}
         self._tob_hints = list(policy.tob_order)
         self.touched = set()        # ids of nodes touched since the last flush
-        self.flush = self._flushes = 0   # number of the flush whose probes run, else 0
         # snapshot cache: each node's serialised entry, in str(pid) order
         self._slot = None           # pid -> (index into _fragments, '"pid":'), once started
         self._fragments = []
@@ -464,13 +463,11 @@ class World:
             node.on_tob(apis[pid], env.src, env.payload)
 
     def _run_probes(self):
-        self.flush = self._flushes = self._flushes + 1   # probes may share work per flush
         for name, fn in self.probes:
             witness = fn(self)
             if witness is not None:
                 self._record({"step": self.step, "kind": "probe_violation",
                               "probe": name, "witness": witness})
-        self.flush = 0
 
     def state_snapshot(self) -> dict:
         return {str(pid): self.nodes[pid].state_summary()

@@ -183,3 +183,33 @@ def test_completed_add_restores_full_inclusion():
     cur = current_system(world, qs)
     assert check_quorum_inclusion(cur, attack, fs(2, 3)).holds
     assert check_consistency(cur, attack, fs(2, 3)).holds
+
+
+def split_world(ids, splits):
+    """A world of ``ids`` in which each (requester, q_c) of ``splits``
+    succeeded at the first id and fail-completed at the second."""
+    qs = new_quorum_system(ids, {p: [ids] for p in ids})
+    world = make_reconfig_world(qs, Attack.of(ids), SchedulePolicy(seed=0))
+    first, second = (world.nodes[p] for p in ids[:2])
+    for key in splits:
+        first.succeeded[key] = True
+        second.fail_completed.add(key)
+    return world
+
+
+def test_add_no_split_witness_spells_str_ids_in_sorted_order():
+    # the members of a str frozenset iterate in an order the hash seed picks;
+    # the witness lists them sorted, as a node's tentative summary does
+    world = split_world(["a", "b", "c", "d"],
+                        [("a", fs("c", "d")), ("a", fs("b", "c", "d")), ("b", fs("a"))])
+    assert probe_add_no_split(world) == [["a", ["b", "c", "d"]], ["a", ["c", "d"]],
+                                         ["b", ["a"]]]
+
+
+def test_add_no_split_witness_orders_mixed_ids():
+    # requester 1's two q_c lists put an int beside a str: ints sort before
+    # strs, within a quorum and across quorums
+    world = split_world([1, 2, "a", "b"],
+                        [(1, fs("b", 2)), ("a", fs(1, 2)), (1, fs("a", "b")), (2, fs("b"))])
+    assert probe_add_no_split(world) == [["1", [2, "b"]], ["1", ["a", "b"]],
+                                         ["2", ["b"]], ["a", [1, 2]]]

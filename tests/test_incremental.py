@@ -5,8 +5,9 @@ fragments cached by touch version; each ``PROBES`` probe re-runs only when
 its inputs (well-behaved quorums, ``l_set``, tentative sets) change.  A node
 that changes its ``state_summary`` without ``touch()`` breaks the first
 test, a probe keyed on too little breaks the probe group.  A ``ReconfigNode``
-fragment spelt from a stale part breaks the fragment fence, and a run that
-mutates what the worlds of one system share breaks the reuse fence.
+fragment spelt from a stale part, a stale ``sorted_q`` or a probe view that
+misses a moved node breaks the fragment fence, and a run that mutates what
+the worlds of one system share breaks the reuse fence.
 """
 
 import gc
@@ -30,6 +31,7 @@ from hqs.scenarios import (
     AddAccomplice,
     BrbByzantine,
     CheckSpammer,
+    _QuorumView,
     make_brb_world,
     make_discovery_world,
     make_reconfig_world,
@@ -151,8 +153,11 @@ class TombWriter(CheckSpammer):
 @contextmanager
 def fragments_checked():
     """Assert after every ReconfigNode handler that every node's
-    ``state_json()`` is ``canon_json(state_summary())``; yields how many
-    checked nodes had a tomb, a tentative set or were frozen."""
+    ``state_json()`` is ``canon_json(state_summary())`` and its
+    ``sorted_q`` is its quorums freshly sorted, and after every flush of a
+    world with probes that the probes' shared view reads what a view built
+    afresh reads; yields how many checked nodes had a tomb, a tentative set
+    or were frozen."""
     seen = Counter()
 
     def checked(name):
@@ -162,13 +167,23 @@ def fragments_checked():
             handler(self, api, *args)
             for node in api.world.nodes.values():
                 assert node.state_json() == canon_json(node.state_summary()), node.pid
+                assert node.sorted_q == tuple(sorted_quorums(node.quorums)), node.pid
                 seen.update(tomb=bool(node.tomb), tentative=bool(node.tentative),
                             frozen=node.frozen)
 
         return run_then_check
 
+    run_probes = World._run_probes
+
+    def probes_then_check(world):
+        run_probes(world)
+        if world.probes:
+            view, fresh = world.probe_state[_QuorumView], _QuorumView(world)
+            assert (view.quorums, view.left) == (fresh.quorums, fresh.left), world.step
+
     names = ("on_start", "on_request", "on_message", "on_tob", "on_timer")
-    with mock.patch.multiple(ReconfigNode, **{name: checked(name) for name in names}):
+    with mock.patch.multiple(ReconfigNode, **{name: checked(name) for name in names}), \
+            mock.patch.object(World, "_run_probes", probes_then_check):
         yield seen
 
 
