@@ -13,9 +13,11 @@ import hashlib
 import heapq
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import is_
 from typing import Callable, Optional
 
 from .core import Attack, sorted_ids
@@ -117,14 +119,14 @@ class Node:
     ``touched`` set, and the kernel re-serialises only those nodes, each
     through ``state_json()``.  That must equal
     ``canon_json(state_summary())`` whenever the kernel calls it; an
-    override may spell it from parts the node keeps current, but
-    ``touch()`` still decides when it is called.  A node enters the
-    departed set L by calling ``api.depart()``.  A node
-    that sets ``frozen`` receives nothing more: its messages are recorded
-    as frozen deliveries, and its timers, requests and tob deliveries are
-    skipped.  Every dict in a node's ``state_summary()`` and in what it
-    sends, broadcasts or signs has str keys only, as ``canon_json`` needs.
-    """
+    override may spell it from parts the node keeps current, but ``touch()``
+    still decides when it is called.  A node enters the departed set L by
+    calling ``api.depart()``.  A node that sets ``frozen`` receives nothing
+    more: its messages are recorded as frozen deliveries, and its timers,
+    requests and tob deliveries are skipped.  Every dict in a node's
+    ``state_summary()`` and in what it sends, broadcasts or signs has str
+    keys only, as ``canon_json`` needs.  A payload or response is not
+    changed once sent: the kernel writes its line when it records the event."""
 
     frozen = False
 
@@ -199,25 +201,65 @@ _BASE_DELAY, _BASE_REORDER = Adversary.delay, Adversary.reorder
 
 
 def _line(kind, *fields):
-    """(template, keys, fields) of one event kind: a %s slot for each field
-    in sorted key order, the kind spelled out; msg and request are payloads."""
-    slots = {**dict.fromkeys(fields, "%s"), "kind": f'"{kind}"'}
+    """(template, keys, fields) of one event kind: a %s slot for each field in sorted
+    key order, the kind and each flag after a "/" spelled out; msg and request are payloads."""
+    kind, *flags = kind.split("/")
+    slots = {**dict.fromkeys(fields, "%s"), "kind": f'"{kind}"', **dict.fromkeys(flags, "true")}
     return ("{" + ",".join(f'"{k}":{slots[k]}' for k in sorted(slots)) + "}",
             slots.keys(), tuple((k, k in ("msg", "request")) for k in sorted(fields)))
 
 
-# the kinds the kernel writes most, with the keys it writes for them
+# the kinds the kernel writes most, with their keys; a flag after "/" is written true
 _LINES = {kind: _line(kind, *fields) for kind, *fields in (
     ("state", "step", "snap"), ("end", "step", "outcome", "snap"),
-    ("apl", "step", "src", "dst", "msg"), ("tob_order", "step", "index", "src", "msg"),
-    ("tob", "step", "dst", "index", "src", "msg"),
+    ("apl", "step", "src", "dst", "msg"), ("apl/byz", "step", "src", "dst", "msg"),
+    ("apl/frozen", "step", "src", "dst", "msg"),
+    ("tob_order", "step", "index", "src", "msg"), ("tob", "step", "dst", "index", "src", "msg"),
     ("request", "step", "node", "request"), ("response", "step", "node", "response"))}
+_ODD = (object(), None)   # an id that is not in a world's id map
+_APL = {f: _LINES[f"apl/{f}" if f else "apl"][0] for f in (None, "byz", "frozen")}
+
+
+def _plain_json(value):
+    """``value`` as JSON if it is an exact int or str, else None."""
+    return repr(value) if type(value) is int else (
+        encode_basestring_ascii(value) if type(value) is str else None)
+
+
+def _blob(payload, blobs) -> str:
+    """``canon_json(payload)``, kept in ``blobs`` by id while the payload lives, and by value
+    if it is a tuple of exact strs and ints (equal ones spell alike, unlike 1 and True)."""
+    blob = blobs.get(id(payload))
+    if blob is None:
+        plain = type(payload) is tuple and _PLAIN.issuperset(map(type, payload))
+        key = payload if plain else id(payload)
+        blob = blobs[key] = blobs.get(key) or canon_json(payload)
+        blobs[id(payload)] = blob
+    return blob
+
+
+def _spell(event, blobs) -> str:
+    """``canon_json(event)``: its kind's template filled through ``_blob`` and ``_plain_json``
+    if it has just that kind's keys in ``_LINES`` and they spell, else encoded whole."""
+    template, keys, fields = _LINES.get(event.get("kind"), (None, None, ()))
+    if event.keys() == keys:
+        values = [_blob(event[key], blobs) if payload else _plain_json(event[key])
+                  for key, payload in fields]
+        if None not in values:
+            return template % tuple(values)
+    return canon_json(event)
 
 
 class Trace:
+    """A run's events, each given its line as the kernel records it, and outcome.
+    While a run lasts, only the kernel changes ``events``, and only by appending."""
+
     def __init__(self):
         self.events = []
         self.outcome = QUIESCENT
+        self._lines = []    # the line of each event the kernel recorded
+        self._spelt = ()    # the events as the run left them
+        self._blobs = {}    # their payloads' JSON, as _blob keeps it
 
     @property
     def responses(self) -> list:
@@ -232,41 +274,13 @@ class Trace:
                 for e in self.events if e["kind"] == "probe_violation"]
 
     def to_jsonl(self) -> str:
-        """One ``canon_json(event)`` line per event.  An event with exactly
-        its kind's keys in ``_LINES`` fills the kind's template: a payload
-        goes through ``canon_json`` once per object (the events keep every
-        payload alive, so in one call an id names one object) and once per
-        value if it is a tuple of exact strs and ints (equal ones spell alike,
-        unlike 1, True and 1.0); an int that is not a bool or a str is spelled
-        directly; any other event or value is encoded whole."""
-        blobs = {}   # id(payload) or a plain tuple payload -> its blob
-        lines = []
-        for event in self.events:
-            template, keys, fields = _LINES.get(event.get("kind"), (None, None, ()))
-            if event.keys() == keys:
-                values = []
-                for key, payload in fields:
-                    value = event[key]
-                    if payload:
-                        blob = blobs.get(id(value))
-                        if blob is None:
-                            plain = type(value) is tuple and _PLAIN.issuperset(map(type, value))
-                            key = value if plain else id(value)
-                            blob = blobs[key] = blobs.get(key) or canon_json(value)
-                            blobs[id(value)] = blob
-                        values.append(blob)
-                    elif type(value) is int:
-                        values.append(repr(value))
-                    elif type(value) is str:
-                        values.append(encode_basestring_ascii(value))
-                    else:
-                        break
-                else:
-                    lines.append(template % tuple(values))
-                    continue
-            lines.append(canon_json(event))
-        lines.append("")   # the last line ends in a newline too, with no copy
-        return "\n".join(lines) if self.events else "\n"
+        """One ``canon_json(event)`` line per event: the kernel's lines while ``events``
+        holds just the events the run left there, else ``_spell``'s for each event."""
+        lines, events, spelt = self._lines, self.events, self._spelt
+        if not (len(lines) == len(events) == len(spelt) and all(map(is_, spelt, events))):
+            blobs = {}
+            lines = [_spell(event, blobs) for event in events]
+        return "\n".join(lines) + "\n"
 
 
 class World:
@@ -284,13 +298,13 @@ class World:
         self.probes = []
         self.probe_state = {}       # what this world's probes share, keyed by owner
         self.l_set = set()          # ids that called api.depart()
-        self._queue = []
-        self._seq = 0
+        self._queue = defaultdict(list)   # step -> [(kind, data)] in push order
+        self._steps = []            # heap of the steps in _queue
         self._signed = set()
         self._pending_tob = []
-        self._tob_order = []
+        self._tob_order = []        # (env, its index, payload and src as JSON or None)
         self._tob_next = {}         # pid -> next global index expected
-        self._tob_buffer = {}       # pid -> {index: env}
+        self._tob_buffer = {}       # pid -> {index: _tob_order[index]}
         self._tob_hints = list(policy.tob_order)
         self.touched = set()        # ids of nodes touched since the last flush
         # snapshot cache: each node's serialised entry, in str(pid) order
@@ -316,6 +330,8 @@ class World:
         self.probes.append((name, fn))
 
     def request(self, at_step: int, pid, request):
+        if type(at_step) is not int or at_step < self.step:   # no int step, or a past one
+            raise ScenarioError(f"request for step {at_step!r} made at step {self.step}")
         self._push(at_step, "request", (pid, request))
 
     # -- node/adversary facing API ------------------------------------------
@@ -361,25 +377,22 @@ class World:
                 and (signer, sig.digest) in self._signed)
 
     def set_timer(self, pid, tag, delay):
+        if type(delay) is not int:
+            raise ScenarioError(f"timer delay must be an int, got {delay!r}")
         self._push(self.step + max(1, delay), "timer", (pid, tag))
 
     def respond(self, pid, response):
-        self._record({"step": self.step, "kind": "response", "node": pid,
-                      "response": response})
+        self._write({"step": self.step, "kind": "response", "node": pid, "response": response},
+                    "response", _plain_json(pid), _plain_json(response), repr(self.step))
 
     # -- internals -----------------------------------------------------------
-
-    def _live(self, pid) -> Optional[Node]:
-        """The node that handles deliveries for ``pid``; None if absent or frozen."""
-        node = self.nodes.get(pid)
-        return None if node is None or node.frozen else node
 
     def _route(self, src, pairs):
         """Route each ``(dst, payload)`` of ``pairs`` from ``src``, in order.
 
         A message with a Byzantine endpoint is delayed by ``adversary.delay``
         (None drops it), any other by ``adversary.reorder``, clamped to
-        [1, fairness_bound]; each is queued as ``(due, seq, "apl", Envelope)``.
+        [1, fairness_bound]; each is queued as ``("apl", Envelope)`` at its step.
         A hook that is ``Adversary``'s own is not called: the loop makes its
         draw, ``1 + rng._randbelow(fairness_bound)``, through ``_randbelow``'s
         rejection loop over ``getrandbits``.  Any other hook is called with the
@@ -392,7 +405,7 @@ class World:
         # None for a hook whose draw the loop makes itself
         delay = None if getattr(delay, "__func__", None) is _BASE_DELAY else delay
         reorder = None if getattr(reorder, "__func__", None) is _BASE_REORDER else reorder
-        bound, getrandbits = self.policy.fairness_bound, self.rng.getrandbits
+        bound, getrandbits, steps = self.policy.fairness_bound, self.rng.getrandbits, self._steps
         bits, step, queue, from_byz = bound.bit_length(), self.step, self._queue, src in byz
         for dst, payload in pairs:
             env = Envelope(src, dst, payload)
@@ -406,21 +419,32 @@ class World:
             elif byzantine:
                 due = hook(self, env)
                 if due is None:
-                    self._record({"step": step, "kind": "drop", "src": src,
-                                  "dst": dst, "msg": payload})
+                    self._write({"step": step, "kind": "drop", "src": src,
+                                 "dst": dst, "msg": payload})
                     continue
                 due = step + max(1, int(due))
             else:
                 due = step + min(max(1, int(hook(self, env))), bound)
-            self._seq += 1
-            heapq.heappush(queue, (due, self._seq, "apl", env))
+            if due not in queue:   # as _push does
+                heapq.heappush(steps, due)
+            queue[due].append(("apl", env))
 
     def _push(self, due, kind, data):
-        self._seq += 1
-        heapq.heappush(self._queue, (due, self._seq, kind, data))
+        """Queue ``(kind, data)`` at step ``due``, after what is there."""
+        if due not in self._queue:
+            heapq.heappush(self._steps, due)
+        self._queue[due].append((kind, data))
 
     def _record(self, event):
+        """Append ``event`` to the trace; the caller appends its line next."""
         self.trace.events.append(event)
+
+    def _write(self, event, kind=None, *values):
+        """Record ``event`` and its line: ``kind``'s template filled with ``values``
+        if each is spelt (not None), else ``_spell(event)``."""
+        self._record(event)
+        self.trace._lines.append(_LINES[kind][0] % values if kind and None not in values
+                                 else _spell(event, self.trace._blobs))
 
     def _sequence_tob(self, pids):
         pending, hints = self._pending_tob, self._tob_hints
@@ -435,9 +459,10 @@ class World:
             idx = idx if 0 <= idx < len(pending) else 0
         env = pending.pop(idx)
         index = len(self._tob_order)
-        self._tob_order.append(env)
-        self._record({"step": self.step, "kind": "tob_order", "index": index,
-                      "src": env.src, "msg": env.payload})
+        spelt = (repr(index), _blob(env.payload, self.trace._blobs), _plain_json(env.src))
+        self._tob_order.append((env, *spelt))
+        self._write({"step": self.step, "kind": "tob_order", "index": index, "src": env.src,
+                     "msg": env.payload}, "tob_order", *spelt, repr(self.step))
         self.adversary.on_tob(self, index, env)
         step, bound, getrandbits = self.step + 1, self.policy.fairness_bound, self.rng.getrandbits
         bits = bound.bit_length()
@@ -449,25 +474,29 @@ class World:
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
-    def _deliver_tob(self, apis, pid, index):
-        buf, node, record = self._tob_buffer[pid], self.nodes[pid], self.trace.events.append
+    def _deliver_tob(self, apis, ids, pid, index):
+        buf, node, trace, step = self._tob_buffer[pid], self.nodes[pid], self.trace, self.step
+        key, dst = ids.get(pid, _ODD)
         buf[index] = self._tob_order[index]
         while self._tob_next[pid] in buf:
             i = self._tob_next[pid]
-            env = buf.pop(i)
+            env, index_json, msg, src = buf.pop(i)
             self._tob_next[pid] = i + 1
             if node.frozen:
                 continue
-            record({"step": self.step, "kind": "tob", "dst": pid,
-                    "index": i, "src": env.src, "msg": env.payload})
+            event = {"step": step, "kind": "tob", "dst": pid, "index": i, "src": env.src,
+                     "msg": env.payload}
+            trace.events.append(event)
+            trace._lines.append(_LINES["tob"][0] % (dst, index_json, msg, src, repr(step))
+                                if key is pid and src is not None else _spell(event, trace._blobs))
             node.on_tob(apis[pid], env.src, env.payload)
 
     def _run_probes(self):
         for name, fn in self.probes:
             witness = fn(self)
             if witness is not None:
-                self._record({"step": self.step, "kind": "probe_violation",
-                              "probe": name, "witness": witness})
+                self._write({"step": self.step, "kind": "probe_violation",
+                             "probe": name, "witness": witness})
 
     def state_snapshot(self) -> dict:
         return {str(pid): self.nodes[pid].state_summary()
@@ -493,66 +522,75 @@ class World:
         self.adversary.on_init(self)
         pids = sorted_ids(self.nodes)   # fixed from here on, as is each node's api
         apis = {pid: NodeApi(self, self.nodes[pid]) for pid in pids}   # local: no cycle
+        # each node's and Byzantine id, spelt once: (id, its JSON or None)
+        ids = {pid: (pid, repr(pid) if type(pid) is int else _plain_json(pid))
+               for pid in chain(self.attack.byzantine, pids)}
         for pid in pids:
             self.nodes[pid].on_start(apis[pid])
         touched = self.touched
         if touched:
             self._flush_dirty()
-        queue, pop, record = self._queue, heapq.heappop, self.trace.events.append
-        byz, nodes, processed = self.attack.byzantine, self.nodes, 0
-        while queue:
-            if processed >= self.step_cap:
-                self.trace.outcome = STEP_CAP
-                break
-            due, _, kind, data = pop(queue)
-            self.step = due
-            processed += 1
-            if kind == "apl":
-                dst = data.dst
-                if dst in byz:
-                    record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
-                            "msg": data.payload, "byz": True})
-                    self.adversary.on_deliver(self, data)
-                else:
-                    node = nodes.get(dst)
-                    if node is None or node.frozen:
-                        record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
-                                "msg": data.payload, "frozen": True})
-                    else:
-                        record({"step": due, "kind": "apl", "src": data.src, "dst": dst,
-                                "msg": data.payload})
-                        node.on_message(apis[dst], data.src, data.payload)
-            elif kind == "tob_seq":
-                self._sequence_tob(pids)
-            elif kind == "tob_dlv":
-                self._deliver_tob(apis, *data)
-            elif kind == "timer":
-                pid, tag = data
-                node = self._live(pid)
-                if node is not None:
-                    self._record({"step": self.step, "kind": "timer", "node": pid,
-                                  "tag": tag})
-                    node.on_timer(apis[pid], tag)
-            elif kind == "request":
-                pid, request = data
-                node = self._live(pid)
-                if node is not None:
-                    self._record({"step": self.step, "kind": "request", "node": pid,
-                                  "request": request})
-                    node.on_request(apis[pid], request)
-            if touched:
-                self._flush_dirty()
-        else:
-            self.trace.outcome = QUIESCENT
-        self._record({"step": self.step, "kind": "end", "outcome": self.trace.outcome,
-                      "snap": self._snapshot_digest()})
+        queue, steps, trace = self._queue, self._steps, self.trace
+        record, write, blobs = trace.events.append, trace._lines.append, trace._blobs
+        byz, nodes, cap, processed = self.attack.byzantine, self.nodes, self.step_cap, 0
+        while steps and processed < cap:
+            due = self.step = steps[0]
+            bucket, start, at = queue[due], processed, repr(due)
+            for kind, data in bucket:   # a push for this step while it runs joins it
+                if processed >= cap:    # stop short of the entry past the cap
+                    del bucket[:processed - start]
+                    break
+                processed += 1
+                if kind == "apl":
+                    src, dst, msg = data.src, data.dst, data.payload
+                    node = None if dst in byz else nodes.get(dst)
+                    flag = ("frozen" if node.frozen else None) if node is not None else (
+                        "byz" if dst in byz else "frozen")
+                    event = {"step": due, "kind": "apl", "src": src, "dst": dst, "msg": msg}
+                    if flag:
+                        event[flag] = True
+                    record(event)
+                    (a, s), (b, d) = ids.get(src, _ODD), ids.get(dst, _ODD)
+                    write(_APL[flag] % (d, blobs.get(id(msg)) or _blob(msg, blobs), s, at)
+                          if a is src and b is dst else _spell(event, blobs))
+                    if flag is None:
+                        node.on_message(apis[dst], src, msg)
+                    elif flag == "byz":
+                        self.adversary.on_deliver(self, data)
+                elif kind == "tob_seq":
+                    self._sequence_tob(pids)
+                elif kind == "tob_dlv":
+                    self._deliver_tob(apis, ids, *data)
+                elif kind == "timer":
+                    pid, tag = data
+                    node = nodes.get(pid)
+                    if node is not None and not node.frozen:
+                        self._write({"step": due, "kind": "timer", "node": pid, "tag": tag})
+                        node.on_timer(apis[pid], tag)
+                elif kind == "request":
+                    pid, request = data
+                    node = nodes.get(pid)
+                    if node is not None and not node.frozen:
+                        self._write({"step": due, "kind": "request", "node": pid,
+                                     "request": request}, "request", _plain_json(pid),
+                                    _blob(request, blobs), at)
+                        node.on_request(apis[pid], request)
+                if touched:
+                    self._flush_dirty()
+            else:
+                heapq.heappop(steps)
+                del queue[due]
+        self.trace.outcome = STEP_CAP if steps else QUIESCENT
+        self._write({"step": self.step, "kind": "end", "outcome": self.trace.outcome,
+                     "snap": self._snapshot_digest()})
+        self.trace._spelt = tuple(self.trace.events)
         return self.trace
 
     def _flush_dirty(self):
-        """Probes, then a ``state`` event; called only when a node was touched."""
+        """Probes, then a ``state`` event (its digest is hex); only when a node was touched."""
         self._run_probes()      # probes may read touched before it is cleared
-        self._record({"step": self.step, "kind": "state",
-                      "snap": self._snapshot_digest()})
+        self._record(event := {"step": self.step, "kind": "state", "snap": self._snapshot_digest()})
+        self.trace._lines.append(_LINES["state"][0] % (f'"{event["snap"]}"', repr(event["step"])))
 
 
 class NodeApi:

@@ -229,6 +229,13 @@ def oracle_to_jsonl(events) -> str:
     return "\n".join(map(oracle_canon_json, events)) + "\n"
 
 
+def queued(world) -> list:
+    """(step, kind, data) of each entry a world has queued, in the order the
+    kernel pops them: by step, and at one step in push order."""
+    return [(step, kind, data) for step in sorted(world._queue)
+            for kind, data in world._queue[step]]
+
+
 def oracle_brb_consistency(world):
     """The reliable-broadcast agreement probe as a scan of every node at
     every call: the first instance, in node order, delivered with two

@@ -247,6 +247,80 @@ def test_str_id_witnesses_do_not_depend_on_the_hash_seed():
     assert digests == {BUILT[str_ids_two_quorums]}
 
 
+# --- the queue fence ---------------------------------------------------------------
+# A capped run stops between two queue entries, so the traces of one world at
+# every step cap from 1 up to its uncapped length pin the order in which the
+# kernel pops its queue, down to ties at one step, and where a cap leaves it.
+
+
+def capped_brb_world(step_cap):
+    qs, attack = load_fixture("fig1")
+    world = make_brb_world(qs, attack, SchedulePolicy(seed=7, fairness_bound=2),
+                           step_cap=step_cap,
+                           adversary=BrbByzantine(sender=4, values=("u", "v")))
+    world.add_probe("brb_consistency", probe_brb_consistency)
+    world.request(1, 2, ("Broadcast", "m"))
+    world.request(1, 3, ("Broadcast", "n"))
+    return world
+
+
+def capped_leave_world(step_cap):
+    qs, attack = load_fixture("fig1")
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=5, fairness_bound=3),
+                                adversary=CheckSpammer(), step_cap=step_cap, joiners=[9])
+    outlived = fs(2, 3, 5)
+    world.add_probe("intersection", probe_intersection(outlived))
+    world.add_probe("active_inclusion", probe_active_inclusion(outlived))
+    world.request(1, 1, ("Leave",))
+    world.request(2, 2, ("Remove", fs(1, 2, 4)))
+    world.request(2, 9, ("Join", fs(2), 9))
+    return world
+
+
+class RequestsMidRun(CheckSpammer):
+    """Asks for a Leave at the step being run, from the first tob sequenced."""
+
+    def on_tob(self, world, index, env):
+        if index == 0:
+            world.request(world.step, 3, ("Leave",))
+
+
+def request_mid_run_world(step_cap):
+    qs, attack = load_fixture("fig1")
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=1), step_cap=step_cap,
+                                adversary=RequestsMidRun())
+    world.add_probe("intersection", probe_intersection(fs(2, 3, 5)))
+    world.request(1, 1, ("Leave",))
+    return world
+
+
+def capped_digest(build) -> tuple:
+    """(uncapped length, sha256 over the traces at step caps 1 through it)."""
+    h = hashlib.sha256()
+    cap = 0
+    while True:
+        cap += 1
+        trace = build(cap).run()
+        h.update(trace.to_jsonl().encode())
+        if trace.outcome == "quiescent":
+            return cap, h.hexdigest()
+
+
+CAPPED = {
+    capped_brb_world:
+        (79, "c3fba505d59080d00a4a4ae00dcc59d140986a66bae58fbfbe79819db188dd3c"),
+    capped_leave_world:
+        (33, "b391146f2e422a46dccc1592e19f925dd43d40f42f21c8b05f941cfda7cb7b24"),
+    request_mid_run_world:
+        (29, "632e6e7a191f5325472516d1d57cd04aa9f5976db8e7b621c4459c9cee01ab0f"),
+}
+
+
+@pytest.mark.parametrize("build", list(CAPPED), ids=lambda f: f.__name__)
+def test_every_step_cap_of_a_world_keeps_its_digest(build):
+    assert capped_digest(build) == CAPPED[build]
+
+
 GOLDEN = {**{name: lambda name=name: run_scenario(name)[1] for name in NAMED},
           **{build.__name__: build for build in BUILT}}
 

@@ -20,6 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from hqs import props, scenarios
 from hqs.core import Attack, new_quorum_system, sorted_ids, sorted_quorums
 from hqs.fixtures import load_fixture
@@ -367,7 +368,7 @@ class HookedBrbByzantine(Hooked, BrbByzantine):
 def routed(world, trace) -> list:
     """(src, dst) of every message the world routed: delivered, then queued."""
     return ([(e["src"], e["dst"]) for e in trace.events if e["kind"] == "apl"]
-            + [(env.src, env.dst) for _, _, kind, env in world._queue if kind == "apl"])
+            + [(env.src, env.dst) for _, kind, env in oracles.queued(world) if kind == "apl"])
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from hqs import sim
 from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
-from hqs.scenarios import BrbByzantine
+from hqs.scenarios import BrbByzantine, make_brb_world
 from hqs.sim import (
     Adversary,
     Envelope,
@@ -319,8 +319,9 @@ def test_the_tob_delivery_delays_draw_what_randint_draws(seed):
         world = bounded_world(seed, bound, adversary=Picker(0))   # pick_tob draws nothing
         world.tob_broadcast(1, ("m",))
         world._sequence_tob(pids)
-        got = [due for due, _, kind, _ in sorted(world._queue, key=lambda e: e[1])
-               if kind == "tob_dlv"]
+        due = {data[0]: step for step, kind, data in oracles.queued(world)
+               if kind == "tob_dlv"}
+        got = [due[pid] for pid in pids]   # in push order
         ref = random.Random(seed)
         assert got == [ref.randint(1, bound) for _ in pids], bound
 
@@ -338,8 +339,9 @@ def test_the_kernel_draws_the_default_delays_randint_draws(seed):
         for dst in dsts:
             world.send(2, dst, ("m",))
         world.adversary_send_all(0, zip(dsts, repeat(("m",))))
-        got = [due - world.step for due, _, kind, _ in sorted(world._queue, key=lambda e: e[1])
-               if kind == "apl"]
+        due = {(env.src, env.dst): step for step, kind, env in oracles.queued(world)
+               if kind == "apl"}
+        got = [due[src, dst] - world.step for src in (1, 2, 0) for dst in dsts]   # push order
         ref = random.Random(seed)
         assert got == [ref.randint(1, bound) for _ in range(3 * len(dsts))], bound
 
@@ -353,8 +355,9 @@ def test_brb_byzantine_picks_the_value_randrange_picks(seed):
         world = bounded_world(seed, 6, adversary=adversary, pids=pids)
         adversary.on_init(world)
         adversary.on_deliver(world, Envelope(1, 0, ("Echo", 1, "m")))
-        got = [env.payload[2] for _, _, kind, env in sorted(world._queue, key=lambda e: e[1])
-               if kind == "apl"]
+        value = {env.dst: env.payload[2] for _, kind, env in oracles.queued(world)
+                 if kind == "apl"}
+        got = [value[pid] for pid in pids if pid in value]   # in push order
         ref, want = random.Random(seed), []
         for _ in pids:
             if ref.random() < 0.3:
@@ -406,6 +409,53 @@ def test_adding_a_second_node_with_the_same_pid_is_an_error():
     world = small_world()
     with pytest.raises(ScenarioError, match="added twice"):
         world.add_node(EchoNode(2))
+
+
+class LateRequester(Adversary):
+    """On its first delivery, asks node 1 for a send ``offset`` steps from now."""
+
+    def __init__(self, offset):
+        self.offset, self.at = offset, None
+
+    def on_deliver(self, w, env):
+        if self.at is None:
+            self.at = w.step
+            w.request(w.step + self.offset, 1, ("send", 3, ("late",)))
+
+
+def test_a_request_for_a_step_before_the_current_one_is_an_error():
+    adversary = LateRequester(-1)
+    world = small_world(adversary=adversary)
+    world.request(2, 1, ("send", 4, ("to-byz",)))
+    with pytest.raises(ScenarioError) as raised:
+        world.run()
+    assert adversary.at > 2
+    assert str(raised.value) == (f"request for step {adversary.at - 1} "
+                                 f"made at step {adversary.at}")
+
+
+def test_a_request_for_the_current_step_is_run_in_that_step():
+    adversary = LateRequester(0)
+    world = small_world(adversary=adversary)
+    world.request(2, 1, ("send", 4, ("to-byz",)))
+    trace = world.run()
+    [late] = [e for e in trace.events if e["kind"] == "request" and e["request"][2] == ("late",)]
+    assert late["step"] == adversary.at
+    steps = [e["step"] for e in trace.events]
+    assert steps == sorted(steps)
+
+
+@pytest.mark.parametrize("at", [-1, 1.0, True, "1"])
+def test_a_request_needs_an_int_step_from_the_current_one(at):
+    world = small_world()
+    with pytest.raises(ScenarioError, match="request for step"):
+        world.request(at, 1, ("send", 3, ("ping",)))
+
+
+@pytest.mark.parametrize("delay", [2.0, True, None])
+def test_a_timer_needs_an_int_delay(delay):
+    with pytest.raises(ScenarioError, match="timer delay"):
+        small_world().set_timer(1, "t", delay)
 
 
 # --- the touch() contract: one state event per flush that follows a touch ------
@@ -671,3 +721,46 @@ def test_to_jsonl_shares_a_blob_only_between_equal_tuples_of_exact_strs_and_ints
     encoded = Counter(repr(c.args[0]) for c in spy.call_args_list)
     assert encoded == {"('Echo', 1, 'a')": 1, "('Echo', '1', 'a')": 1,
                        "('Echo', True, 'a')": 2, "('Echo', 1.0, 'a')": 2}
+
+
+# --- lines written as events are recorded ---------------------------------------
+
+
+def kernel_trace():
+    world = small_world(seed=3)
+    world.request(1, 2, ("send", 3, ("ping",)))
+    world.request(2, 1, ("send", 4, ("to-byz",)))
+    world.tob_broadcast(2, ("hello",))
+    return world.run()
+
+
+@pytest.mark.parametrize("edit", ["append", "replace", "replace with an equal", "reassign"])
+def test_a_trace_changed_after_its_run_serialises_its_events(edit):
+    trace = kernel_trace()
+    assert trace.to_jsonl() == oracles.oracle_to_jsonl(trace.events)
+    if edit == "append":
+        trace.events.append({"step": 99, "kind": "timer", "node": 2, "tag": "t"})
+    elif edit == "replace":
+        trace.events[1] = {"step": 1, "kind": "response", "node": 2, "response": "Done"}
+    elif edit == "replace with an equal":   # 1.0 == 1, spelled 1.0
+        trace.events[1] = {**trace.events[1], "step": float(trace.events[1]["step"])}
+    else:
+        trace.events = trace.events[::-1]
+    want = oracles.oracle_to_jsonl(trace.events)
+    assert trace.to_jsonl() == want
+    assert trace.to_jsonl() != oracles.oracle_to_jsonl(kernel_trace().events)
+
+
+def test_a_kernel_run_encodes_each_payload_object_at_most_once():
+    qs, attack = load_fixture("fig1")
+    world = make_brb_world(qs, attack, SchedulePolicy(seed=2),
+                           adversary=BrbByzantine(sender=4, values=("u", "v")))
+    world.request(1, 2, ("Broadcast", "m"))
+    with mock.patch("hqs.sim.canon_json", wraps=canon_json) as spy:
+        trace = world.run()
+        blob = trace.to_jsonl()
+    assert blob == oracles.oracle_to_jsonl(trace.events)
+    payloads = {id(e[k]): e[k] for e in trace.events for k in ("msg", "request") if k in e}
+    encoded = Counter(id(c.args[0]) for c in spy.call_args_list)
+    assert len(payloads) > 20 and 0 < sum(encoded[p] for p in payloads)
+    assert max(encoded[p] for p in payloads) == 1
