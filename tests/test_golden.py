@@ -35,7 +35,7 @@ from hqs.scenarios import (
     probe_tentative_inclusion,
     run_scenario,
 )
-from hqs.sim import SchedulePolicy
+from hqs.sim import Node, SchedulePolicy, World
 
 
 def digest(trace) -> str:
@@ -319,6 +319,60 @@ CAPPED = {
 @pytest.mark.parametrize("build", list(CAPPED), ids=lambda f: f.__name__)
 def test_every_step_cap_of_a_world_keeps_its_digest(build):
     assert capped_digest(build) == CAPPED[build]
+
+
+# --- the tob reorder fence ---------------------------------------------------------
+# Each process takes each sequenced broadcast after its own delay, so a later
+# index can reach it first and waits for the gap to close.  Traces over every
+# fairness bound and many seeds pin when each delivery is recorded, and which
+# ones a process that freezes part-way never records.
+
+
+class TobChatter(Node):
+    """Broadcasts three payloads at its request; freezes after ``freeze_after`` deliveries."""
+
+    def __init__(self, pid, freeze_after=None):
+        super().__init__(pid)
+        self.got = []
+        self.freeze_after = freeze_after
+
+    def on_request(self, api, request):
+        for i in range(3):
+            api.tob((request[0], self.pid, i))
+
+    def on_tob(self, api, src, payload):
+        self.got.append(payload)
+        self.touch()
+        if len(self.got) == self.freeze_after:
+            self.frozen = True
+
+    def state_summary(self):
+        return {"got": self.got}
+
+
+def tob_reorder_trace(bound, seed):
+    pids = ("a", "b", "c")
+    world = World(Attack.of(pids), SchedulePolicy(seed=seed, fairness_bound=bound))
+    for pid in pids:
+        world.add_node(TobChatter(pid, freeze_after=2 if pid == "b" else None))
+        world.request(1, pid, ("m",))
+    return world.run()
+
+
+TOB_REORDER = "8d1d992e980e3f15ee1538ff4177513cca242e91a29db56cb8aa154f8d270c54"
+
+
+def test_tob_deliveries_follow_the_order_past_every_reorder():
+    h = hashlib.sha256()
+    for bound in range(1, 7):
+        for seed in range(20):
+            trace = tob_reorder_trace(bound, seed)
+            h.update(trace.to_jsonl().encode())
+            taken = {pid: [e["index"] for e in trace.events
+                           if e["kind"] == "tob" and e["dst"] == pid] for pid in "abc"}
+            # no gap in any process's indices; "b" records none once frozen
+            assert taken == {"a": list(range(9)), "b": [0, 1], "c": list(range(9))}
+    assert h.hexdigest() == TOB_REORDER
 
 
 GOLDEN = {**{name: lambda name=name: run_scenario(name)[1] for name in NAMED},
