@@ -37,6 +37,7 @@ class DiscoveryNode(Node):
     def __init__(self, pid, quorums, validq=None):
         super().__init__(pid)
         self.quorums = tuple(antichain(quorums))
+        self.neighbors = sorted_ids(frozenset().union(*self.quorums))
         self.validq = validq if validq is not None else (lambda q: bool(q))
         self.qmap = {}
         self.in_sink = False
@@ -45,15 +46,9 @@ class DiscoveryNode(Node):
         self.sent_extend = False
         self._extend_senders = {}
 
-    def _neighbors(self):
-        out = set()
-        for q in self.quorums:
-            out |= q
-        return sorted_ids(out)
-
     def on_request(self, api, request):
         if request[0] == "Discover":
-            api.send_all(self._neighbors(), ("Exchange", self.quorums))
+            api.send_all(self.neighbors, ("Exchange", self.quorums))
 
     def on_message(self, api, src, payload):
         tag = payload[0]
@@ -76,7 +71,7 @@ class DiscoveryNode(Node):
                     self.touch()
                 if not self.sent_extend:
                     self.sent_extend = True
-                    api.send_all(self._neighbors(), ("Extend", q))
+                    api.send_all(self.neighbors, ("Extend", q))
                 return
 
     def _check_phase2(self, q):
@@ -100,9 +95,6 @@ class DiscoveryNode(Node):
 
 def discovery_results(world) -> dict:
     """Exported protocol output: per-node sink flags and follower sets."""
-    return {
-        "in_sink": {str(pid): node.in_sink
-                    for pid, node in sorted(world.nodes.items(), key=lambda kv: str(kv[0]))},
-        "followers": {str(pid): sorted_ids(node.followers)
-                      for pid, node in sorted(world.nodes.items(), key=lambda kv: str(kv[0]))},
-    }
+    nodes = sorted(world.nodes.items(), key=lambda kv: str(kv[0]))
+    return {"in_sink": {str(pid): node.in_sink for pid, node in nodes},
+            "followers": {str(pid): sorted_ids(node.followers) for pid, node in nodes}}

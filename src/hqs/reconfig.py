@@ -344,12 +344,11 @@ class ReconfigNode(Node):
         api.timer("join_timeout", timeout)
 
     def _join_probe(self, api):
-        join = self._join
-        for q in sorted_quorums(join["S"]):
-            for p in sorted_ids(q):
-                if p not in join["probed"]:
-                    join["probed"].add(p)
-                    api.send(p, ("Prob",))
+        probed = self._join["probed"]
+        fresh = dict.fromkeys(p for q in sorted_quorums(self._join["S"]) for p in sorted_ids(q)
+                              if p not in probed)
+        probed.update(fresh)
+        api.send_all(fresh, ("Prob",))
 
     def _on_quorums(self, api, src, declared):
         join = self._join

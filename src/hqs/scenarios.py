@@ -74,7 +74,6 @@ class _QuorumView:
 
     def __init__(self, world):
         wb = world.well_behaved
-        self.size = len(world.nodes)
         self.quorums = {pid: node.sorted_q for pid, node in world.nodes.items()
                         if pid in wb and isinstance(node, ReconfigNode)}
         self.left = frozenset(world.l_set)
@@ -84,7 +83,7 @@ def _view(world) -> _QuorumView:
     """The world's probe view, brought up to date: only the touched nodes
     are compared again, so the later probes of a flush find nothing moved."""
     view = world.probe_state.get(_QuorumView)
-    if view is None or view.size != len(world.nodes):   # a node was added since
+    if view is None:   # a probe reads first once the world runs, so its nodes are fixed
         view = world.probe_state[_QuorumView] = _QuorumView(world)
         return view
     moved, quorums, nodes = {}, view.quorums, world.nodes
@@ -227,19 +226,17 @@ class SinkDeceiver(Adversary):
         self._extended = False
 
     def on_init(self, world):
-        world.adversary_send(self.byz_id, self.fake_target,
-                             ("Exchange", (frozenset({self.byz_id}),)))
-        world.adversary_send(self.byz_id, self.dupe_target,
-                             ("Extend", self.stolen))
+        world.adversary_send_all(self.byz_id, (
+            (self.fake_target, ("Exchange", (frozenset({self.byz_id}),))),
+            (self.dupe_target, ("Extend", self.stolen))))
 
     def on_deliver(self, world, env):
         if env.payload[0] == "Exchange" and not self._extended:
             # replay the stolen quorum at the outsider once quorums are seen
             self._extended = True
-            world.adversary_send(self.byz_id, self.dupe_target,
-                                 ("Extend", self.stolen))
-            world.adversary_send(self.byz_id, self.dupe_target,
-                                 ("Exchange", (self.stolen,)))
+            world.adversary_send_all(self.byz_id, (
+                (self.dupe_target, ("Extend", self.stolen)),
+                (self.dupe_target, ("Exchange", (self.stolen,)))))
 
 
 class AddEquivocator(Adversary):
@@ -270,13 +267,10 @@ class AddEquivocator(Adversary):
                                   by_adversary=True)
             members = sorted_ids(self.q_c)
             success_to = set(self.success_first) or {members[0]}
-            for p in members:
-                if p in success_to:
-                    world.adversary_send(self.byz_id, p,
-                                         ("Success", self.byz_id, self.q_c, sigs))
-                else:
-                    world.adversary_send(self.byz_id, p,
-                                         ("Fail", self.byz_id, self.q_c, fail_sig))
+            success = ("Success", self.byz_id, self.q_c, sigs)
+            fail = ("Fail", self.byz_id, self.q_c, fail_sig)
+            world.adversary_send_all(self.byz_id, (
+                (p, success if p in success_to else fail) for p in members))
 
 
 class AddAccomplice(Adversary):

@@ -218,6 +218,7 @@ _LINES = {kind: _line(kind, *fields) for kind, *fields in (
     ("request", "step", "node", "request"), ("response", "step", "node", "response"))}
 _ODD = (object(), None)   # an id that is not in a world's id map
 _APL = {f: _LINES[f"apl/{f}" if f else "apl"][0] for f in (None, "byz", "frozen")}
+_TOB = _LINES["tob"][0]
 
 
 def _plain_json(value):
@@ -303,8 +304,6 @@ class World:
         self._signed = set()
         self._pending_tob = []
         self._tob_order = []        # (env, its index, payload and src as JSON or None)
-        self._tob_next = {}         # pid -> next global index expected
-        self._tob_buffer = {}       # pid -> {index: _tob_order[index]}
         self._tob_hints = list(policy.tob_order)
         self.touched = set()        # ids of nodes touched since the last flush
         # snapshot cache: each node's serialised entry, in str(pid) order
@@ -323,8 +322,6 @@ class World:
         self.touched |= node._touched   # touched before it was added
         node._touched = self.touched
         self.nodes[node.pid] = node
-        self._tob_next[node.pid] = 0
-        self._tob_buffer[node.pid] = {}
 
     def add_probe(self, name: str, fn: Callable):
         self.probes.append((name, fn))
@@ -336,10 +333,14 @@ class World:
 
     # -- node/adversary facing API ------------------------------------------
 
+    def _owned(self, src):
+        """``src``, if a node of this world or the adversary owns it."""
+        if src not in self.nodes and src not in self.attack.byzantine:
+            raise ForgedSender(f"no node and no Byzantine process owns {src!r}")
+        return src
+
     def send(self, src, dst, payload):
-        if src in self.well_behaved and src not in self.nodes:
-            raise ForgedSender(f"no node owns well-behaved id {src!r}")
-        self._route(src, ((dst, payload),))
+        self._route(self._owned(src), ((dst, payload),))
 
     def adversary_send(self, src, dst, payload):
         self.adversary_send_all(src, ((dst, payload),))
@@ -352,7 +353,7 @@ class World:
         self._route(src, pairs)
 
     def tob_broadcast(self, src, payload):
-        self._pending_tob.append(Envelope(src, None, payload))
+        self._pending_tob.append(Envelope(self._owned(src), None, payload))
         self._push(self.step + 1, "tob_seq", None)
 
     def adversary_tob(self, src, payload):
@@ -474,23 +475,6 @@ class World:
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
-    def _deliver_tob(self, apis, ids, pid, index):
-        buf, node, trace, step = self._tob_buffer[pid], self.nodes[pid], self.trace, self.step
-        key, dst = ids.get(pid, _ODD)
-        buf[index] = self._tob_order[index]
-        while self._tob_next[pid] in buf:
-            i = self._tob_next[pid]
-            env, index_json, msg, src = buf.pop(i)
-            self._tob_next[pid] = i + 1
-            if node.frozen:
-                continue
-            event = {"step": step, "kind": "tob", "dst": pid, "index": i, "src": env.src,
-                     "msg": env.payload}
-            trace.events.append(event)
-            trace._lines.append(_LINES["tob"][0] % (dst, index_json, msg, src, repr(step))
-                                if key is pid and src is not None else _spell(event, trace._blobs))
-            node.on_tob(apis[pid], env.src, env.payload)
-
     def _run_probes(self):
         for name, fn in self.probes:
             witness = fn(self)
@@ -512,6 +496,8 @@ class World:
         return _digest("{" + ",".join(self._fragments) + "}")
 
     def run(self) -> Trace:
+        if self._slot is not None:
+            raise ScenarioError("a world runs once")
         by_key = sorted(self.nodes.values(), key=lambda node: str(node.pid))
         self._slot = {node.pid: (i, encode_basestring_ascii(str(node.pid)) + ":")
                       for i, node in enumerate(by_key)}
@@ -522,17 +508,19 @@ class World:
         self.adversary.on_init(self)
         pids = sorted_ids(self.nodes)   # fixed from here on, as is each node's api
         apis = {pid: NodeApi(self, self.nodes[pid]) for pid in pids}   # local: no cycle
-        # each node's and Byzantine id, spelt once: (id, its JSON or None)
-        ids = {pid: (pid, repr(pid) if type(pid) is int else _plain_json(pid))
-               for pid in chain(self.attack.byzantine, pids)}
+        # each node's and Byzantine id that spells as JSON, spelt once: (id, its JSON)
+        ids = {pid: (pid, spelt) for pid in chain(self.attack.byzantine, pids)
+               if (spelt := _plain_json(pid)) is not None}
         for pid in pids:
             self.nodes[pid].on_start(apis[pid])
         touched = self.touched
         if touched:
             self._flush_dirty()
-        queue, steps, trace = self._queue, self._steps, self.trace
+        queue, steps, trace, tob_order = self._queue, self._steps, self.trace, self._tob_order
         record, write, blobs = trace.events.append, trace._lines.append, trace._blobs
         byz, nodes, cap, processed = self.attack.byzantine, self.nodes, self.step_cap, 0
+        # per node: the next tob index it takes, and the later ones that came first
+        tob_next, tob_early = defaultdict(int), defaultdict(set)
         while steps and processed < cap:
             due = self.step = steps[0]
             bucket, start, at = queue[due], processed, repr(due)
@@ -560,7 +548,22 @@ class World:
                 elif kind == "tob_seq":
                     self._sequence_tob(pids)
                 elif kind == "tob_dlv":
-                    self._deliver_tob(apis, ids, *data)
+                    dst, arrived = data
+                    early, node, (b, d) = tob_early[dst], nodes[dst], ids.get(dst, _ODD)
+                    early.add(arrived)
+                    i = tob_next[dst]
+                    while i in early:   # take each index in order, once all before it came
+                        early.remove(i)
+                        env, index, msg, s = tob_order[i]   # index, msg and s spelt as JSON
+                        if not node.frozen:
+                            event = {"step": due, "kind": "tob", "dst": dst, "index": i,
+                                     "src": env.src, "msg": env.payload}
+                            record(event)
+                            write(_TOB % (d, index, msg, s, at) if b is dst and s is not None
+                                  else _spell(event, blobs))
+                            node.on_tob(apis[dst], env.src, env.payload)
+                        i += 1
+                    tob_next[dst] = i
                 elif kind == "timer":
                     pid, tag = data
                     node = nodes.get(pid)
@@ -589,8 +592,9 @@ class World:
     def _flush_dirty(self):
         """Probes, then a ``state`` event (its digest is hex); only when a node was touched."""
         self._run_probes()      # probes may read touched before it is cleared
-        self._record(event := {"step": self.step, "kind": "state", "snap": self._snapshot_digest()})
-        self.trace._lines.append(_LINES["state"][0] % (f'"{event["snap"]}"', repr(event["step"])))
+        snap = self._snapshot_digest()
+        self._write({"step": self.step, "kind": "state", "snap": snap},
+                    "state", f'"{snap}"', repr(self.step))
 
 
 class NodeApi:

@@ -155,6 +155,50 @@ def test_adversary_cannot_forge_well_behaved_node():
         World.add_node(world, EchoNode(4))
 
 
+def one_node_world():
+    """Node 1; 2 is well-behaved and has no node; the adversary owns 3."""
+    world = World(Attack.of([1, 2, 3], [3]), SchedulePolicy(seed=0))
+    world.add_node(EchoNode(1))
+    return world
+
+
+# outside the universe, well-behaved with no node, a look-alike of node 1
+FORGED = [99, 2, "1"]
+
+
+@pytest.mark.parametrize("src", FORGED)
+def test_a_send_from_an_id_no_node_or_adversary_owns_is_forged(src):
+    world = one_node_world()
+    with pytest.raises(ForgedSender):
+        world.send(src, 1, ("forged",))
+    world.send(3, 1, ("from-byz",))
+    world.run()
+    assert world.nodes[1].inbox == [(3, ("from-byz",))]
+
+
+@pytest.mark.parametrize("src", FORGED)
+def test_a_tob_broadcast_from_an_id_no_node_or_adversary_owns_is_forged(src):
+    world = one_node_world()
+    with pytest.raises(ForgedSender):
+        world.tob_broadcast(src, ("forged-tob",))
+    world.tob_broadcast(1, ("m",))
+    world.tob_broadcast(3, ("b",))
+    world.run()
+    assert sorted(world.nodes[1].tob_inbox) == [(1, ("m",)), (3, ("b",))]
+
+
+def test_a_world_runs_once():
+    world = small_world(seed=3)
+    world.request(1, 2, ("send", 3, ("ping",)))
+    world.tob_broadcast(2, ("hello",))
+    trace = world.run()
+    blob, starts = trace.to_jsonl(), [node.inbox[:] for node in world.nodes.values()]
+    with pytest.raises(ScenarioError):
+        world.run()
+    assert trace.to_jsonl() == blob and blob.count('"kind":"end"') == 1
+    assert [node.inbox for node in world.nodes.values()] == starts
+
+
 def test_signatures_verify_and_reject():
     world = small_world()
     sig = world.sign(2, ("msg",))
@@ -317,7 +361,7 @@ def test_the_tob_delivery_delays_draw_what_randint_draws(seed):
     pids = list(range(1, 21))
     for bound in BOUNDS:
         world = bounded_world(seed, bound, adversary=Picker(0))   # pick_tob draws nothing
-        world.tob_broadcast(1, ("m",))
+        world.adversary_tob(0, ("m",))
         world._sequence_tob(pids)
         due = {data[0]: step for step, kind, data in oracles.queued(world)
                if kind == "tob_dlv"}
@@ -749,6 +793,24 @@ def test_a_trace_changed_after_its_run_serialises_its_events(edit):
     want = oracles.oracle_to_jsonl(trace.events)
     assert trace.to_jsonl() == want
     assert trace.to_jsonl() != oracles.oracle_to_jsonl(kernel_trace().events)
+
+
+class Chatter(EchoNode):
+    def on_start(self, api):
+        api.send(0, ("m",))
+        api.send_all(sorted_ids(api.world.nodes), ("n",))
+        api.tob(("t",))
+
+
+@pytest.mark.parametrize("odd", [1.5, True])
+def test_an_event_with_an_id_other_than_an_int_or_str_is_written_whole(odd):
+    world = World(Attack.of([0, 2, odd], [0]), SchedulePolicy(seed=1))
+    for pid in (2, odd):
+        world.add_node(Chatter(pid))
+    trace = world.run()
+    kinds = Counter(e["kind"] for e in trace.events if odd in (e.get("src"), e.get("dst")))
+    assert kinds["apl"] == 4 and kinds["tob"] == 3
+    assert trace.to_jsonl() == oracles.oracle_to_jsonl(trace.events)
 
 
 def test_a_kernel_run_encodes_each_payload_object_at_most_once():
