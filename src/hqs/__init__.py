@@ -3,8 +3,6 @@
 from .core import (
     Attack,
     QuorumSystem,
-    ReconfigOp,
-    apply_reconfig,
     followers,
     is_active_blocking,
     is_blocking,

@@ -2,13 +2,13 @@
 
 A quorum system maps each active process to its antichain of individual
 minimal quorums.  Everything here is immutable: constructors normalize and
-validate, reconfiguration is a pure function returning a new system.
+validate; ``join``, ``leave``, ``add`` and ``remove`` return a new system.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -261,78 +261,48 @@ def followers(qs: QuorumSystem, p: ProcessId) -> frozenset:
     return frozenset(followers_map(qs).get(p, ()))
 
 
-@dataclass(frozen=True)
-class ReconfigOp:
-    """A pure reconfiguration step: Join, Leave, Add or Remove."""
-
-    kind: str
-    process: ProcessId
-    quorum: Optional[Quorum] = None
-    quorums: tuple = field(default_factory=tuple)
-
-    JOIN = "join"
-    LEAVE = "leave"
-    ADD = "add"
-    REMOVE = "remove"
-
-    @staticmethod
-    def join(p, quorums) -> "ReconfigOp":
-        return ReconfigOp(ReconfigOp.JOIN, p, quorums=canon_quorums(quorums))
-
-    @staticmethod
-    def leave(p) -> "ReconfigOp":
-        return ReconfigOp(ReconfigOp.LEAVE, p)
-
-    @staticmethod
-    def add(p, q) -> "ReconfigOp":
-        return ReconfigOp(ReconfigOp.ADD, p, quorum=frozenset(q))
-
-    @staticmethod
-    def remove(p, q) -> "ReconfigOp":
-        return ReconfigOp(ReconfigOp.REMOVE, p, quorum=frozenset(q))
+def join(qs: QuorumSystem, p: ProcessId, quorums) -> QuorumSystem:
+    """Post-state of ``p`` joining with ``quorums``; ``qs`` is unchanged."""
+    quorums = canon_quorums(quorums)
+    if p in qs.active:
+        raise PreconditionViolated(f"join: {p!r} is already active")
+    if not quorums:
+        raise PreconditionViolated("join: no quorums supplied")
+    if not all(quorums):
+        raise EmptyQuorum("join: empty quorum supplied")
+    return QuorumSystem(qs.universe.union({p}, *quorums), qs.active | {p},
+                        {**qs._quorums, p: antichain(quorums)}, qs.diagnostics)
 
 
-def apply_reconfig(qs: QuorumSystem, op: ReconfigOp) -> QuorumSystem:
-    """Post-state of one reconfiguration; the input system is unchanged."""
-    quorums = qs.quorum_map()
-    active = set(qs.active)
-    universe = set(qs.universe)
-    p = op.process
-    if op.kind == ReconfigOp.JOIN:
-        if p in active:
-            raise PreconditionViolated(f"join: {p!r} is already active")
-        if not op.quorums:
-            raise PreconditionViolated("join: no quorums supplied")
-        if any(not q for q in op.quorums):
-            raise EmptyQuorum("join: empty quorum supplied")
-        active.add(p)
-        universe.add(p)
-        for q in op.quorums:
-            universe |= q
-        quorums[p] = antichain(op.quorums)
-    elif op.kind == ReconfigOp.LEAVE:
-        if p not in active:
-            raise PreconditionViolated(f"leave: {p!r} is not active")
-        active.discard(p)
-        quorums.pop(p, None)
-    elif op.kind == ReconfigOp.ADD:
-        if p not in active:
-            raise PreconditionViolated(f"add: {p!r} is not active")
-        if not op.quorum:
-            raise EmptyQuorum("add: empty quorum")
-        universe |= op.quorum
-        quorums[p] = antichain(quorums.get(p, ()) + (op.quorum,))
-    elif op.kind == ReconfigOp.REMOVE:
-        if p not in active or not qs.declares(p) or op.quorum not in qs.quorums_of(p):
-            raise PreconditionViolated(f"remove: {op.quorum!r} is not a quorum of {p!r}")
-        remaining = tuple(q for q in quorums[p] if q != op.quorum)
-        if remaining:
-            quorums[p] = remaining
-        else:
-            del quorums[p]
-    else:
-        raise PreconditionViolated(f"unknown operation kind {op.kind!r}")
-    return QuorumSystem(universe, active, quorums, qs.diagnostics)
+def leave(qs: QuorumSystem, p: ProcessId) -> QuorumSystem:
+    """Post-state of ``p`` leaving: inactive, its quorums dropped."""
+    if p not in qs.active:
+        raise PreconditionViolated(f"leave: {p!r} is not active")
+    quorums = {k: v for k, v in qs._quorums.items() if k != p}
+    return QuorumSystem(qs.universe, qs.active - {p}, quorums, qs.diagnostics)
+
+
+def add(qs: QuorumSystem, p: ProcessId, q) -> QuorumSystem:
+    """Post-state of ``p`` adding the quorum ``q``, reduced to an antichain."""
+    q = frozenset(q)
+    if p not in qs.active:
+        raise PreconditionViolated(f"add: {p!r} is not active")
+    if not q:
+        raise EmptyQuorum("add: empty quorum")
+    return QuorumSystem(qs.universe | q, qs.active,
+                        {**qs._quorums, p: antichain(qs._quorums.get(p, ()) + (q,))},
+                        qs.diagnostics)
+
+
+def remove(qs: QuorumSystem, p: ProcessId, q) -> QuorumSystem:
+    """Post-state of ``p`` removing its quorum ``q``; none left drops its entry."""
+    q = frozenset(q)
+    if p not in qs.active or q not in qs._quorums.get(p, ()):
+        raise PreconditionViolated(f"remove: {q!r} is not a quorum of {p!r}")
+    quorums = {**qs._quorums, p: tuple(x for x in qs._quorums[p] if x != q)}
+    if not quorums[p]:
+        del quorums[p]
+    return QuorumSystem(qs.universe, qs.active, quorums, qs.diagnostics)
 
 
 def parse_id(raw: str) -> ProcessId:

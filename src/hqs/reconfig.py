@@ -99,17 +99,12 @@ class ReconfigNode(Node):
         self._echoed_fail = set()
         self.pending = None
         self.add_req = None
-        self._acks = {}                   # (requester, q_c) -> CheckAck senders
-        self._nacks = {}                  # (requester, q_c) -> CheckNack senders
-        self._committed = set()
-        self._aborted = set()
+        self._votes = {}                  # (requester, q_c, ack) -> CheckAck/Nack senders
+        self._answered = set()            # the (requester, q_c, ack) keys replied to
         # join state
         self._join = None
 
     # -- helpers -------------------------------------------------------------
-
-    def _tentative_quorums(self):
-        return [q for (_, q) in self.tentative]
 
     def _set_quorums(self, quorums):
         """The only writer of ``quorums`` after construction; sorts and
@@ -205,7 +200,7 @@ class ReconfigNode(Node):
         declared = payload[-1]   # a well-behaved requester's is a tuple of frozensets
         if type(declared) is not tuple or not _FROZENSET.issuperset(map(type, declared)):
             declared = tuple(map(frozenset, declared))
-        extra = (frozenset(self._tentative_quorums())
+        extra = (frozenset(q for _, q in self.tentative)
                  if self.combined_checks and self.tentative else _EMPTY)
         if not _check_passes(declared, extra, frozenset((src, *self.tomb))):
             if src == self.pid:   # its own Check: its request is still pending
@@ -259,31 +254,28 @@ class ReconfigNode(Node):
     def _on_check_add(self, api, src, q_c):
         self.tentative.add((src, q_c))
         self.touch()
-        api.send_all(sorted_ids(set().union(*self.quorums) if self.quorums else set()),
-                     ("AddCheck", src, q_c))
+        api.send_all(sorted_ids(set().union(*self.quorums)), ("AddCheck", src, q_c))
 
     def _on_add_check(self, api, src, requester, q_c):
-        domain = set(self._tentative_quorums()) | self.quorums
+        domain = {q for _, q in self.tentative} | self.quorums
         drop = self.tomb if self.combined_checks else set()
         ok = all(blocks(self.quorums, (q_c & q) - drop) for q in domain)
         api.send(src, (("CheckAck" if ok else "CheckNack"), requester, q_c))
 
     def _on_check_reply(self, api, src, requester, q_c, ack):
-        key = (requester, q_c)
-        if ack:
-            senders = self._acks.setdefault(key, set())
-            senders.add(src)
-            if key not in self._committed and any(q <= senders for q in self.quorums):
-                self._committed.add(key)
-                sig = api.sign(("Commit", q_c))
-                api.send(requester, ("Commit", q_c, sig))
+        key = (requester, q_c, ack)
+        senders = self._votes.setdefault(key, set())
+        senders.add(src)
+        if key in self._answered:
+            return
+        if ack and any(q <= senders for q in self.quorums):
+            reply = ("Commit", q_c, api.sign(("Commit", q_c)))
+        elif not ack and blocks(self.quorums, senders) and self.quorums:
+            reply = ("Abort", q_c)
         else:
-            senders = self._nacks.setdefault(key, set())
-            senders.add(src)
-            if (key not in self._aborted and senders
-                    and blocks(self.quorums, senders) and self.quorums):
-                self._aborted.add(key)
-                api.send(requester, ("Abort", q_c))
+            return
+        self._answered.add(key)
+        api.send(requester, reply)
 
     def _on_commit(self, api, src, q_c, sig):
         req = self.add_req
@@ -309,7 +301,7 @@ class ReconfigNode(Node):
         key = (requester, q_c)
         if self.succeeded.get(key):
             return
-        if self.failed.get(key) or key in self.fail_completed:
+        if self.failed.get(key):
             return  # a Fail for this request was already processed here
         by_signer = {sig.signer: sig for sig in sigs}
         if not all(p in by_signer and api.verify(by_signer[p], p, ("Commit", q_c))

@@ -16,8 +16,7 @@ from itertools import cycle, repeat
 from .broadcast import BrbNode
 from .core import (
     QuorumSystem,
-    ReconfigOp,
-    apply_reconfig,
+    add,
     choice,
     distinct_spellings,
     expect,
@@ -275,18 +274,16 @@ class AddEquivocator(Adversary):
 
 class AddAccomplice(Adversary):
     """Byzantine processes cooperate with whatever add reaches them: they
-    acknowledge inclusion, ack every intersection check, and commit with a
-    signature, which maximizes the chance a conflicting add slips through."""
+    acknowledge inclusion and ack every intersection check, which maximizes
+    the chance a conflicting add slips through.  A requester sends CheckAdd
+    only to the processes that refused its inclusion check, and an
+    accomplice refuses none, so it never receives one to commit on."""
 
     def on_deliver(self, world, env):
         tag = env.payload[0]
         me = env.dst
         if tag == "Inclusion":
             world.adversary_send(me, env.src, ("AckInclusion", env.payload[1]))
-        elif tag == "CheckAdd":
-            q_c = frozenset(env.payload[1])
-            sig = world.sign(me, ("Commit", q_c), by_adversary=True)
-            world.adversary_send(me, env.src, ("Commit", q_c, sig))
         elif tag == "AddCheck":
             world.adversary_send(me, env.src,
                                  ("CheckAck", env.payload[1], env.payload[2]))
@@ -709,7 +706,7 @@ def dilemma_add_q2():
     qs, attack = resolve_system("fig4_q2")
     wb = attack.well_behaved
     added = frozenset({1, 2})
-    after_add = apply_reconfig(qs, ReconfigOp.add(2, added))
+    after_add = add(qs, 2, added)
     broken = check_consistency(after_add, attack, wb)
     repaired_decls = {}
     for p in sorted_ids(after_add.active):

@@ -288,7 +288,8 @@ class World:
     def __init__(self, attack: Attack, policy: SchedulePolicy,
                  adversary: Optional[Adversary] = None, step_cap: int = 10_000):
         self.attack = attack
-        self.well_behaved = attack.well_behaved   # one copy, read per message
+        # Attack.well_behaved builds a new set per read; probe memos compare this one by identity
+        self.well_behaved = attack.well_behaved
         self.policy = policy
         self.adversary = adversary or Adversary()
         self.step_cap = step_cap

@@ -207,3 +207,52 @@ def test_brb_probe_fires_on_a_node_that_delivers_on_too_few_readies():
                                             adversary=SplitReadies())
     assert trace.violations
     assert trace.violations[0]["witness"] == [4, [3, 5]]   # the first pair to split
+
+
+# --- Byzantine Sends: str ids, so the guards meet no int shortcut ----------------
+
+
+def str_id_system():
+    """a, b and c share the quorum {a, b, c}; d is Byzantine and declares nothing."""
+    qs = new_quorum_system(["a", "b", "c", "d"],
+                           {p: [{"a", "b", "c"}] for p in "abc"}, byzantine={"d"})
+    return qs, Attack.of(qs.universe, {"d"})
+
+
+class ByzantineSends(Adversary):
+    """On init, d sends each ``(dst, payload)`` of ``sends``."""
+
+    def __init__(self, sends):
+        self.sends = sends
+
+    def on_init(self, world):
+        world.adversary_send_all("d", self.sends)
+
+
+def apl(trace, tag):
+    return [e for e in trace.events if e["kind"] == "apl" and e["msg"][0] == tag]
+
+
+def test_a_send_for_another_instance_is_never_echoed():
+    qs, attack = str_id_system()
+    sends = [(p, ("Send", "a", "v")) for p in "abc"]
+    for seed in range(5):
+        world, trace = run_brb(qs, attack, [], seed=seed, adversary=ByzantineSends(sends))
+        assert sorted(e["dst"] for e in apl(trace, "Send")) == ["a", "b", "c"]
+        assert not apl(trace, "Echo")
+        assert all(not n.echoed for n in world.nodes.values())
+
+
+def test_a_node_echoes_only_the_first_value_of_an_instance():
+    qs, attack = str_id_system()
+    sends = [("a", ("Send", "d", "x")), ("a", ("Send", "d", "y"))]
+    firsts = set()
+    for seed in range(10):
+        world, trace = run_brb(qs, attack, [], seed=seed, adversary=ByzantineSends(sends))
+        received = [e["msg"][2] for e in apl(trace, "Send")]
+        assert sorted(received) == ["x", "y"]
+        firsts.add(received[0])
+        assert world.nodes["a"].echoed == {"d": received[0]}
+        echoes = [e for e in apl(trace, "Echo") if e["src"] == "a"]
+        assert echoes and {e["msg"][2] for e in echoes} == {received[0]}
+    assert firsts == {"x", "y"}   # both delivery orders were met

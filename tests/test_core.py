@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -6,23 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from hqs.core import (
     Attack,
-    ReconfigOp,
+    add,
     antichain,
-    apply_reconfig,
     canon_quorums,
     followers,
     is_active_blocking,
     is_blocking,
     is_system_quorum,
+    join,
+    leave,
     minimal_quorums,
     new_quorum_system,
     quorum_key,
+    remove,
     sorted_ids,
     sorted_quorums,
 )
 from hqs.errors import (
     EmptyDeclaration,
     EmptyQuorum,
+    HqsError,
     MalformedInput,
     PreconditionViolated,
     UnknownMember,
@@ -155,34 +160,99 @@ def test_followers_fig1():
 
 def test_apply_reconfig_remove_and_leave():
     qs, _ = load_fixture("fig1")
-    removed = apply_reconfig(qs, ReconfigOp.remove(2, {2, 5}))
+    removed = remove(qs, 2, {2, 5})
     assert quorum_set(removed, 2) == {frozenset({1, 2}), frozenset({2, 3})}
-    left = apply_reconfig(qs, ReconfigOp.leave(5))
+    left = leave(qs, 5)
     assert 5 not in left.active and not left.declares(5)
     assert quorum_set(qs, 2) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 5})}
 
 
 def test_apply_reconfig_add_renormalizes():
     qs, _ = load_fixture("fig1")
-    added = apply_reconfig(qs, ReconfigOp.add(3, {2, 3, 5}))
+    added = add(qs, 3, {2, 3, 5})
     assert quorum_set(added, 3) == {frozenset({2, 3})}
 
 
 def test_apply_reconfig_preconditions():
     qs, _ = load_fixture("fig1")
     with pytest.raises(PreconditionViolated):
-        apply_reconfig(qs, ReconfigOp.remove(2, {1, 3}))
+        remove(qs, 2, {1, 3})
     with pytest.raises(PreconditionViolated):
-        apply_reconfig(qs, ReconfigOp.leave(9))
+        leave(qs, 9)
     with pytest.raises(PreconditionViolated):
-        apply_reconfig(qs, ReconfigOp.join(2, [{2}]))
+        join(qs, 2, [{2}])
 
 
 def test_join_op_adds_member():
     qs, _ = load_fixture("fig1")
-    joined = apply_reconfig(qs, ReconfigOp.join(9, [{2, 9}]))
+    joined = join(qs, 9, [{2, 9}])
     assert quorum_set(joined, 9) == {frozenset({2, 9})}
     assert 9 in joined.active
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda qs: join(qs, 9, []),
+     PreconditionViolated, "join: no quorums supplied"),
+    (lambda qs: join(qs, 9, [{2, 9}, set()]),
+     EmptyQuorum, "join: empty quorum supplied"),
+    (lambda qs: add(qs, 9, {2, 9}),
+     PreconditionViolated, "add: 9 is not active"),
+    (lambda qs: add(qs, 2, set()),
+     EmptyQuorum, "add: empty quorum"),
+])
+def test_reconfig_oracle_error_branches(call, error, message):
+    qs, _ = load_fixture("fig1")
+    with pytest.raises(error) as raised:
+        call(qs)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def oracle_steps(rng, qs):
+    """One call of each operation on ``qs``, with arguments drawn so that
+    each precondition sometimes fails: a process of the universe or a fresh
+    one, a quorum of the process or a random subset of the universe."""
+    uni = sorted_ids(qs.universe)
+    fresh = max(uni) + 1
+
+    def process():
+        return rng.choice(uni + [fresh])
+
+    def subset():
+        return frozenset(rng.sample(uni, rng.randint(1, len(uni))))
+
+    p = process()
+    quorums = [subset() | {p} for _ in range(rng.randint(1, 3))]
+    yield lambda: join(qs, p, quorums)
+    p = process()
+    yield lambda: leave(qs, p)
+    p, q = process(), subset()
+    yield lambda: add(qs, p, q)
+    p = process()
+    q = rng.choice(qs.quorums_of(p)) if qs.declares(p) and rng.random() < 0.7 else subset()
+    yield lambda: remove(qs, p, q)
+
+
+def test_reconfig_oracle_digest_over_arbitrary_systems():
+    """sha256 over seeds 0-49: each operation on the generated system and on
+    the system after one process left (so some universe members are
+    inactive), hashing each result's JSON form and diagnostics, or the type
+    of the error raised where a precondition fails."""
+    h = hashlib.sha256()
+    for seed in range(50):
+        rng = random.Random(seed)
+        qs, attack = arbitrary_system(rng)
+        systems = [qs, leave(qs, rng.choice(sorted_ids(qs.active)))]
+        for system in systems:
+            for step in oracle_steps(rng, system):
+                try:
+                    out = step()
+                except HqsError as e:   # the type is what the digest pins
+                    h.update(type(e).__name__.encode())
+                else:
+                    h.update(json.dumps([out.to_json(attack), out.diagnostics],
+                                        sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "bc1084e4033f80553416fa59e2e57fb7f1b15f710d7c892083dbafc1a298bb47"
 
 
 small_ids = st.integers(min_value=1, max_value=5)
@@ -278,7 +348,7 @@ def test_apply_reconfig_keeps_antichain():
         p = rng.choice(pool)
         uni = sorted_ids(qs.universe)
         q = frozenset(rng.sample(uni, rng.randint(1, min(3, len(uni)))))
-        out = apply_reconfig(qs, ReconfigOp.add(p, q))
+        out = add(qs, p, q)
         per = out.quorums_of(p)
         assert not any(a < b for a in per for b in per)
 

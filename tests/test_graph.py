@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqs.core import ReconfigOp, apply_reconfig, new_quorum_system, sorted_ids
+from hqs.core import leave, new_quorum_system, remove, sorted_ids
 from hqs.errors import PreconditionNotVerified, UnknownProcess
 from hqs.fixtures import FIXTURE_NAMES, load_fixture
 from hqs.gen import arbitrary_system, checked_sharing_system, sharing_system
@@ -201,10 +201,10 @@ def test_out_sink_leave_preserves_consistency():
         outsiders = sorted_ids((qs.active & wb) - sink)
         for p in outsiders:
             tried += 1
-            after = apply_reconfig(qs, ReconfigOp.leave(p))
+            after = leave(qs, p)
             assert check_consistency(after, attack, wb - {p}).holds
             for q in qs.quorums_of(p):
-                removed = apply_reconfig(qs, ReconfigOp.remove(p, q))
+                removed = remove(qs, p, q)
                 assert check_consistency(removed, attack, wb).holds
     assert tried > 10
 

@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqs.core import Attack, ReconfigOp, apply_reconfig, new_quorum_system, sorted_ids
+from hqs.core import Attack, add, new_quorum_system, sorted_ids
 from hqs.errors import BadSubset, HqsError, UnknownProcess
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system, sharing_system
@@ -92,7 +92,7 @@ def test_quorum_inclusion_fig1():
 
 def test_quorum_inclusion_fails_after_bad_add():
     qs, attack = load_fixture("fig1")
-    bad = apply_reconfig(qs, ReconfigOp.add(3, {3, 5}))
+    bad = add(qs, 3, {3, 5})
     rep = check_quorum_inclusion(bad, attack, {2, 3, 5})
     assert not rep.holds
     assert rep.witness == (frozenset({3, 5}), 5)
@@ -100,7 +100,7 @@ def test_quorum_inclusion_fails_after_bad_add():
 
 def test_tentative_inclusion_covers_mid_add_window():
     qs, attack = load_fixture("fig1")
-    bad = apply_reconfig(qs, ReconfigOp.add(3, {3, 5}))
+    bad = add(qs, 3, {3, 5})
     tentative = {5: {(3, frozenset({3, 5}))}}
     assert check_tentative_inclusion(bad, attack, {2, 3, 5}, tentative).holds
     # a tentative quorum whose well-behaved part escapes q does not help

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqs.core import Attack, new_quorum_system, quorum_key, sorted_ids
@@ -17,7 +18,7 @@ from hqs.scenarios import (
     probe_intersection,
     probe_intersection_full,
 )
-from hqs.sim import SchedulePolicy
+from hqs.sim import Adversary, SchedulePolicy
 
 import oracles
 
@@ -137,6 +138,12 @@ def test_busy_response_for_overlapping_requests():
     world, trace = run_requests(
         qs, attack, [(1, 2, ("Add", fs(2, 3, 5))), (1, 2, ("Leave",))])
     assert (2, "Busy") in responses(trace)
+
+
+def test_an_unknown_request_and_an_empty_add_are_answered():
+    qs, attack = load_fixture("fig1")
+    _, trace = run_requests(qs, attack, [(1, 2, ("Frobnicate",)), (1, 3, ("Add", fs()))])
+    assert sorted(responses(trace)) == [(2, "UnknownRequest"), (3, "AddFail")]
 
 
 def test_left_is_idempotent_and_ignores_strangers():
@@ -279,6 +286,41 @@ def test_fake_checks_cannot_break_safety_probes():
         # Byzantine ids may enter tombs; well-behaved ones only via approval
         for node in world.nodes.values():
             assert node.tomb <= attack.byzantine | world.l_set
+
+
+class ByzantineTob(Adversary):
+    """On init, Byzantine 4 broadcasts ``payload`` through the total order."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def on_init(self, world):
+        world.adversary_tob(4, self.payload)
+
+
+def tombs(world):
+    return {p: set(node.tomb) for p, node in world.nodes.items()}
+
+
+def test_a_broadcast_that_is_not_a_check_is_ignored():
+    qs, attack = load_fixture("fig1")
+    quorums = (fs(2, 4),)
+    world, _ = run_requests(qs, attack, [], adversary=ByzantineTob(("LeaveCheck", quorums)))
+    assert set(map(frozenset, tombs(world).values())) == {fs(4)}   # the Check passes
+    world, _ = run_requests(qs, attack, [], adversary=ByzantineTob(("Noise", quorums)))
+    assert set(map(frozenset, tombs(world).values())) == {fs()}
+
+
+@pytest.mark.parametrize("declared", [[[2, 4]], ([2, 4],), [[2, 5], [2, 3]]])
+def test_a_byzantine_check_with_list_quorums_acts_as_its_frozenset_form(declared):
+    qs, attack = load_fixture("fig1")
+    requests = [(1, 5, ("Leave",)), (2, 2, ("Remove", fs(2, 3)))]
+    runs = []
+    for quorums in (declared, tuple(map(frozenset, declared))):
+        world, trace = run_requests(qs, attack, requests,
+                                    adversary=ByzantineTob(("LeaveCheck", quorums)))
+        runs.append((tombs(world), responses(trace)))
+    assert runs[0] == runs[1]
 
 
 def test_preservation_on_generated_systems_small():

@@ -199,6 +199,24 @@ def test_a_world_runs_once():
     assert [node.inbox for node in world.nodes.values()] == starts
 
 
+def test_a_node_added_after_the_world_started_is_refused():
+    world = one_node_world()
+    world.run()
+    with pytest.raises(ScenarioError, match="added after the world started"):
+        world.add_node(EchoNode(2))
+    assert list(world.nodes) == [1]
+
+
+def test_the_adversary_cannot_broadcast_as_a_well_behaved_id():
+    world = one_node_world()
+    for src in (1, 2):   # a node's id, and a well-behaved id with no node
+        with pytest.raises(ForgedSender, match="well-behaved"):
+            world.adversary_tob(src, ("forged-tob",))
+    world.adversary_tob(3, ("b",))
+    world.run()
+    assert world.nodes[1].tob_inbox == [(3, ("b",))]
+
+
 def test_signatures_verify_and_reject():
     world = small_world()
     sig = world.sign(2, ("msg",))
