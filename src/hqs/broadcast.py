@@ -13,9 +13,6 @@ from .core import antichain, sorted_ids
 from .errors import DuplicateInstance
 from .sim import Node
 
-_NO_VOTES = frozenset()
-
-
 class BrbNode(Node):
     def __init__(self, pid, quorums, followers=(), active=()):
         super().__init__(pid)
@@ -43,14 +40,17 @@ class BrbNode(Node):
             if src != instance:
                 return  # only the instance owner may originate it
             self._echo(api, instance, value)
-        elif tag == "Echo":
-            self.echo_votes.setdefault((instance, value), set()).add(src)
-            if instance not in self.readied:
-                self._maybe_ready(api, instance, value)
+        elif tag == "Echo":   # a vote checks only its own set, checked as it grows
+            echoes = self.echo_votes.setdefault((instance, value), set())
+            echoes.add(src)
+            if instance not in self.readied and any(map(echoes.issuperset, self.quorums)):
+                self._ready(api, instance, value)
         elif tag == "Ready":
-            self.ready_votes.setdefault((instance, value), set()).add(src)
-            if instance not in self.readied:
-                self._maybe_ready(api, instance, value)
+            readies = self.ready_votes.setdefault((instance, value), set())
+            readies.add(src)
+            if (instance not in self.readied and self.quorums
+                    and not any(map(readies.isdisjoint, self.quorums))):
+                self._ready(api, instance, value)
             if instance not in self.delivered:
                 self._maybe_deliver(api, instance, value)
 
@@ -61,23 +61,17 @@ class BrbNode(Node):
         self.touch()
         api.send_all(self.followers, ("Echo", instance, value))
 
-    def _maybe_ready(self, api, instance, value):
-        """Ready on a quorum of echoes or a blocking set of readies; not readied yet."""
-        echoes = self.echo_votes.get((instance, value), _NO_VOTES)
-        readies = self.ready_votes.get((instance, value), _NO_VOTES)
-        full_quorum = any(map(echoes.issuperset, self.quorums))
-        blocking = self.quorums and not any(map(readies.isdisjoint, self.quorums))
-        if full_quorum or blocking:
-            self.readied[instance] = value
-            self.touch()
-            api.send_all(self.followers, ("Ready", instance, value))
-            if instance not in self.delivered:
-                self._maybe_deliver(api, instance, value)
+    def _ready(self, api, instance, value):
+        """Ready on a quorum of echoes or a blocking set of readies.  Neither
+        condition needs the other kind of vote, and this node's readies were
+        checked for delivery as they arrived, so nothing more is checked."""
+        self.readied[instance] = value
+        self.touch()
+        api.send_all(self.followers, ("Ready", instance, value))
 
     def _maybe_deliver(self, api, instance, value):
         """Deliver on a full quorum of readies; ``instance`` is not delivered yet."""
-        readies = self.ready_votes.get((instance, value), _NO_VOTES)
-        if any(map(readies.issuperset, self.quorums)):
+        if any(map(self.ready_votes[instance, value].issuperset, self.quorums)):
             self.delivered[instance] = value
             self.touch()
 

@@ -295,14 +295,18 @@ def add(qs: QuorumSystem, p: ProcessId, q) -> QuorumSystem:
 
 
 def remove(qs: QuorumSystem, p: ProcessId, q) -> QuorumSystem:
-    """Post-state of ``p`` removing its quorum ``q``; none left drops its entry."""
+    """Post-state of ``p`` removing its quorum ``q``.  With none left, ``p``
+    leaves the active set and the diagnostics say so, as the simulator's
+    ``scenarios.current_system`` treats a node left with no quorums."""
     q = frozenset(q)
     if p not in qs.active or q not in qs._quorums.get(p, ()):
         raise PreconditionViolated(f"remove: {q!r} is not a quorum of {p!r}")
     quorums = {**qs._quorums, p: tuple(x for x in qs._quorums[p] if x != q)}
-    if not quorums[p]:
-        del quorums[p]
-    return QuorumSystem(qs.universe, qs.active, quorums, qs.diagnostics)
+    if quorums[p]:
+        return QuorumSystem(qs.universe, qs.active, quorums, qs.diagnostics)
+    del quorums[p]
+    return QuorumSystem(qs.universe, qs.active - {p}, quorums,
+                        qs.diagnostics + (f"process {p!r} has no quorums left",))
 
 
 def parse_id(raw: str) -> ProcessId:

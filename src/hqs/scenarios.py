@@ -334,11 +334,21 @@ class BrbByzantine(Adversary):
     def on_deliver(self, world, env):
         if not self.fake_votes or env.payload[0] not in ("Echo", "Ready", "Send"):
             return
-        readies = [("Ready", env.payload[1], value) for value in self.values]
-        random, pick = world.rng.random, world.rng._randbelow   # randrange's draw
         # a generator: each vote's draws come right before its delay draw
-        world.adversary_send_all(env.dst, ((p, readies[pick(len(readies))])
-                                           for p in self.pids if random() < 0.3))
+        world.adversary_send_all(env.dst, self._votes(world.rng, env.payload[1]))
+
+    def _votes(self, rng, instance):
+        """(pid, fake Ready) of each pid drawing ``random() < 0.3``; its value is drawn as
+        ``randrange(len(values))``, through ``_randbelow``'s rejection loop over getrandbits."""
+        readies = [("Ready", instance, value) for value in self.values]
+        random, getrandbits, n = rng.random, rng.getrandbits, len(readies)
+        bits = n.bit_length()
+        for p in self.pids:
+            if random() < 0.3:
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                yield p, readies[r]
 
 
 ADVERSARIES = {

@@ -172,6 +172,8 @@ class Adversary:
     While ``delay`` or ``reorder`` is this class's own, the kernel makes its
     draw inline instead of calling it; an overriding hook (a subclass's, an
     instance attribute, a patch) is called for every message it covers.
+    The kernel queues a message as a plain tuple, so each call of ``delay``,
+    ``reorder`` or ``on_deliver`` gets an ``Envelope`` built for that call.
     """
 
     def on_init(self, world):
@@ -394,11 +396,12 @@ class World:
 
         A message with a Byzantine endpoint is delayed by ``adversary.delay``
         (None drops it), any other by ``adversary.reorder``, clamped to
-        [1, fairness_bound]; each is queued as ``("apl", Envelope)`` at its step.
-        A hook that is ``Adversary``'s own is not called: the loop makes its
-        draw, ``1 + rng._randbelow(fairness_bound)``, through ``_randbelow``'s
-        rejection loop over ``getrandbits``.  Any other hook is called with the
-        message's Envelope.  ``pairs`` is read one pair at a time, and each
+        [1, fairness_bound]; each is queued as ``("apl", (src, dst, payload))``
+        at its step.  A hook that is ``Adversary``'s own is not called: the
+        loop makes its draw, ``1 + rng._randbelow(fairness_bound)``, through
+        ``_randbelow``'s rejection loop over ``getrandbits``.  Any other hook
+        is called with an Envelope built for that call, not the queued tuple.
+        ``pairs`` is read one pair at a time, and each
         pair is routed before the next is read, so draws that a generator
         makes for a pair come right before that pair's delay draw.
         """
@@ -410,7 +413,6 @@ class World:
         bound, getrandbits, steps = self.policy.fairness_bound, self.rng.getrandbits, self._steps
         bits, step, queue, from_byz = bound.bit_length(), self.step, self._queue, src in byz
         for dst, payload in pairs:
-            env = Envelope(src, dst, payload)
             byzantine = from_byz or dst in byz
             hook = delay if byzantine else reorder
             if hook is None:
@@ -418,18 +420,16 @@ class World:
                 while r >= bound:
                     r = getrandbits(bits)
                 due = step + 1 + r
-            elif byzantine:
-                due = hook(self, env)
-                if due is None:
+            else:
+                due = hook(self, Envelope(src, dst, payload))
+                if due is None and byzantine:
                     self._write({"step": step, "kind": "drop", "src": src,
                                  "dst": dst, "msg": payload})
                     continue
-                due = step + max(1, int(due))
-            else:
-                due = step + min(max(1, int(hook(self, env))), bound)
+                due = step + (max(1, int(due)) if byzantine else min(max(1, int(due)), bound))
             if due not in queue:   # as _push does
                 heapq.heappush(steps, due)
-            queue[due].append(("apl", env))
+            queue[due].append(("apl", (src, dst, payload)))
 
     def _push(self, due, kind, data):
         """Queue ``(kind, data)`` at step ``due``, after what is there."""
@@ -467,12 +467,14 @@ class World:
                      "msg": env.payload}, "tob_order", *spelt, repr(self.step))
         self.adversary.on_tob(self, index, env)
         step, bound, getrandbits = self.step + 1, self.policy.fairness_bound, self.rng.getrandbits
-        bits = bound.bit_length()
-        for pid in pids:   # randint(1, bound), as _route draws it
+        bits, queue, steps = bound.bit_length(), self._queue, self._steps
+        for pid in pids:   # randint(1, bound), queued as _route queues
             r = getrandbits(bits)
             while r >= bound:
                 r = getrandbits(bits)
-            self._push(step + r, "tob_dlv", (pid, index))
+            if step + r not in queue:
+                heapq.heappush(steps, step + r)
+            queue[step + r].append(("tob_dlv", (pid, index)))
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 
@@ -531,7 +533,7 @@ class World:
                     break
                 processed += 1
                 if kind == "apl":
-                    src, dst, msg = data.src, data.dst, data.payload
+                    src, dst, msg = data
                     node = None if dst in byz else nodes.get(dst)
                     flag = ("frozen" if node.frozen else None) if node is not None else (
                         "byz" if dst in byz else "frozen")
@@ -545,7 +547,7 @@ class World:
                     if flag is None:
                         node.on_message(apis[dst], src, msg)
                     elif flag == "byz":
-                        self.adversary.on_deliver(self, data)
+                        self.adversary.on_deliver(self, Envelope(src, dst, msg))
                 elif kind == "tob_seq":
                     self._sequence_tob(pids)
                 elif kind == "tob_dlv":

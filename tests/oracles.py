@@ -3,13 +3,15 @@
 Everything here is written against the definitions directly, by exhaustive
 enumeration, and deliberately shares no code with the package: minimality is
 a pairwise subset scan, strong connectivity is mutual reachability, and the
-checkers are literal quantifier loops.
+checkers are literal quantifier loops.  ``OracleBrbNode`` is the one
+exception: it is a BrbNode whose vote handling is spelt out here.
 """
 
 import json
 from itertools import chain, combinations
 
-from hqs.sim import Signature   # the one package type the canonical form names
+from hqs.broadcast import BrbNode   # the node the vote-check oracle re-checks
+from hqs.sim import Envelope, Signature   # a queued message's view; the canonical form's type
 
 
 def powerset(items):
@@ -231,9 +233,36 @@ def oracle_to_jsonl(events) -> str:
 
 def queued(world) -> list:
     """(step, kind, data) of each entry a world has queued, in the order the
-    kernel pops them: by step, and at one step in push order."""
-    return [(step, kind, data) for step in sorted(world._queue)
-            for kind, data in world._queue[step]]
+    kernel pops them: by step, and at one step in push order.  A queued
+    message, a ``(src, dst, payload)`` tuple, is shown as its Envelope."""
+    return [(step, kind, Envelope(*data) if kind == "apl" else data)
+            for step in sorted(world._queue) for kind, data in world._queue[step]]
+
+
+class OracleBrbNode(BrbNode):
+    """A BrbNode that, after every Echo or Ready vote, re-checks all three
+    vote conditions on the vote's (instance, value): a full quorum of echoes
+    or a blocking set of readies readies the node, and a full quorum of
+    readies delivers it.  Sends, echoes and the state summary are BrbNode's."""
+
+    def on_message(self, api, src, payload):
+        tag, instance, value = payload[0], payload[1], payload[2]
+        if tag not in ("Echo", "Ready"):
+            return super().on_message(api, src, payload)
+        votes = self.echo_votes if tag == "Echo" else self.ready_votes
+        votes.setdefault((instance, value), set()).add(src)
+        echoes = self.echo_votes.get((instance, value), set())
+        readies = self.ready_votes.get((instance, value), set())
+        quorums = self.quorums
+        if instance not in self.readied and (
+                any(q <= echoes for q in quorums)
+                or (quorums and all(q & readies for q in quorums))):
+            self.readied[instance] = value
+            self.touch()
+            api.send_all(self.followers, ("Ready", instance, value))
+        if instance not in self.delivered and any(q <= readies for q in quorums):
+            self.delivered[instance] = value
+            self.touch()
 
 
 def oracle_brb_consistency(world):

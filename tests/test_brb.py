@@ -11,6 +11,7 @@ from hqs.core import Attack, new_quorum_system, sorted_ids
 from hqs.errors import DuplicateInstance, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
+from hqs import scenarios
 from hqs.scenarios import BrbByzantine, make_brb_world, probe_brb_consistency
 from hqs.sim import Adversary, SchedulePolicy
 
@@ -256,3 +257,28 @@ def test_a_node_echoes_only_the_first_value_of_an_instance():
         echoes = [e for e in apl(trace, "Echo") if e["src"] == "a"]
         assert echoes and {e["msg"][2] for e in echoes} == {received[0]}
     assert firsts == {"x", "y"}   # both delivery orders were met
+
+
+# --- each vote checks only what it can move: the re-check-everything oracle --------
+
+
+def test_each_vote_checking_only_its_own_set_runs_as_rechecking_all_three():
+    rng = random.Random(25)
+    readied = delivered_any = 0
+    for _ in range(30):
+        qs, attack = checked_sharing_system(rng, n_max=12)
+        byz = sorted_ids(attack.byzantine)
+        sender = rng.choice(sorted_ids(qs.active & attack.well_behaved))
+        for seed in range(5):
+            runs = []
+            for node_class in (BrbNode, oracles.OracleBrbNode):
+                with mock.patch.object(scenarios, "BrbNode", node_class):
+                    world, trace = run_brb(qs, attack, [(1, sender, "v")], seed=seed,
+                                           adversary=BrbByzantine(
+                                               sender=byz[0] if byz else None))
+                assert {type(n) for n in world.nodes.values()} == {node_class}
+                runs.append(trace.to_jsonl())
+            assert runs[0] == runs[1], (qs, seed)
+            readied += sum(bool(n.readied) for n in world.nodes.values())
+            delivered_any += bool(delivered(world, sender))
+    assert readied and delivered_any   # the votes moved something

@@ -23,6 +23,7 @@ from hqs.core import (
     remove,
     sorted_ids,
     sorted_quorums,
+    system_from_json,
 )
 from hqs.errors import (
     EmptyDeclaration,
@@ -167,6 +168,16 @@ def test_apply_reconfig_remove_and_leave():
     assert quorum_set(qs, 2) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({2, 5})}
 
 
+def test_removing_a_last_quorum_drops_the_process_and_round_trips():
+    # as the simulator's current_system treats a node left with no quorums
+    qs, attack = load_fixture("fig1")
+    removed = remove(qs, 1, qs.quorums_of(1)[0])
+    assert 1 not in removed.active and not removed.declares(1)
+    assert removed.diagnostics == qs.diagnostics + ("process 1 has no quorums left",)
+    loaded, _ = system_from_json(removed.to_json(attack))
+    assert loaded == removed
+
+
 def test_apply_reconfig_add_renormalizes():
     qs, _ = load_fixture("fig1")
     added = add(qs, 3, {2, 3, 5})
@@ -252,7 +263,7 @@ def test_reconfig_oracle_digest_over_arbitrary_systems():
                     h.update(json.dumps([out.to_json(attack), out.diagnostics],
                                         sort_keys=True).encode())
     assert h.hexdigest() == \
-        "bc1084e4033f80553416fa59e2e57fb7f1b15f710d7c892083dbafc1a298bb47"
+        "acf7d26dec8d6786ebd791267bcbcb297ac0631335423a737dc7ed5d97eeb966"
 
 
 small_ids = st.integers(min_value=1, max_value=5)

@@ -428,6 +428,52 @@ def test_brb_byzantine_picks_the_value_randrange_picks(seed):
         assert got == want, n
 
 
+class HookRecorder(Adversary):
+    """Byzantine 4 sends a Send for its own instance to every node.  Each
+    hook records what it is given; ``delay`` drops the messages of process
+    3's instance and delays the rest by 1, as ``reorder`` does, so messages
+    arrive in the order they were routed."""
+
+    def __init__(self):
+        self.seen = {"delay": [], "reorder": [], "on_deliver": []}
+
+    def on_init(self, world):
+        world.adversary_send_all(4, [(p, ("Send", 4, "x")) for p in sorted_ids(world.nodes)])
+
+    def on_deliver(self, world, env):
+        self.seen["on_deliver"].append(env)
+
+    def delay(self, world, env):
+        self.seen["delay"].append(env)
+        return None if env.payload[1] == 3 else 1
+
+    def reorder(self, world, env):
+        self.seen["reorder"].append(env)
+        return 1
+
+
+def test_each_hook_is_given_an_envelope_of_the_message_it_covers():
+    qs, attack = load_fixture("fig1")   # 4 is Byzantine
+    adversary = HookRecorder()
+    world = make_brb_world(qs, attack, SchedulePolicy(seed=0), adversary=adversary)
+    world.request(1, 2, ("Broadcast", "m"))
+    world.request(1, 3, ("Broadcast", "n"))
+    trace = world.run()
+    seen = {hook: [(env.src, env.dst, env.payload) for env in envs]
+            for hook, envs in adversary.seen.items()}
+    assert all(isinstance(env, Envelope) for envs in adversary.seen.values() for env in envs)
+    byz = attack.byzantine
+    apl = [(e["src"], e["dst"], e["msg"]) for e in trace.events if e["kind"] == "apl"]
+    drops = [(e["src"], e["dst"], e["msg"]) for e in trace.events if e["kind"] == "drop"]
+    touching = [m for m in apl if m[0] in byz or m[1] in byz]
+    # a Byzantine sender, a Byzantine destination and well-behaved traffic
+    assert [m for m in touching if m[0] in byz] and [m for m in touching if m[1] in byz]
+    assert [m for m in seen["delay"] if m[2][1] != 3] == touching
+    assert [m for m in seen["delay"] if m[2][1] == 3] == drops and drops
+    assert seen["reorder"] == [m for m in apl if byz.isdisjoint(m[:2])] and seen["reorder"]
+    assert seen["on_deliver"] == [m for m in apl if m[1] in byz]
+
+
 def test_canon_sorts_sets_deterministically():
     assert canon(frozenset({3, 1, 2})) == [1, 2, 3]
     assert canon(("x", frozenset({"b", "a"}))) == ["x", ["a", "b"]]
