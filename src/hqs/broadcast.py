@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import antichain, sorted_ids
 from .errors import DuplicateInstance
-from .sim import Node
+from .sim import Node, canon_json
 
 class BrbNode(Node):
     def __init__(self, pid, quorums, followers=(), active=()):
@@ -25,6 +25,7 @@ class BrbNode(Node):
         self.delivered = {}  # instance -> value
         self.echo_votes = {}   # (instance, value) -> set of voters
         self.ready_votes = {}  # (instance, value) -> set of voters
+        self._spelt = [{}, {}, {}], ["{}"] * 3   # copies of delivered, echoed, readied; JSON
 
     def on_request(self, api, request):
         if request[0] == "Broadcast":
@@ -81,3 +82,11 @@ class BrbNode(Node):
             "readied": {str(k): v for k, v in self.readied.items()},
             "delivered": {str(k): v for k, v in self.delivered.items()},
         }
+
+    def state_json(self) -> str:
+        """``canon_json(self.state_summary())``, a map spelt when it leaves its copy."""
+        copies, spelt = self._spelt
+        for i, now in enumerate((self.delivered, self.echoed, self.readied)):
+            if now != copies[i]:
+                copies[i], spelt[i] = dict(now), canon_json({str(k): v for k, v in now.items()})
+        return '{"delivered":%s,"echoed":%s,"readied":%s}' % tuple(spelt)

@@ -93,10 +93,11 @@ def _wb_quorums(qs: QuorumSystem, attack: Attack) -> tuple:
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
 
-def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
+def consistency_witness(wb_quorums: Mapping, at_p: frozenset, changed=None):
     """First pair of declarations, in declaration order, whose quorums'
     intersection misses ``at_p`` (a lone declaration pairs with itself);
-    else None.
+    else None.  Given ``changed`` (see :func:`inclusion_witness`; ``at_p``
+    unchanged), only the pairs that hold one of their quorums are tried first.
 
     A member of ``at_p`` that sits in every quorum makes every pair meet
     inside ``at_p``, so one pass over the quorums answers None without the
@@ -106,7 +107,9 @@ def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
     partner, so it can only be reached as the first distinct quorum; its
     witness partner is then the second declaration.
     """
-    if at_p.intersection(*[q for quorums in wb_quorums.values() for q in quorums]):
+    every = [q for quorums in wb_quorums.values() for q in quorums]
+    if at_p.intersection(*every) or changed is not None and not any(
+            any(map((q & at_p).isdisjoint, every)) for p in changed for q in wb_quorums[p]):
         return None
     decls = [q for p in sorted_ids(wb_quorums) for q in wb_quorums[p]]
     distinct = list(dict.fromkeys(decls))
@@ -120,17 +123,19 @@ def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
     return None
 
 
-def availability_witness(quorums: Mapping, for_p, at_p: frozenset):
+def availability_witness(quorums: Mapping, for_p, at_p: frozenset, changed=None):
+    # given changed (see inclusion_witness), every new failure is among them
     inside = at_p.__ge__
-    for p in sorted_ids(for_p):
+    for p in sorted_ids(for_p if changed is None else for_p & changed):
         if not any(map(inside, quorums.get(p, ()))):
             return (p,)
     return None
 
 
-def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: frozenset):
+def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: frozenset,
+                                changed=None):
     # q - left lies inside inside_p exactly when q lies inside inside_p | left
-    return availability_witness(quorums, inside_p - left, inside_p | left)
+    return availability_witness(quorums, inside_p - left, inside_p | left, changed)
 
 
 def _first_failure(quorums: Mapping, within, candidates: Mapping):
@@ -165,21 +170,35 @@ def _first_failure(quorums: Mapping, within, candidates: Mapping):
 
 
 def inclusion_witness(wb_quorums: Mapping, p_set: frozenset, wb: frozenset,
-                      left: frozenset = frozenset(), tentative: Mapping = None):
+                      left: frozenset = frozenset(), tentative: Mapping = None,
+                      changed=None):
     """Witness (q, p2) for a quorum inclusion failure, else None.
 
     ``left`` weakens the check to the active variant: departed members owe
     no witness, and a witness quorum only needs its well-behaved active part
     inside the enclosing quorum.  ``tentative`` extends the witness
-    candidates per process.  Each candidate is cut to that part once per
-    call, and :func:`_first_failure` looks for a failure before it orders
-    anything, so the witness is the one the ordered loop alone names.
+    candidates per process.  The candidates of ``p_set - left`` are cut to
+    that part once per call, and :func:`_first_failure` looks for a failure
+    before it orders anything, so the witness is the one the ordered loop
+    alone names.  ``changed``: whose quorums alone moved since a check held
+    (``left`` may have grown, which only lifts obligations); only pairs with
+    their quorums, or with them as p2, are tried first.
     """
-    cut = (wb - left).__rand__
-    cuts = {p2: list(map(cut, quorums)) for p2, quorums in wb_quorums.items()}
-    for p2, pairs in (tentative or {}).items():
-        cuts.setdefault(p2, []).extend(cut(tq) for _, tq in pairs)
-    return _first_failure(wb_quorums, p_set - left, cuts)
+    within, cut = p_set - left, (wb - left).__rand__
+
+    def cuts(owing) -> dict:
+        cs = {p2: list(map(cut, wb_quorums[p2])) for p2 in owing if p2 in wb_quorums}
+        for p2, pairs in (tentative or {}).items():
+            cs.setdefault(p2, []).extend(cut(tq) for _, tq in pairs)
+        return cs
+
+    if changed is not None:
+        fresh, mine = {p: wb_quorums[p] for p in changed}, within & changed
+        near = cuts(mine.union(*[q & within for qs in fresh.values() for q in qs]))
+        if not (_first_failure(fresh, within, near)
+                or mine and _first_failure(wb_quorums, mine, near)):
+            return None
+    return _first_failure(wb_quorums, within, cuts(within))
 
 
 def sharing_witness(quorums: Mapping):

@@ -53,6 +53,11 @@ def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
                combinations_with_replacement(extra.union(declared), 2))
 
 
+@lru_cache(maxsize=256)
+def _spell_ids(ids: frozenset) -> str:
+    return canon_json(sorted_ids(ids))
+
+
 def spell_pairs(pairs) -> list:
     """(requester, q_c) pairs as sorted ``[str(requester), sorted ids]``
     lists, in an order no hash seed moves, for any mix of id types."""
@@ -144,10 +149,12 @@ class ReconfigNode(Node):
     def state_json(self) -> str:
         """``canon_json(self.state_summary())``, filled in from Q's JSON
         (spelt when Q is replaced) and the tomb's, spelt again only when the
-        tomb differs from the copy it was spelt from (whoever changed it)."""
+        tomb differs from the copy it was spelt from (whoever changed it), once
+        for all nodes (they deliver one TOB sequence) if its ids are ints and strs."""
         if self.tomb != self._tomb_spelt:
-            self._tomb_spelt = frozenset(self.tomb)
-            self._tomb_json = canon_json(sorted_ids(self._tomb_spelt))
+            tomb = self._tomb_spelt = frozenset(self.tomb)
+            self._tomb_json = (_spell_ids(tomb) if {int, str}.issuperset(map(type, tomb))
+                               else canon_json(sorted_ids(tomb)))
         return _FRAGMENT % (self._q_json, "true" if self.frozen else "false",
                             canon_json(spell_pairs(self.tentative)) if self.tentative else "[]",
                             self._tomb_json)

@@ -67,8 +67,8 @@ class _QuorumView:
     set (for str ids that order changes with the hash seed).  A node
     replaces that tuple only with a ``touch()``, so only the touched nodes
     are compared again, by identity.  Nothing is changed in place: a move
-    replaces the dict (copy on write), so while nothing moved each probe's
-    memo sees the very objects its last result was computed from.
+    replaces the dict (copy on write), bumps ``version`` and keeps the
+    moved pids in ``moved``; ``left`` too is replaced only when it changes.
     """
 
     def __init__(self, world):
@@ -76,6 +76,7 @@ class _QuorumView:
         self.quorums = {pid: node.sorted_q for pid, node in world.nodes.items()
                         if pid in wb and isinstance(node, ReconfigNode)}
         self.left = frozenset(world.l_set)
+        self.version, self.moved = 0, frozenset()
 
 
 def _view(world) -> _QuorumView:
@@ -90,7 +91,8 @@ def _view(world) -> _QuorumView:
         if pid in quorums and nodes[pid].sorted_q is not quorums[pid]:
             moved[pid] = nodes[pid].sorted_q
     if moved:
-        view.quorums = {**quorums, **moved}
+        view.quorums, view.moved = {**quorums, **moved}, frozenset(moved)
+        view.version += 1
     if world.l_set != view.left:
         view.left = frozenset(world.l_set)
     return view
@@ -102,24 +104,32 @@ def _tentative(world) -> tuple:
                  if isinstance(node, ReconfigNode))
 
 
-def _memoized(check, reads_left=True, reads_tentative=False):
-    """A probe that re-runs ``check(quorums, left, well_behaved, tentative)``
-    only when those inputs differ from the ones its last result was computed
-    from; an unchanged violation is returned (and so recorded) again.
-    ``left`` is None unless ``reads_left``, ``tentative`` None unless
-    ``reads_tentative``.  The view replaces a value only when it changes, so
-    a hit is a compare of the same objects.  ``check`` looks its checker up
-    when it runs, so a patched one is seen."""
-    last_inputs, last_result = None, None
+def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
+    """A probe that re-runs ``check(quorums, left, well_behaved, tentative,
+    changed)`` only when those inputs differ from the ones its last result
+    was computed from; an unchanged violation is returned (and so recorded)
+    again.  ``left`` is None unless ``reads_left``, ``tentative`` None unless
+    ``reads_tentative``.  A view is one world's, so a hit compares the view,
+    its version and ``left``.  After a clean result, ``changed`` names whose
+    quorums moved (at most one version ago) if nothing else did but, where
+    ``left_weakens``, a growing ``left``; else it is None.  ``check`` looks
+    its checker up when it runs."""
+    last_view = last_version = last_left = last_tentative = last_result = None
 
     def fn(world):
-        nonlocal last_inputs, last_result
+        nonlocal last_view, last_version, last_left, last_tentative, last_result
         view = _view(world)
-        current = (view.quorums, view.left if reads_left else None, world.well_behaved,
-                   _tentative(world) if reads_tentative else None)
-        if current != last_inputs:
-            w = check(*current)
-            last_inputs, last_result = current, None if w is None else canon(w)
+        left = view.left if reads_left else None
+        tentative = _tentative(world) if reads_tentative else None
+        same = view is last_view and tentative == last_tentative
+        if same and view.version == last_version and left is last_left:
+            return last_result
+        delta = same and last_result is None and view.version - last_version < 2 and (
+            left is last_left or left_weakens and last_left <= left)
+        w = check(view.quorums, left, world.well_behaved, tentative, (
+            view.moved if view.version > last_version else frozenset()) if delta else None)
+        last_view, last_version, last_left, last_tentative = view, view.version, left, tentative
+        last_result = None if w is None else canon(w)
         return last_result
 
     return fn
@@ -127,26 +137,26 @@ def _memoized(check, reads_left=True, reads_tentative=False):
 
 def probe_intersection(outlived):
     outlived = frozenset(outlived)
-    return _memoized(lambda quorums, left, wb, tentative: consistency_witness(
-        quorums, outlived - left))
+    return _memoized(lambda quorums, left, wb, tentative, changed: consistency_witness(
+        quorums, outlived - left, changed=changed), left_weakens=False)
 
 
 def probe_active_inclusion(outlived):
     outlived = frozenset(outlived)
-    return _memoized(lambda quorums, left, wb, tentative: inclusion_witness(
-        quorums, outlived, wb, left=left))
+    return _memoized(lambda quorums, left, wb, tentative, changed: inclusion_witness(
+        quorums, outlived, wb, left=left, changed=changed))
 
 
 def probe_active_availability(outlived):
     outlived = frozenset(outlived)
-    return _memoized(lambda quorums, left, wb, tentative: active_availability_witness(
-        quorums, outlived, left))
+    return _memoized(lambda quorums, left, wb, tentative, changed: active_availability_witness(
+        quorums, outlived, left, changed=changed))
 
 
 def probe_tentative_inclusion(outlived):
     outlived = frozenset(outlived)
-    return _memoized(lambda quorums, left, wb, tentative: inclusion_witness(
-        quorums, outlived, wb, tentative=dict(tentative)),
+    return _memoized(lambda quorums, left, wb, tentative, changed: inclusion_witness(
+        quorums, outlived, wb, tentative=dict(tentative), changed=changed),
         reads_left=False, reads_tentative=True)
 
 
@@ -192,8 +202,8 @@ def probe_intersection_full(at_set):
     """Consistency at a fixed set, irrespective of who has departed; the
     policy-preserving protocols promise this at the full well-behaved set."""
     at_set = frozenset(at_set)
-    return _memoized(lambda quorums, left, wb, tentative: consistency_witness(
-        quorums, at_set), reads_left=False)
+    return _memoized(lambda quorums, left, wb, tentative, changed: consistency_witness(
+        quorums, at_set, changed=changed), reads_left=False)
 
 
 PROBES = {

@@ -31,6 +31,20 @@ def test_check_fig1_outlived_passes(capsys):
     assert rep["property"] == "Outlived" and rep["holds"]
 
 
+@pytest.mark.parametrize("inside,code,witness", [("2,3,5", 0, None), ("1,2", 1, [1])])
+def test_check_inside_names_a_member_with_no_quorum_inside(capsys, inside, code, witness):
+    got, out, _ = run_cli(capsys, "check", "--system", "fig1", "--inside", inside)
+    assert got == code
+    assert json.loads(out) == {"holds": witness is None, "property": "AvailableInside",
+                               "witness": witness}
+
+
+@pytest.mark.parametrize("inside", ["2,99", "x"])
+def test_check_inside_an_undeclared_process_is_an_input_error(capsys, inside):
+    code, out, err = run_cli(capsys, "check", "--system", "fig1", "--inside", inside)
+    assert (code, out) == (2, "") and "has no quorum declaration" in err
+
+
 def test_check_attack_s5_consistency_fails_with_witness(capsys):
     code, out, _ = run_cli(capsys, "check", "--system", "attack_s5",
                            "--consistency")

@@ -7,7 +7,9 @@ that changes its ``state_summary`` without ``touch()`` breaks the first
 test, a probe keyed on too little breaks the probe group.  A ``ReconfigNode``
 fragment spelt from a stale part, a stale ``sorted_q`` or a probe view that
 misses a moved node breaks the fragment fence, and a run that mutates what
-the worlds of one system share breaks the reuse fence.
+the worlds of one system share breaks the reuse fence.  A delta re-check
+that skips a pair a change can break, or that is taken when ``l_set`` grew
+under a check it strengthens, breaks the delta fence.
 """
 
 import gc
@@ -253,6 +255,20 @@ def test_a_tomb_changed_outside_a_check_is_spelt_again(spell):
         assert node.state_json() == canon_json(node.state_summary())
 
 
+def test_a_brb_map_changed_outside_a_handler_is_spelt_again():
+    qs, attack = load_fixture("fig1")
+    node = make_brb_world(qs, attack, SchedulePolicy(seed=0)).nodes[2]
+    for change in (lambda: node.echoed.update({1: "v"}),
+                   lambda: node.readied.update({"a": ["v", 1], 3: "w"}),
+                   lambda: node.delivered.update({1: "v"}),
+                   lambda: node.echoed.update({1: "w"}),   # a value replaced
+                   lambda: node.readied.pop("a")):
+        assert node.state_json() == canon_json(node.state_summary())
+        change()
+        node.touch()
+        assert node.state_json() == canon_json(node.state_summary())
+
+
 # --- world building once per system -------------------------------------------------
 
 
@@ -463,3 +479,112 @@ def test_probe_reruns_exactly_when_an_input_changes(name, check, reads_left,
         step(int(reads_left))
         world.nodes[1].tentative.add((3, fs(1, 3)))       # a tentative change alone
         step(int(reads_tentative))
+
+
+# --- the delta re-check against a fresh probe ---------------------------------------
+
+
+def fence_world(system_seed, seed, mode, whole):
+    """``leave_world``'s world, with the three outlived probes at the
+    system's outlived set, or at every active well-behaved process if
+    ``whole`` (then a Leave or Remove can break them)."""
+    rng = random.Random(system_seed)
+    qs, attack, outlived = outlived_system(rng, n_max=6)
+    wb_active = sorted_ids(qs.active & attack.well_behaved)
+    at = frozenset(wb_active) if whole else outlived
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
+                                mode=mode, adversary=CheckSpammer())
+    for name in ("intersection", "active_inclusion", "active_availability"):
+        world.add_probe(name, PROBES[name](at))
+    for j, pid in enumerate(rng.sample(wb_active, min(3, len(wb_active)))):
+        if rng.random() < 0.5:
+            world.request(1 + 2 * j, pid, ("Leave",))
+        else:
+            world.request(1 + 2 * j, pid, ("Remove", rng.choice(sorted_quorums(
+                qs.quorums_of(pid)))))
+    return world, at
+
+
+def fence_probes(world, at, seen):
+    """Assert at every flush that each probe of ``world`` answers what a
+    fresh probe (a full check) answers; count calls and violations."""
+    def fenced(name, probe):
+        def check(w):
+            got = probe(w)
+            assert got == PROBES[name](at)(w), (name, w.step)
+            seen["calls"] += 1
+            seen["violations"] += got is not None
+            return got
+        return check
+
+    world.probes[:] = [(name, fenced(name, probe)) for name, probe in world.probes]
+
+
+# (mode, probes at every active well-behaved process, calls compared, violations
+# seen) over 300 worlds, three per system.  In scratch copies, an inclusion delta
+# that skips a changed node as p2 inside an unchanged quorum fails 144 and 146
+# of the PC rows' worlds (the first at world 0), and a consistency delta taken
+# when l_set grew fails 130 of each (the first at world 6); neither fails an AC
+# world.  One that skips the changed nodes' own quorums fails none of these
+# worlds, only the top_world case below.
+DELTA_FENCE = [
+    (AC, False, 11_877, 0),
+    (PC, False, 5_652, 1_829),
+    (AC, True, 11_877, 259),
+    (PC, True, 5_652, 1_891),
+]
+
+
+@pytest.mark.parametrize("mode,whole,calls,violations", DELTA_FENCE)
+def test_each_memoized_probe_answers_as_a_fresh_probe_at_every_flush(
+        mode, whole, calls, violations):
+    seen = Counter()
+    for i in range(300):
+        world, at = fence_world(i // 3, i, mode, whole)
+        fence_probes(world, at, seen)
+        world.run()
+    assert (seen["calls"], seen["violations"]) == (calls, violations)
+
+
+def top_world():
+    """1's one quorum holds 2's and 3's, and nobody else's holds 1."""
+    qs = new_quorum_system([1, 2, 3], {1: [{1, 2, 3}], 2: [{2, 3}], 3: [{2, 3}]})
+    world = make_reconfig_world(qs, Attack.of([1, 2, 3]), SchedulePolicy(seed=0))
+    return world, fs(1, 2, 3)
+
+
+# (probe, the props function it runs, world, probe set, changed node, its new
+# quorums, the witness): each failure lies in a pair that a changed quorum or a
+# changed node is in
+NEW_FAILURES = [
+    # a changed node as p2 inside an unchanged quorum: 2 drops {1, 2}, and 1's
+    # {1, 2} holds 2 with no quorum of 2's inside it
+    ("active_inclusion", "inclusion_witness", chain_world, None, 2, [fs(2, 3)],
+     [[1, 2], 2]),
+    # a new quorum as q: 1's {1, 3} holds 3 with no quorum of 3's inside it
+    ("active_inclusion", "inclusion_witness", top_world, None, 1, [fs(1, 3)],
+     [[1, 3], 3]),
+    ("tentative_inclusion", "inclusion_witness", chain_world, None, 2, [fs(2, 3)],
+     [[1, 2], 2]),
+    # a new quorum that misses another one
+    ("intersection", "consistency_witness", chain_world, None, 3, [fs(3)],
+     [[1, 2], [3]]),
+    ("intersection_full", "consistency_witness", chain_world, None, 3, [fs(3)],
+     [[1, 2], [3]]),
+    # a changed node with no quorum left inside the set
+    ("active_availability", "active_availability_witness", chain_world, fs(1, 2), 2,
+     [fs(2, 3)], [2]),
+]
+
+
+@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness", NEW_FAILURES)
+def test_a_delta_check_finds_each_kind_of_new_failure(name, check, make, at, pid,
+                                                     quorums, witness):
+    world, outlived = make()
+    probe = PROBES[name](at or outlived)
+    with mock.patch.object(scenarios, check, wraps=getattr(scenarios, check)) as spy:
+        assert probe(world) is None
+        world.nodes[pid]._set_quorums(quorums)
+        got = probe(world)
+    assert spy.call_args.kwargs["changed"] == {pid}
+    assert got == witness == PROBES[name](at or outlived)(world)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from hqs.scenarios import (
     probe_intersection,
     probe_intersection_full,
 )
-from hqs.sim import Adversary, SchedulePolicy
+from hqs.sim import Adversary, SchedulePolicy, Signature
 
 import oracles
 
@@ -321,6 +322,88 @@ def test_a_byzantine_check_with_list_quorums_acts_as_its_frozenset_form(declared
                                     adversary=ByzantineTob(("LeaveCheck", quorums)))
         runs.append((tombs(world), responses(trace)))
     assert runs[0] == runs[1]
+
+
+class RecordingApi:
+    """A node's api that records every call and changes nothing, except
+    ``verify``, which asks the world."""
+
+    def __init__(self, world, me):
+        self.world, self.me, self.calls = world, me, []
+
+    def verify(self, sig, signer, payload):
+        return self.world.verify(sig, signer, payload)
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, args))
+
+
+def state(node) -> dict:
+    return copy.deepcopy(vars(node))
+
+
+def assert_rejected(node, api, messages):
+    """Each message, delivered alone, changes no state and sends or answers nothing."""
+    for src, payload in messages:
+        before = state(node)
+        node.on_message(api, src, payload)
+        assert (state(node), api.calls) == (before, []), (src, payload)
+
+
+def adding(world, pid, qn, nacks=()):
+    """``world.nodes[pid]`` with an Add of ``qn`` pending and every member of
+    ``nacks`` heard as nacking it: all of ``qn`` moves the Add to its check
+    phase, with q_c = ``qn``."""
+    node, api = world.nodes[pid], RecordingApi(world, pid)
+    node.on_request(api, ("Add", qn))
+    for src in nacks:
+        node.on_message(api, src, ("NackInclusion", qn))
+    api.calls.clear()
+    return node, api
+
+
+def test_a_stray_inclusion_reply_is_ignored():
+    qs, attack = load_fixture("fig1")
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0))
+    idle = world.nodes[5]
+    assert_rejected(idle, RecordingApi(world, 5), [(2, ("AckInclusion", fs(2, 5)))])
+    node, api = adding(world, 3, fs(2, 3, 5))
+    assert_rejected(node, api, [(2, ("AckInclusion", fs(2, 3))),      # another quorum
+                                (1, ("NackInclusion", fs(2, 3, 5))),  # not a member
+                                (4, ("AckInclusion", fs(2, 3, 5)))])
+    node, api = adding(world, 2, fs(2, 3, 5), nacks=(2, 3, 5))
+    assert node.add_req["q_c"] == fs(2, 3, 5)                         # past phase one
+    assert_rejected(node, api, [(3, ("AckInclusion", fs(2, 3, 5)))])
+
+
+def test_a_stray_or_forged_commit_is_ignored():
+    qs, attack = load_fixture("fig1")
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0))
+    q_c = fs(2, 3)
+    good = world.sign(3, ("Commit", q_c))
+    byzantine = world.sign(4, ("Commit", q_c), by_adversary=True)
+    idle = world.nodes[5]
+    assert_rejected(idle, RecordingApi(world, 5), [(3, ("Commit", q_c, good))])
+    node, api = adding(world, 2, q_c, nacks=(2, 3))
+    assert node.add_req["q_c"] == q_c
+    assert_rejected(node, api, [
+        (3, ("Commit", fs(2, 5), good)),                     # another q_c
+        (4, ("Commit", q_c, byzantine)),                     # not in q_c
+        (3, ("Commit", q_c, Signature(3, good.digest[::-1]))),   # a forged signature
+        (3, ("Commit", q_c, world.sign(3, ("Commit", fs(2, 5))))),   # signed for another q_c
+        (2, ("Commit", q_c, good)),                          # signed by someone else
+    ])
+    node.on_message(api, 3, ("Commit", q_c, good))           # the real one counts
+    assert node.add_req["commits"] == {3: good}
+
+
+def test_a_quorums_reply_to_a_node_that_is_not_joining_is_ignored():
+    qs, attack = load_fixture("fig1")
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0))
+    node = world.nodes[3]
+    assert node._join is None
+    assert_rejected(node, RecordingApi(world, 3), [(2, ("Quorums", (fs(1, 2), fs(2, 3)))),
+                                                   (4, ("Quorums", ()))])
 
 
 def test_preservation_on_generated_systems_small():
