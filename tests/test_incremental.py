@@ -485,23 +485,13 @@ def test_probe_reruns_exactly_when_an_input_changes(name, check, reads_left,
 
 
 def fence_world(system_seed, seed, mode, whole):
-    """``leave_world``'s world, with the three outlived probes at the
-    system's outlived set, or at every active well-behaved process if
-    ``whole`` (then a Leave or Remove can break them)."""
-    rng = random.Random(system_seed)
-    qs, attack, outlived = outlived_system(rng, n_max=6)
-    wb_active = sorted_ids(qs.active & attack.well_behaved)
-    at = frozenset(wb_active) if whole else outlived
-    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
-                                mode=mode, adversary=CheckSpammer())
-    for name in ("intersection", "active_inclusion", "active_availability"):
-        world.add_probe(name, PROBES[name](at))
-    for j, pid in enumerate(rng.sample(wb_active, min(3, len(wb_active)))):
-        if rng.random() < 0.5:
-            world.request(1 + 2 * j, pid, ("Leave",))
-        else:
-            world.request(1 + 2 * j, pid, ("Remove", rng.choice(sorted_quorums(
-                qs.quorums_of(pid)))))
+    """``leave_world``'s world, with its probes at the system's outlived set,
+    or at every active well-behaved process if ``whole`` (then a Leave or
+    Remove can break them)."""
+    world = leave_world(system_seed, seed, mode)
+    at = (frozenset(world.nodes) & world.well_behaved if whole
+          else outlived_system(random.Random(system_seed), n_max=6)[2])
+    world.probes[:] = [(name, PROBES[name](at)) for name, _ in world.probes]
     return world, at
 
 
