@@ -10,23 +10,31 @@ import random
 from itertools import islice
 from unittest import mock
 
+from hqs.broadcast import BrbNode
 from hqs.core import sorted_ids
 from hqs.gen import outlived_system
 from hqs.reconfig import ReconfigNode
 from hqs.scenarios import (
+    BrbByzantine,
     CheckSpammer,
+    make_brb_world,
     make_reconfig_world,
     probe_active_availability,
     probe_active_inclusion,
+    probe_brb_consistency,
     probe_intersection,
 )
 from hqs.sim import SchedulePolicy
+from test_brb import hasty_deliver
 
 # criterion 05's population: its systems, each run with these seeds
 SYSTEMS, SEEDS = 200, 20
 # the mutant must trip a probe within the first BUDGET worlds of that
 # population, taken in order; the tomb-blind Check first does at world 80
 BUDGET = 400
+# criterion 11's worlds with a Byzantine sender; the hasty BRB delivery
+# first trips brb_consistency at world 1, and in 48 of the 100
+BRB_BUDGET = 10
 
 
 def criterion_05_worlds():
@@ -52,6 +60,24 @@ def criterion_05_worlds():
                     q = picker.choice(sorted(qs.quorums_of(pid), key=sorted_ids))
                     world.request(1 + 2 * j, pid, ("Remove", q))
             yield world
+
+
+def criterion_11_byzantine_worlds():
+    """Criterion 11's worlds whose sender is Byzantine and equivocates, in
+    the order ``tests/test_acceptance.py`` runs them, with its BRB probe."""
+    rng = random.Random(1111)
+    fixtures = []
+    while len(fixtures) < 100:
+        qs, attack, _ = outlived_system(rng, n_max=6)
+        if attack.byzantine:
+            fixtures.append((qs, attack))
+    for qs, attack in fixtures:
+        seed = rng.randrange(10_000)
+        world = make_brb_world(qs, attack, SchedulePolicy(seed=seed),
+                               adversary=BrbByzantine(sender=sorted_ids(attack.byzantine)[0],
+                                                      values=("a", "b")))
+        world.add_probe("brb_consistency", probe_brb_consistency)
+        yield world
 
 
 def tomb_blind(on_tob):
@@ -85,3 +111,15 @@ def test_a_check_blind_to_the_tomb_breaks_intersection_within_the_budget():
     assert first is not None, f"the tomb-blind Check broke no intersection in {BUDGET} worlds"
     # the same world run by the unchanged protocol trips nothing
     assert probes_tripped(next(islice(criterion_05_worlds(), first, None))) == set()
+
+
+def test_a_brb_delivery_on_one_ready_breaks_consistency_within_the_budget():
+    # one Ready vote for each of the equivocated values lets two
+    # well-behaved nodes deliver different values
+    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+        first = next((index for index, world in
+                      enumerate(islice(criterion_11_byzantine_worlds(), BRB_BUDGET))
+                      if "brb_consistency" in probes_tripped(world)), None)
+    assert first is not None, f"the hasty delivery broke no consistency in {BRB_BUDGET} worlds"
+    # the same world run by the unchanged protocol trips nothing
+    assert probes_tripped(next(islice(criterion_11_byzantine_worlds(), first, None))) == set()

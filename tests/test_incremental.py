@@ -9,7 +9,9 @@ fragment spelt from a stale part, a stale ``sorted_q`` or a probe view that
 misses a moved node breaks the fragment fence, and a run that mutates what
 the worlds of one system share breaks the reuse fence.  A delta re-check
 that skips a pair a change can break, or that is taken when ``l_set`` grew
-under a check it strengthens, breaks the delta fence.
+under a check it strengthens, breaks the delta fence.  A node-shared frozen
+tomb that misses a write from outside a Check, or that hands a tomb of 4.0
+the spelling of a tomb of 4, breaks the tomb tests.
 """
 
 import gc
@@ -27,7 +29,7 @@ from hqs import props, scenarios
 from hqs.core import Attack, new_quorum_system, sorted_ids, sorted_quorums
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
-from hqs.reconfig import AC, PC, ReconfigNode
+from hqs.reconfig import _EMPTY, AC, PC, ReconfigNode, _check_passes
 from hqs.scenarios import (
     PROBES,
     SCENARIO_NAMES,
@@ -42,7 +44,8 @@ from hqs.scenarios import (
     probe_intersection,
     run_scenario,
 )
-from hqs.sim import Adversary, SchedulePolicy, World, canon_json, fingerprint
+from hqs.sim import Adversary, NodeApi, SchedulePolicy, World, canon_json, fingerprint
+from test_controls import criterion_05_worlds, probes_tripped, tomb_blind
 
 
 def fs(*xs):
@@ -253,6 +256,63 @@ def test_a_tomb_changed_outside_a_check_is_spelt_again(spell):
         change()
         node.touch()
         assert node.state_json() == canon_json(node.state_summary())
+
+
+# a tomb written outside a Check, then a Check from 5 of node 2's quorums that
+# only the written tomb decides: a node still reading the tomb frozen at its
+# last passing Check would pass the first and fail the second
+OUTSIDE_WRITES = {"add": ((1,), lambda tomb, s: tomb.add(s(2)), False),
+                  "discard": ((1, 2), lambda tomb, s: tomb.discard(s(2)), True)}
+
+
+@pytest.mark.parametrize("spell", SPELLINGS)
+@pytest.mark.parametrize("write", OUTSIDE_WRITES)
+def test_a_check_after_a_tomb_write_outside_a_check_reads_the_written_tomb(spell, write):
+    s, (passed, change, verdict) = SPELLINGS[spell], OUTSIDE_WRITES[write]
+    qs, attack, _ = respelt(*load_fixture("fig1"), (), s)
+    world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0))
+    node = world.nodes[s(3)]
+    api = NodeApi(world, node)
+    for src in passed:   # each passes at the tomb before it
+        node.on_tob(api, s(src), ("LeaveCheck", (fs(s(1), s(2), s(4)),)))
+    assert node.tomb == {s(src) for src in passed}
+    change(node.tomb, s)
+    declared, tomb = world.nodes[s(2)].sorted_q, set(node.tomb)
+    assert _check_passes(declared, _EMPTY, frozenset((s(5), *tomb))) is verdict
+    node.on_tob(api, s(5), ("LeaveCheck", declared))
+    assert node.tomb == (tomb | {s(5)} if verdict else tomb)
+    assert node.state_json() == canon_json(node.state_summary())
+
+
+class ByzantineCheck(Adversary):
+    """Broadcasts one Check from Byzantine ``sender`` that every fig. 1 node passes."""
+
+    def __init__(self, sender):
+        self.sender = sender
+
+    def on_init(self, world):
+        world.adversary_tob(self.sender, ("LeaveCheck", (fs(1, 2, 4),)))
+
+
+def test_equal_ids_of_two_types_share_no_tomb_spelling():
+    # 4 and 4.0 are equal keys to the process-wide tomb caches, so a tomb
+    # shared across these two worlds would spell 4.0 as the first world's 4
+    qs, attack = load_fixture("fig1")
+    for sender, spelt in ((4, '"tomb":[4]}'), (4.0, '"tomb":[4.0]}')):
+        world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0),
+                                    adversary=ByzantineCheck(sender))
+        with fragments_checked() as tombs, snapshots_checked() as seen:
+            world.run()
+        assert seen["end"] == 1 and tombs["tomb"] > 0
+        assert [node.state_json().endswith(spelt) for node in world.nodes.values()] == [True] * 4
+
+
+def test_the_tomb_blind_control_still_first_kills_at_world_80():
+    # it swaps in an empty tomb around every Check: a write outside a Check
+    with mock.patch.object(ReconfigNode, "on_tob", tomb_blind(ReconfigNode.on_tob)):
+        first = next(index for index, world in enumerate(criterion_05_worlds())
+                     if "intersection" in probes_tripped(world))
+    assert first == 80
 
 
 def test_a_brb_map_changed_outside_a_handler_is_spelt_again():
