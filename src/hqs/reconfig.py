@@ -32,15 +32,14 @@ PC = "pc"
 
 _EMPTY = frozenset()
 _FROZENSET = frozenset({frozenset})
-_PLAIN = frozenset({int, str})   # the id types a tomb may be shared with
 # a ReconfigNode's snapshot fragment: its summary's keys in sorted order
 _FRAGMENT = '{"Q":%s,"frozen":%s,"tentative":%s,"tomb":%s}'
 
 
 # A world meets few distinct Checks (at most 23 in a 40-process benchmark
 # world: a payload per requester, times the tombs it meets).  256 entries
-# hold ten such worlds, bounded however long a sweep runs.  A key's ``drop``
-# is mostly a ``_grown`` tomb, one object for all nodes, so its hash is kept.
+# hold ten such worlds, bounded however long a sweep runs.  A delivery's
+# ``drop`` is a ``_grown`` tomb, one object for all nodes, so its hash is kept.
 @lru_cache(maxsize=256)
 def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
     """The tob-ordered Check of ``declared`` quorums: every pairwise
@@ -54,17 +53,14 @@ def _check_passes(declared: tuple, extra: frozenset, drop: frozenset) -> bool:
                combinations_with_replacement(extra.union(declared), 2))
 
 
-# Every node delivers one TOB sequence, so all hold the one frozen tomb
-# ``_grown`` returns for a prefix: hashed once, spelt once by ``_spell_ids``.
-# Only for exact int and str ids: ``{4}`` equals ``{4.0}``, spelt differently.
-@lru_cache(maxsize=256)
-def _grown(tomb: frozenset, src) -> frozenset:
-    return tomb | {src}
-
-
-@lru_cache(maxsize=256)
-def _spell_ids(ids: frozenset) -> str:
-    return canon_json(sorted_ids(ids))
+# Every node delivers one TOB sequence, so all hold the one (JSON, frozen
+# tomb) pair ``_grown`` returns for a prefix: hashed once, spelt once.  The
+# key is that pair, JSON included, since ``{4}`` equals ``{4.0}`` but is spelt
+# differently; ``typed`` keeps a ``src`` of 4 apart from 4.0 and True from 1.
+@lru_cache(maxsize=256, typed=True)
+def _grown(tomb: tuple, src) -> tuple:
+    grown = tomb[1] | {src}
+    return canon_json(sorted_ids(grown)), grown
 
 
 def spell_pairs(pairs) -> list:
@@ -105,8 +101,7 @@ class ReconfigNode(Node):
         self.mode = mode
         self.combined_checks = combined_checks
         self.tomb = set()
-        # the tomb frozen, if its ids are all exact ints and strs, and its JSON (None: unspelt)
-        self._tomb_frozen, self._tomb_plain, self._tomb_json = _EMPTY, True, "[]"
+        self._tomb = ("[]", _EMPTY)       # the tomb's JSON and the tomb frozen
         self.tentative = set()            # (requester, q_c) pairs
         self.failed = {}                  # (requester, q_c) -> set of Fail senders
         self.succeeded = {}               # (requester, q_c) -> bool
@@ -127,12 +122,13 @@ class ReconfigNode(Node):
         self.quorums, self.sorted_q, self._q_json = kept_quorums(quorums)
         self.touch()
 
-    def _frozen_tomb(self) -> frozenset:
-        """The tomb as a frozenset; frozen anew only after a write outside a Check."""
-        if self.tomb != self._tomb_frozen:
-            tomb = self._tomb_frozen = frozenset(self.tomb)
-            self._tomb_plain, self._tomb_json = _PLAIN.issuperset(map(type, tomb)), None
-        return self._tomb_frozen
+    def _frozen_tomb(self) -> tuple:
+        """The tomb's JSON and the tomb as a frozenset; frozen and spelt anew
+        only after a write outside a Check."""
+        if self.tomb != self._tomb[1]:
+            tomb = frozenset(self.tomb)
+            self._tomb = canon_json(sorted_ids(tomb)), tomb
+        return self._tomb
 
     def _finish(self, api, response):
         self.pending = None
@@ -165,15 +161,11 @@ class ReconfigNode(Node):
 
     def state_json(self) -> str:
         """``canon_json(self.state_summary())``, filled in from Q's JSON
-        (spelt when Q is replaced) and the frozen tomb's (spelt when a passing
-        Check or an outside write replaces it, once for all nodes if plain)."""
-        tomb = self._frozen_tomb()
-        if self._tomb_json is None:
-            self._tomb_json = (_spell_ids(tomb) if self._tomb_plain
-                               else canon_json(sorted_ids(tomb)))
+        (spelt when Q is replaced) and the tomb's (spelt once for all nodes
+        when a passing Check grows it, by this node after an outside write)."""
         return _FRAGMENT % (self._q_json, "true" if self.frozen else "false",
                             canon_json(spell_pairs(self.tentative)) if self.tentative else "[]",
-                            self._tomb_json)
+                            self._frozen_tomb()[0])
 
     # -- client requests -------------------------------------------------------
 
@@ -225,15 +217,13 @@ class ReconfigNode(Node):
             declared = tuple(map(frozenset, declared))
         extra = (frozenset(q for _, q in self.tentative)
                  if self.combined_checks and self.tentative else _EMPTY)
-        tomb = self._frozen_tomb()   # the drop is shared by every node if plain
-        plain = self._tomb_plain and type(src) in _PLAIN
-        drop = _grown(tomb, src) if plain else tomb | {src}
-        if not _check_passes(declared, extra, drop):
+        grown = _grown(self._frozen_tomb(), src)   # shared by every node
+        if not _check_passes(declared, extra, grown[1]):
             if src == self.pid:   # its own Check: its request is still pending
                 self._finish(api, self.pending[0] + "Fail")
             return
         self.tomb.add(src)
-        self._tomb_frozen, self._tomb_plain, self._tomb_json = drop, plain, None
+        self._tomb = grown
         self.touch()
         if src == self.pid:
             self._depart(api)

@@ -411,12 +411,14 @@ def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
 
 def make_discovery_world(qs, attack, policy, *, adversary=None, validq="oracle",
                          step_cap=10_000):
+    predicate = None
     if validq == "oracle":
         predicate = oracle_validq(minimal_quorums(qs, attack))
     elif validq == "threshold":
         predicate = threshold_validq(2)
-    else:
-        predicate = None
+    elif validq is not None:   # a misspelt name must not accept any non-empty set
+        raise ScenarioError(f"validq: unknown predicate {validq!r}; "
+                            "known: oracle, threshold, None")
     world = _world(qs, attack, policy, adversary, step_cap,
                    lambda pid: DiscoveryNode(pid, qs.quorums_of(pid), validq=predicate))
     for pid in sorted_ids(world.nodes):

@@ -1,5 +1,8 @@
+import pytest
+
 from hqs.core import Attack, followers, minimal_quorums, new_quorum_system
 from hqs.discovery import DiscoveryNode, discovery_results, oracle_validq, threshold_validq
+from hqs.errors import ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.graph import sink_members
 from hqs.scenarios import SinkDeceiver, make_discovery_world
@@ -124,6 +127,13 @@ def test_threshold_validq_mode():
     assert world.nodes[3].in_sink
     assert threshold_validq(2)(frozenset({1, 2}))
     assert not threshold_validq(3)(frozenset({1, 2}))
+
+
+@pytest.mark.parametrize("validq", ("orcale", "Oracle", 2, ""))
+def test_an_unknown_validq_is_refused_not_read_as_accept_any(validq):
+    qs, attack = load_fixture("fig2")
+    with pytest.raises(ScenarioError, match="oracle, threshold, None"):
+        make_discovery_world(qs, attack, SchedulePolicy(seed=0), validq=validq)
 
 
 def test_followers_collected_from_exchanges():

@@ -296,11 +296,14 @@ class ByzantineCheck(Adversary):
 
 def test_equal_ids_of_two_types_share_no_tomb_spelling():
     # 4 and 4.0 are equal keys to the process-wide tomb caches, so a tomb
-    # shared across these two worlds would spell 4.0 as the first world's 4
+    # shared across these two worlds would spell 4.0 as the first world's 4;
+    # the well-behaved Leave at 5 then grows {4.0}, which a cache keyed on
+    # the tomb's set alone would answer with the first world's {4, 5}
     qs, attack = load_fixture("fig1")
-    for sender, spelt in ((4, '"tomb":[4]}'), (4.0, '"tomb":[4.0]}')):
+    for sender, spelt in ((4, '"tomb":[4,5]}'), (4.0, '"tomb":[4.0,5]}')):
         world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0),
                                     adversary=ByzantineCheck(sender))
+        world.request(3, 5, ("Leave",))
         with fragments_checked() as tombs, snapshots_checked() as seen:
             world.run()
         assert seen["end"] == 1 and tombs["tomb"] > 0
