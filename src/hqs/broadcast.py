@@ -9,22 +9,30 @@ node echoes, readies and delivers at most one value.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .core import antichain, sorted_ids
 from .errors import DuplicateInstance
 from .sim import Node, canon_json
 
+class Adopted(tuple):
+    """Quorums, followers or active ids that a ``BrbNode`` keeps as it is: an
+    antichain in ``antichain`` order, or ids in ``sorted_ids`` order, in which
+    the node sends.  A node given any other iterable sorts it into that form."""
+
+
 class BrbNode(Node):
     def __init__(self, pid, quorums, followers=(), active=()):
         super().__init__(pid)
-        self.quorums = tuple(antichain(quorums))
-        self.followers = tuple(sorted_ids(followers))   # sorted once: sent to in order
-        self.active = tuple(sorted_ids(active))
+        self.quorums = quorums if type(quorums) is Adopted else tuple(antichain(quorums))
+        self.followers = followers if type(followers) is Adopted else tuple(sorted_ids(followers))
+        self.active = active if type(active) is Adopted else tuple(sorted_ids(active))
         self.sent_instances = set()
         self.echoed = {}     # instance -> value
         self.readied = {}    # instance -> value
         self.delivered = {}  # instance -> value
-        self.echo_votes = {}   # (instance, value) -> set of voters
-        self.ready_votes = {}  # (instance, value) -> set of voters
+        # (instance, value) -> set of voters; a vote makes its set only on a miss
+        self.echo_votes, self.ready_votes = defaultdict(set), defaultdict(set)
         self._spelt = [{}, {}, {}], ["{}"] * 3   # copies of delivered, echoed, readied; JSON
 
     def on_request(self, api, request):
@@ -42,12 +50,12 @@ class BrbNode(Node):
                 return  # only the instance owner may originate it
             self._echo(api, instance, value)
         elif tag == "Echo":   # a vote checks only its own set, checked as it grows
-            echoes = self.echo_votes.setdefault((instance, value), set())
+            echoes = self.echo_votes[instance, value]
             echoes.add(src)
             if instance not in self.readied and any(map(echoes.issuperset, self.quorums)):
                 self._ready(api, instance, value)
         elif tag == "Ready":
-            readies = self.ready_votes.setdefault((instance, value), set())
+            readies = self.ready_votes[instance, value]
             readies.add(src)
             if (instance not in self.readied and self.quorums
                     and not any(map(readies.isdisjoint, self.quorums))):
@@ -86,7 +94,14 @@ class BrbNode(Node):
     def state_json(self) -> str:
         """``canon_json(self.state_summary())``, a map spelt when it leaves its copy."""
         copies, spelt = self._spelt
-        for i, now in enumerate((self.delivered, self.echoed, self.readied)):
-            if now != copies[i]:
-                copies[i], spelt[i] = dict(now), canon_json({str(k): v for k, v in now.items()})
+        if self.delivered != copies[0]:
+            self._spell_map(0, self.delivered)
+        if self.echoed != copies[1]:
+            self._spell_map(1, self.echoed)
+        if self.readied != copies[2]:
+            self._spell_map(2, self.readied)
         return '{"delivered":%s,"echoed":%s,"readied":%s}' % tuple(spelt)
+
+    def _spell_map(self, i, now):
+        copies, spelt = self._spelt
+        copies[i], spelt[i] = dict(now), canon_json({str(k): v for k, v in now.items()})

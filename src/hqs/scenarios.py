@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from itertools import cycle, repeat
 
-from .broadcast import BrbNode
+from .broadcast import Adopted, BrbNode
 from .core import (
     QuorumSystem,
     add,
@@ -174,18 +174,21 @@ def probe_add_no_split(world):
 
 def probe_brb_consistency(world):
     """An instance delivered with two values, as (instance, deliverers).
-    The values delivered per instance grow in ``world.probe_state`` by the
-    nodes touched since the last flush (a delivery comes with a ``touch()``;
-    the first call reads every node), so only a conflict pays for the full
-    scan that picks the witness."""
-    first = "brb_values" not in world.probe_state
-    seen = world.probe_state.setdefault("brb_values", {})
-    for node in map(world.nodes.__getitem__, world.nodes if first else world.touched):
-        if isinstance(node, BrbNode):
-            for instance, value in node.delivered.items():
-                seen.setdefault(instance, set()).add(value)
-    if all(len(values) < 2 for values in seen.values()):
-        return None
+    ``world.probe_state`` keeps the value first delivered per instance, folding
+    in the nodes touched since the last flush (a delivery comes with a ``touch()``;
+    the first call reads every node).  A second value makes that map None for
+    good, a sticky clash flag: then every call runs the scan that picks the witness."""
+    state, first = world.probe_state, "brb_values" not in world.probe_state
+    seen = state.setdefault("brb_values", {})
+    if seen is not None:
+        for node in map(world.nodes.__getitem__, world.nodes if first else world.touched):
+            if isinstance(node, BrbNode):
+                for instance, value in node.delivered.items():
+                    old = seen.setdefault(instance, value)
+                    if old is not value and old != value:   # as a set tells them apart
+                        state["brb_values"] = None
+        if state["brb_values"] is not None:
+            return None
     per_instance = {}
     for pid, node in world.nodes.items():
         if not isinstance(node, BrbNode):
@@ -426,10 +429,21 @@ def make_discovery_world(qs, attack, policy, *, adversary=None, validq="oracle",
     return world
 
 
+@_per_system
+def _brb_parts(qs) -> tuple:
+    """What every broadcast world of ``qs`` starts from, derived once per system as
+    ``Adopted`` tuples: the active ids and each process's followers, sorted, and
+    each declarer's quorums as ``qs`` holds them, already antichains."""
+    return (Adopted(sorted_ids(qs.active)),
+            {p: Adopted(sorted_ids(fs)) for p, fs in followers_map(qs).items()},
+            {p: Adopted(decl) for p, decl in qs.quorum_map().items()})
+
+
 def make_brb_world(qs, attack, policy, *, adversary=None, step_cap=10_000):
-    fmap = followers_map(qs)
+    active, fmap, quorums = _brb_parts(qs)
+    # quorums_of raises for an active process that declares nothing
     return _world(qs, attack, policy, adversary, step_cap, lambda pid: BrbNode(
-        pid, qs.quorums_of(pid), followers=fmap.get(pid, ()), active=qs.active))
+        pid, quorums.get(pid) or qs.quorums_of(pid), followers=fmap.get(pid, ()), active=active))
 
 
 def current_system(world, base: QuorumSystem) -> QuorumSystem:

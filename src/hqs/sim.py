@@ -169,9 +169,9 @@ class Adversary:
     ``tob_order`` hints run out, ``pick_tob``.  Their defaults draw from
     ``world.rng``: the random-fair schedule, through ``rng._randbelow`` as
     ``randint(1, b)`` and ``randrange(n)`` draw, without their wrapper frames.
-    While ``delay`` or ``reorder`` is this class's own, the kernel makes its
-    draw inline instead of calling it; an overriding hook (a subclass's, an
-    instance attribute, a patch) is called for every message it covers.
+    While ``delay`` or ``reorder`` is this class's own, the kernel draws inline;
+    an overriding hook (a subclass's, an instance attribute, a patch) that the
+    world's first routed message finds is called for every message it covers.
     The kernel queues a message as a plain tuple, so each call of ``delay``,
     ``reorder`` or ``on_deliver`` gets an ``Envelope`` built for that call.
     """
@@ -219,6 +219,7 @@ _LINES = {kind: _line(kind, *fields) for kind, *fields in (
     ("tob_order", "step", "index", "src", "msg"), ("tob", "step", "dst", "index", "src", "msg"),
     ("request", "step", "node", "request"), ("response", "step", "node", "response"))}
 _ODD = (object(), None)   # an id that is not in a world's id map
+_NOWHERE = (None, None, _ODD, "frozen")   # a destination that no node or adversary owns
 _APL = {f: _LINES[f"apl/{f}" if f else "apl"][0] for f in (None, "byz", "frozen")}
 _TOB = _LINES["tob"][0]
 
@@ -308,6 +309,7 @@ class World:
         self._pending_tob = []
         self._tob_order = []        # (env, its index, payload and src as JSON or None)
         self._tob_hints = list(policy.tob_order)
+        self._router = None         # what _route reads, from its first message on
         self.touched = set()        # ids of nodes touched since the last flush
         # snapshot cache: each node's serialised entry, in str(pid) order
         self._slot = None           # pid -> (index into _fragments, '"pid":'), once started
@@ -403,15 +405,20 @@ class World:
         is called with an Envelope built for that call, not the queued tuple.
         ``pairs`` is read one pair at a time, and each
         pair is routed before the next is read, so draws that a generator
-        makes for a pair come right before that pair's delay draw.
+        makes for a pair come right before that pair's delay draw.  The hooks,
+        the bound and the rng are read once per world, at its first routed
+        message: a hook replaced after that is not seen.
         """
-        byz, adversary = self.attack.byzantine, self.adversary
-        delay, reorder = adversary.delay, adversary.reorder
-        # None for a hook whose draw the loop makes itself
-        delay = None if getattr(delay, "__func__", None) is _BASE_DELAY else delay
-        reorder = None if getattr(reorder, "__func__", None) is _BASE_REORDER else reorder
-        bound, getrandbits, steps = self.policy.fairness_bound, self.rng.getrandbits, self._steps
-        bits, step, queue, from_byz = bound.bit_length(), self.step, self._queue, src in byz
+        if self._router is None:   # None below for a hook whose draw the loop makes itself
+            delay, reorder = self.adversary.delay, self.adversary.reorder
+            bound = self.policy.fairness_bound
+            self._router = (
+                self.attack.byzantine,
+                None if getattr(delay, "__func__", None) is _BASE_DELAY else delay,
+                None if getattr(reorder, "__func__", None) is _BASE_REORDER else reorder,
+                bound, bound.bit_length(), self.rng.getrandbits, self._queue, self._steps)
+        byz, delay, reorder, bound, bits, getrandbits, queue, steps = self._router
+        step, from_byz = self.step, src in byz
         for dst, payload in pairs:
             byzantine = from_byz or dst in byz
             hook = delay if byzantine else reorder
@@ -514,6 +521,10 @@ class World:
         # each node's and Byzantine id that spells as JSON, spelt once: (id, its JSON)
         ids = {pid: (pid, spelt) for pid in chain(self.attack.byzantine, pids)
                if (spelt := _plain_json(pid)) is not None}
+        # per destination: its node, api, entry in ids and flag (None at a node: it may freeze)
+        targets = {b: (None, None, ids.get(b, _ODD), "byz") for b in self.attack.byzantine}
+        targets.update((pid, (self.nodes[pid], apis[pid], ids.get(pid, _ODD), None))
+                       for pid in pids)
         for pid in pids:
             self.nodes[pid].on_start(apis[pid])
         touched = self.touched
@@ -521,7 +532,7 @@ class World:
             self._flush_dirty()
         queue, steps, trace, tob_order = self._queue, self._steps, self.trace, self._tob_order
         record, write, blobs = trace.events.append, trace._lines.append, trace._blobs
-        byz, nodes, cap, processed = self.attack.byzantine, self.nodes, self.step_cap, 0
+        nodes, cap, processed = self.nodes, self.step_cap, 0
         # per node: the next tob index it takes, and the later ones that came first
         tob_next, tob_early = defaultdict(int), defaultdict(set)
         while steps and processed < cap:
@@ -534,18 +545,18 @@ class World:
                 processed += 1
                 if kind == "apl":
                     src, dst, msg = data
-                    node = None if dst in byz else nodes.get(dst)
-                    flag = ("frozen" if node.frozen else None) if node is not None else (
-                        "byz" if dst in byz else "frozen")
+                    node, api, (b, d), flag = targets.get(dst, _NOWHERE)
+                    if flag is None and node.frozen:
+                        flag = "frozen"
                     event = {"step": due, "kind": "apl", "src": src, "dst": dst, "msg": msg}
                     if flag:
                         event[flag] = True
                     record(event)
-                    (a, s), (b, d) = ids.get(src, _ODD), ids.get(dst, _ODD)
+                    a, s = ids.get(src, _ODD)
                     write(_APL[flag] % (d, blobs.get(id(msg)) or _blob(msg, blobs), s, at)
                           if a is src and b is dst else _spell(event, blobs))
                     if flag is None:
-                        node.on_message(apis[dst], src, msg)
+                        node.on_message(api, src, msg)
                     elif flag == "byz":
                         self.adversary.on_deliver(self, Envelope(src, dst, msg))
                 elif kind == "tob_seq":

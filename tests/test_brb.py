@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hqs import gen
 from hqs.broadcast import BrbNode
-from hqs.core import Attack, new_quorum_system, sorted_ids
+from hqs.core import (Attack, add, antichain, join, leave, new_quorum_system, remove, sorted_ids,
+                      system_from_json)
 from hqs.errors import DuplicateInstance, ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
 from hqs import scenarios
-from hqs.scenarios import BrbByzantine, make_brb_world, probe_brb_consistency
+from hqs.scenarios import (BrbByzantine, current_system, make_brb_world, make_reconfig_world,
+                           probe_brb_consistency)
 from hqs.sim import Adversary, SchedulePolicy
+from test_golden import GENERATED, NoEmptyDraws
 
 
 def run_brb(qs, attack, requests, *, seed=0, adversary=None):
@@ -282,3 +286,39 @@ def test_each_vote_checking_only_its_own_set_runs_as_rechecking_all_three():
             readied += sum(bool(n.readied) for n in world.nodes.values())
             delivered_any += bool(delivered(world, sender))
     assert readied and delivered_any   # the votes moved something
+
+
+# --- BRB nodes adopt the system's declarations as they are ---------------------------
+
+
+def assert_canonical(qs):
+    """Every declaration is a tuple of frozensets equal to its own antichain."""
+    for p, decl in qs.quorum_map().items():
+        assert type(decl) is tuple and {type(q) for q in decl} == {frozenset}, p
+        assert decl == antichain(decl), (p, decl)
+
+
+def generated_systems():
+    """(qs, attack) of the generator golden's seeds 0-49, for each generator it pins."""
+    for name, n_max in GENERATED:
+        for seed in range(50):
+            yield getattr(gen, name)(NoEmptyDraws(seed), n_max=n_max)[:2]
+
+
+def test_every_in_tree_constructor_keeps_each_declaration_its_own_antichain():
+    for qs, attack in generated_systems():
+        assert_canonical(qs)
+        assert_canonical(system_from_json(qs.to_json(attack))[0])
+        p = sorted_ids(qs.quorum_map())[0]
+        first = qs.quorums_of(p)[0]
+        newcomer = max(qs.universe) + 1
+        assert_canonical(join(qs, newcomer, [first | {newcomer}, qs.universe | {newcomer}]))
+        assert_canonical(leave(qs, p))
+        assert_canonical(add(qs, p, {p}))             # inside every quorum of p: they go
+        assert_canonical(add(qs, p, qs.universe))     # a superset: reduced away
+        assert_canonical(remove(qs, p, first))
+        wb = sorted_ids(qs.active & attack.well_behaved)
+        world = make_reconfig_world(qs, attack, SchedulePolicy(seed=0), step_cap=2_000)
+        world.request(1, wb[0], ("Leave",))
+        world.run()
+        assert_canonical(current_system(world, qs))

@@ -6,10 +6,12 @@ one handler of the otherwise unchanged protocol (nothing in ``src/``
 knows about it) and runs the population an acceptance criterion sweeps.
 """
 
+import json
 import random
 from itertools import islice
 from unittest import mock
 
+import oracles
 from hqs.broadcast import BrbNode
 from hqs.core import sorted_ids
 from hqs.gen import outlived_system
@@ -35,6 +37,9 @@ BUDGET = 400
 # criterion 11's worlds with a Byzantine sender; the hasty BRB delivery
 # first trips brb_consistency at world 1, and in 48 of the 100
 BRB_BUDGET = 10
+# the flushes after each world's first brb_consistency violation, summed
+# over those BRB_BUDGET worlds under the hasty delivery (1 in world 1, 2 in world 2)
+BRB_FLUSHES_PAST_A_CLASH = 3
 
 
 def criterion_05_worlds():
@@ -123,3 +128,25 @@ def test_a_brb_delivery_on_one_ready_breaks_consistency_within_the_budget():
     assert first is not None, f"the hasty delivery broke no consistency in {BRB_BUDGET} worlds"
     # the same world run by the unchanged protocol trips nothing
     assert probes_tripped(next(islice(criterion_11_byzantine_worlds(), first, None))) == set()
+
+
+def test_the_brb_probe_reports_the_full_scan_witness_past_the_first_clash():
+    # a clash persists (a delivery is never taken back), so each flush after
+    # the first violation must report it again, as a scan of every node does
+    past = 0
+    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+        for world in islice(criterion_11_byzantine_worlds(), BRB_BUDGET):
+            got = []
+
+            def checked(world):
+                witness = probe_brb_consistency(world)
+                assert json.dumps(witness) == json.dumps(oracles.oracle_brb_consistency(world))
+                got.append(witness)
+                return witness
+
+            world.probes[:] = [("brb_consistency", checked)]
+            world.run()
+            first = next((i for i, witness in enumerate(got) if witness is not None), len(got))
+            assert None not in got[first:]
+            past += len(got[first + 1:])
+    assert past == BRB_FLUSHES_PAST_A_CLASH > 0

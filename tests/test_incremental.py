@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hqs import props, scenarios
-from hqs.core import Attack, new_quorum_system, sorted_ids, sorted_quorums
+from hqs.broadcast import Adopted, BrbNode
+from hqs.core import Attack, followers, new_quorum_system, sorted_ids, sorted_quorums
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
 from hqs.reconfig import _EMPTY, AC, PC, ReconfigNode, _check_passes
@@ -45,6 +46,7 @@ from hqs.scenarios import (
     run_scenario,
 )
 from hqs.sim import Adversary, NodeApi, SchedulePolicy, World, canon_json, fingerprint
+from test_brb import generated_systems
 from test_controls import criterion_05_worlds, probes_tripped, tomb_blind
 
 
@@ -368,6 +370,35 @@ def test_a_world_built_after_a_run_starts_from_the_system_not_the_run(system_see
                for pid in reused.nodes)
 
 
+def raw_brb_world(qs, attack, policy, adversary):
+    """A world of BrbNodes built from unsorted iterables of sets and ids."""
+    world = World(attack, policy, adversary=adversary)
+    for pid in sorted_ids(qs.active & attack.well_behaved):
+        world.add_node(BrbNode(pid, [set(q) for q in reversed(qs.quorums_of(pid))],
+                               followers=list(reversed(sorted_ids(followers(qs, pid)))),
+                               active=set(qs.active)))
+    return world
+
+
+def test_a_node_of_make_brb_world_is_the_node_built_from_raw_iterables():
+    # ids spelt as strs order neither numerically nor, under a random hash
+    # seed, as a set iterates; the adopted tuples must be sorted as the raw ones
+    for i, (qs, attack) in enumerate(generated_systems()):
+        qs, attack, _ = respelt(qs, attack, (), SPELLINGS[("int", "str", "mixed")[i % 3]])
+        byz = sorted_ids(attack.byzantine)
+        worlds = [build(qs, attack, SchedulePolicy(seed=i),
+                        adversary=BrbByzantine(sender=byz[0] if byz else None))
+                  for build in (make_brb_world, raw_brb_world)]
+        assert isinstance(worlds[0].nodes[sorted_ids(worlds[0].nodes)[0]].active, Adopted)
+        for world in worlds:
+            world.request(1, sorted_ids(world.nodes)[0], ("Broadcast", "v"))
+        traces = [world.run().to_jsonl() for world in worlds]
+        assert traces[0] == traces[1]
+        adopted, raw = ({pid: (node.quorums, node.followers, node.active, node.state_json())
+                         for pid, node in world.nodes.items()} for world in worlds)
+        assert adopted == raw
+
+
 def test_a_finished_world_is_freed_without_the_cycle_collector():
     # the kernel's per-node api handles point at the world: kept on the
     # world they would form a cycle that only the collector frees
@@ -476,6 +507,27 @@ def test_a_patched_base_reorder_is_asked_once_per_well_behaved_message(system_se
     byz = world.attack.byzantine
     well_behaved = [m for m in routed(world, trace) if byz.isdisjoint(m)]
     assert reorder.call_count == len(well_behaved) > 0
+
+
+@pytest.mark.parametrize("system_seed", (4, 5, 6, 7, 9))   # systems with a Byzantine id
+def test_a_delay_set_on_the_adversary_before_run_is_asked_for_every_byzantine_message(
+        system_seed):
+    # the router reads its hooks at the world's first routed message, in run()
+    want = brb_world(system_seed, 1, byzantine=HookedBrbByzantine).run()
+    world = brb_world(system_seed, 1)
+    asked = []
+    base = world.adversary.delay
+
+    def delay(world, env):
+        asked.append((env.src, env.dst))
+        return base(world, env)
+
+    world.adversary.delay = delay
+    trace = world.run()
+    assert trace.to_jsonl() == want.to_jsonl()
+    byz = world.attack.byzantine
+    touching = Counter(m for m in routed(world, trace) if not byz.isdisjoint(m))
+    assert Counter(asked) == touching and touching   # routed and delivered in other orders
 
 
 # --- probes -------------------------------------------------------------------
