@@ -41,7 +41,7 @@ from .props import (
     inclusion_witness,
 )
 from .reconfig import AC, PC, ReconfigNode, kept_quorums, spell_pairs
-from .sim import Adversary, SchedulePolicy, World, canon
+from .sim import Adversary, SchedulePolicy, World, canon, draws
 from .fixtures import resolve_system
 
 SCENARIO_NAMES = (
@@ -309,7 +309,7 @@ class CheckSpammer(Adversary):
         wb = sorted_ids(world.well_behaved)
         for b in sorted_ids(world.attack.byzantine):
             if wb:
-                x = wb[world.rng.randrange(len(wb))]
+                x = wb[next(draws(world.rng, len(wb)))]
                 world.adversary_tob(b, ("LeaveCheck", (frozenset({b, x}),)))
                 world.adversary_tob(b, ("LeaveCheck", (frozenset({b}),)))
 
@@ -339,7 +339,8 @@ class BrbByzantine(Adversary):
 
     def on_init(self, world):
         self.pids = sorted_ids(world.nodes)   # fixed once the world runs
-        if self.sender is None or self.sender not in world.attack.byzantine:
+        self._coin, self._pick = world.rng.random, draws(world.rng, len(self.values)).__next__
+        if self.sender is None:   # a well-behaved sender is the kernel's ForgedSender
             return
         sends = [("Send", self.sender, value) for value in self.values]
         world.adversary_send_all(self.sender, zip(self.pids, cycle(sends)))
@@ -348,20 +349,16 @@ class BrbByzantine(Adversary):
         if not self.fake_votes or env.payload[0] not in ("Echo", "Ready", "Send"):
             return
         # a generator: each vote's draws come right before its delay draw
-        world.adversary_send_all(env.dst, self._votes(world.rng, env.payload[1]))
+        world.adversary_send_all(env.dst, self._votes(env.payload[1]))
 
-    def _votes(self, rng, instance):
-        """(pid, fake Ready) of each pid drawing ``random() < 0.3``; its value is drawn as
-        ``randrange(len(values))``, through ``_randbelow``'s rejection loop over getrandbits."""
+    def _votes(self, instance):
+        """(pid, fake Ready) of each pid whose coin, ``random()``, reads below 0.3;
+        its value is the next of ``draws(rng, len(values))``."""
         readies = [("Ready", instance, value) for value in self.values]
-        random, getrandbits, n = rng.random, rng.getrandbits, len(readies)
-        bits = n.bit_length()
+        coin, pick = self._coin, self._pick
         for p in self.pids:
-            if random() < 0.3:
-                r = getrandbits(bits)
-                while r >= n:
-                    r = getrandbits(bits)
-                yield p, readies[r]
+            if coin() < 0.3:
+                yield p, readies[pick()]
 
 
 ADVERSARIES = {
@@ -523,6 +520,9 @@ _ADVERSARY_ARGS = {
     "fake_votes": lambda v, path: expect(v, path, "a boolean", bool),
     "declarations": quorum_decls,
 }
+# the arguments that name a process to act as or to send to, each an adversary attribute
+_PROCESS_ARGS = ("byz_id", "sender", "fake_target", "dupe_target", "q_c", "success_first",
+                 "declarations")
 
 
 def _adversary(adv_spec) -> Adversary:
@@ -650,10 +650,17 @@ def run_scenario(spec, seed_override=None):
         if request[0] == "Add" and not request[1] <= members:
             raise ScenarioError(f"requests[{i}].quorum: {sorted_ids(request[1] - members)} "
                                 f"are not active, Byzantine or joining processes")
+    known = qs.universe | joiners
     for i, pid in enumerate(policy.tob_order):   # a hint no process can meet is a typo
-        if pid not in qs.universe and pid not in joiners:
+        if pid not in known:
             raise ScenarioError(f"policy.tob_order[{i}]: {pid!r} is not a process "
                                 f"of this system")
+    for key in _PROCESS_ARGS:   # a script acting as, or sending to, no process would idle
+        named = getattr(adversary, key, None)
+        outside = set(named if isinstance(named, (frozenset, tuple, dict)) else (named,)) - known
+        if named is not None and outside:
+            raise ScenarioError(f"adversary.args.{key}: {sorted_ids(outside)} name no "
+                                f"process of this system")
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,

@@ -39,6 +39,22 @@ class SchedulePolicy:
             raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
 
 
+def draws(rng, n):
+    """Endless uniform draws from ``range(n)``, each made when asked for, by the
+    stdlib's rejection loop over ``rng.getrandbits``: every bounded schedule draw."""
+    if n < 1:   # getrandbits(0) is 0, never below 0: the loop would never end
+        raise ValueError(f"draws: empty range below {n!r}")
+    return _draws(rng.getrandbits, n, n.bit_length())
+
+
+def _draws(getrandbits, n, bits):
+    while True:
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        yield r
+
+
 @dataclass(frozen=True)
 class Signature:
     signer: object
@@ -167,9 +183,9 @@ class Adversary:
     their behalf and sees every message addressed to them.  It also makes
     every schedule choice: ``delay``, ``reorder`` and, once the policy's
     ``tob_order`` hints run out, ``pick_tob``.  Their defaults draw from
-    ``world.rng``: the random-fair schedule, through ``rng._randbelow`` as
-    ``randint(1, b)`` and ``randrange(n)`` draw, without their wrapper frames.
-    While ``delay`` or ``reorder`` is this class's own, the kernel draws inline;
+    ``world.rng`` through ``draws``: the random-fair schedule.  A delay is ``1 +``
+    the world's next draw below the bound; while ``delay`` or ``reorder`` is this
+    class's own, the kernel takes that delay itself;
     an overriding hook (a subclass's, an instance attribute, a patch) that the
     world's first routed message finds is called for every message it covers.
     The kernel queues a message as a plain tuple, so each call of ``delay``,
@@ -187,18 +203,18 @@ class Adversary:
 
     def delay(self, world, env) -> Optional[int]:
         """Delay for a message touching a Byzantine endpoint; None drops it."""
-        return 1 + world.rng._randbelow(world.policy.fairness_bound)
+        return 1 + world._below_bound()
 
     def reorder(self, world, env) -> int:
         """Delay for well-behaved traffic, clamped to [1, fairness_bound]."""
-        return 1 + world.rng._randbelow(world.policy.fairness_bound)
+        return 1 + world._below_bound()
 
     def pick_tob(self, world, pending) -> int:
         """Index into ``pending`` of the broadcast to sequence; out of range is 0."""
-        return world.rng._randbelow(len(pending))
+        return next(draws(world.rng, len(pending)))
 
 
-# the base hooks, whose draw ``World._route`` makes inline
+# the base hooks, whose delay ``World._route`` takes itself
 _BASE_DELAY, _BASE_REORDER = Adversary.delay, Adversary.reorder
 
 
@@ -297,6 +313,7 @@ class World:
         self.adversary = adversary or Adversary()
         self.step_cap = step_cap
         self.rng = random.Random(policy.seed)
+        self._below_bound = draws(self.rng, policy.fairness_bound).__next__   # a delay is 1 + it
         self.step = 0
         self.nodes = {}
         self.trace = Trace()
@@ -400,33 +417,28 @@ class World:
         (None drops it), any other by ``adversary.reorder``, clamped to
         [1, fairness_bound]; each is queued as ``("apl", (src, dst, payload))``
         at its step.  A hook that is ``Adversary``'s own is not called: the
-        loop makes its draw, ``1 + rng._randbelow(fairness_bound)``, through
-        ``_randbelow``'s rejection loop over ``getrandbits``.  Any other hook
+        loop takes its delay, ``1 + _below_bound()``, itself.  Any other hook
         is called with an Envelope built for that call, not the queued tuple.
         ``pairs`` is read one pair at a time, and each
         pair is routed before the next is read, so draws that a generator
-        makes for a pair come right before that pair's delay draw.  The hooks,
-        the bound and the rng are read once per world, at its first routed
+        makes for a pair come right before that pair's delay draw.  The hooks
+        and the bound are read once per world, at its first routed
         message: a hook replaced after that is not seen.
         """
         if self._router is None:   # None below for a hook whose draw the loop makes itself
             delay, reorder = self.adversary.delay, self.adversary.reorder
-            bound = self.policy.fairness_bound
             self._router = (
                 self.attack.byzantine,
                 None if getattr(delay, "__func__", None) is _BASE_DELAY else delay,
                 None if getattr(reorder, "__func__", None) is _BASE_REORDER else reorder,
-                bound, bound.bit_length(), self.rng.getrandbits, self._queue, self._steps)
-        byz, delay, reorder, bound, bits, getrandbits, queue, steps = self._router
+                self.policy.fairness_bound, self._below_bound, self._queue, self._steps)
+        byz, delay, reorder, bound, below, queue, steps = self._router
         step, from_byz = self.step, src in byz
         for dst, payload in pairs:
             byzantine = from_byz or dst in byz
             hook = delay if byzantine else reorder
             if hook is None:
-                r = getrandbits(bits)
-                while r >= bound:
-                    r = getrandbits(bits)
-                due = step + 1 + r
+                due = step + 1 + below()
             else:
                 due = hook(self, Envelope(src, dst, payload))
                 if due is None and byzantine:
@@ -473,15 +485,12 @@ class World:
         self._write({"step": self.step, "kind": "tob_order", "index": index, "src": env.src,
                      "msg": env.payload}, "tob_order", *spelt, repr(self.step))
         self.adversary.on_tob(self, index, env)
-        step, bound, getrandbits = self.step + 1, self.policy.fairness_bound, self.rng.getrandbits
-        bits, queue, steps = bound.bit_length(), self._queue, self._steps
-        for pid in pids:   # randint(1, bound), queued as _route queues
-            r = getrandbits(bits)
-            while r >= bound:
-                r = getrandbits(bits)
-            if step + r not in queue:
-                heapq.heappush(steps, step + r)
-            queue[step + r].append(("tob_dlv", (pid, index)))
+        step, below, queue, steps = self.step + 1, self._below_bound, self._queue, self._steps
+        for pid in pids:   # a delay of 1 + a draw below the bound, queued as _route queues
+            due = step + below()
+            if due not in queue:
+                heapq.heappush(steps, due)
+            queue[due].append(("tob_dlv", (pid, index)))
         if self._pending_tob:
             self._push(self.step + 1, "tob_seq", None)
 

@@ -327,6 +327,22 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
     # the request unanswered and the run passed
     ({"requests": [{"at": 1, "node": 2, "op": "Add", "quorum": [2, 99]}]},
      "requests[0].quorum"),
+    # a script that acts as, or sends to, a process outside the system ran idle and passed
+    ({"protocol": "brb", "adversary": {"name": "brb_byzantine", "args": {"sender": 99}}},
+     "adversary.args.sender"),
+    ({"system": "fig2", "protocol": "discovery", "adversary": {
+        "name": "sink_deceiver", "args": {"fake_target": 99, "dupe_target": 98}}},
+     "adversary.args.fake_target"),
+    ({"system": "fig2", "protocol": "discovery", "adversary": {
+        "name": "sink_deceiver", "args": {"dupe_target": 98}}}, "adversary.args.dupe_target"),
+    ({"adversary": {"name": "sink_deceiver", "args": {"byz_id": 99}}}, "adversary.args.byz_id"),
+    ({"adversary": {"name": "add_equivocator", "args": {"byz_id": 4, "q_c": [2, 99]}}},
+     "adversary.args.q_c"),
+    ({"adversary": {"name": "add_equivocator",
+                    "args": {"byz_id": 4, "q_c": [2, 3], "success_first": [99]}}},
+     "adversary.args.success_first"),
+    ({"adversary": {"name": "join_responder", "args": {"declarations": {"99": [[99]]}}}},
+     "adversary.args.declarations"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):
@@ -336,6 +352,22 @@ def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_pat
     code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code == 2 and "PASS" not in out
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"system": "fig2", "protocol": "discovery",
+     "adversary": {"name": "sink_deceiver", "args": {"byz_id": 2}}},
+    # the sender's Sends are routed whether or not a Broadcast request runs
+    {"protocol": "brb", "adversary": {"name": "brb_byzantine", "args": {"sender": 2}}},
+    {"protocol": "brb", "adversary": {"name": "brb_byzantine", "args": {"sender": 2}},
+     "requests": [{"at": 1, "node": 3, "op": "Broadcast", "value": "m"}]},
+], ids=["sink_deceiver", "brb_byzantine", "brb_byzantine-broadcast"])
+def test_a_script_acting_as_a_well_behaved_process_is_refused(capsys, tmp_path, spec):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"system": "fig1", "policy": {"seed": 0}, **spec}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 2 and "PASS" not in out
+    assert err == "error: adversary cannot send as well-behaved 2\n"
 
 
 def test_an_add_naming_an_inactive_process_is_an_input_error(capsys, tmp_path):
@@ -404,6 +436,7 @@ def test_scenario_keys_that_passed_vacuously_are_input_errors(capsys, tmp_path,
     ("discovery_fig2_deceive", {"validq": "threshold"}),
     # a Byzantine id is a process of the system too
     ("ac_leave_fig1", {"policy": {"seed": 0, "tob_order": [4, 5]}}),
+    ("brb_honest_fig1", {"adversary": {"name": "brb_byzantine", "args": {"sender": 4}}}),
 ])
 def test_scenario_keys_with_a_valid_value_still_run(capsys, tmp_path, name, change):
     scenario = tmp_path / "s.json"
@@ -430,6 +463,17 @@ def test_a_scripted_tob_order_may_name_a_process_that_joins(capsys, tmp_path):
         "system": "fig1", "policy": {"seed": 0, "tob_order": [9, 5]},
         "requests": [{"at": 1, "node": 9, "op": "Join", "seed_set": [2]},
                      {"at": 1, "node": 5, "op": "Leave"}]}))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert code in (0, 1) and not err
+
+
+def test_an_adversary_may_send_to_a_process_that_joins(capsys, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "system": "fig1", "policy": {"seed": 0},
+        "adversary": {"name": "sink_deceiver",
+                      "args": {"byz_id": 4, "fake_target": 9, "dupe_target": 2}},
+        "requests": [{"at": 1, "node": 9, "op": "Join", "seed_set": [2]}]}))
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code in (0, 1) and not err
 

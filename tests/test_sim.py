@@ -1,6 +1,7 @@
 import random
 from collections import Counter, namedtuple
 from itertools import repeat
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from hqs import sim
 from hqs.core import Attack, id_key, sorted_ids
 from hqs.errors import ForgedSender, ForgedSigner, ScenarioError
 from hqs.fixtures import load_fixture
-from hqs.scenarios import BrbByzantine, make_brb_world
+from hqs.scenarios import SCENARIO_NAMES, BrbByzantine, make_brb_world, run_scenario
 from hqs.sim import (
     Adversary,
     Envelope,
@@ -23,6 +24,7 @@ from hqs.sim import (
     World,
     canon,
     canon_json,
+    draws,
     fingerprint,
 )
 
@@ -340,11 +342,32 @@ def test_tob_order_hints_come_before_pick_tob():
     assert picker.asked == [[2, 3], [3]]
 
 
-# The schedule's bounded draws call ``rng._randbelow`` directly.  Each must
-# make the draws of ``randint(1, b)`` or ``randrange(n)``, so that a change in
-# ``random`` fails here by name rather than in every golden digest at once.
+# Every bounded schedule draw comes from ``sim.draws``, which copies the stdlib's
+# rejection loop.  Each must make the draws of ``randint(1, b)`` or ``randrange(n)``,
+# so that a change in ``random`` fails here by name rather than in every golden
+# digest at once.
 DRAW_SEEDS = (0, 1, 7)
 BOUNDS = range(1, 65)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draws_makes_what_randrange_makes_and_draws_nothing_ahead(seed):
+    for n in BOUNDS:
+        rng, ref = random.Random(seed), random.Random(seed)
+        below = draws(rng, n).__next__
+        # a random() between two draws reads what it reads between two randrange calls
+        got = [(below(), rng.random()) for _ in range(20)]
+        assert got == [(ref.randrange(n), ref.random()) for _ in range(20)], n
+
+
+@pytest.mark.parametrize("n", [0, -1, -64])
+def test_draws_from_an_empty_range_raises_as_randrange_does(n):
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(n)
+    with pytest.raises(ValueError):   # at the call, before any draw
+        draws(rng, n)
+    assert rng.random() == random.Random(0).random()   # nothing was drawn
 
 
 def bounded_world(seed, bound, adversary=None, pids=()):
@@ -426,6 +449,44 @@ def test_brb_byzantine_picks_the_value_randrange_picks(seed):
                 want.append(values[ref.randrange(n)])
                 ref.randint(1, 6)   # the fake vote's delay
         assert got == want, n
+
+
+class StrictRandom(random.Random):
+    """A ``random.Random`` whose bounded draws raise: only ``random()`` and
+    ``getrandbits``, which ``sim.draws`` calls, are left."""
+
+    def _refused(self, *args, **kwargs):
+        raise AssertionError("a bounded draw made outside sim.draws")
+
+    _randbelow = randrange = randint = choice = sample = shuffle = _refused
+
+
+# the shipped scenarios, a CheckSpammer Leave world (it draws a target and its
+# broadcasts reach pick_tob) and a BrbByzantine world whose fake votes draw values
+ONE_CHOICE_POINT = [*SCENARIO_NAMES, {
+    "system": "fig1", "policy": {"seed": 3}, "adversary": "check_spammer",
+    "requests": [{"at": 1, "node": 5, "op": "Leave"}], "probes": ["intersection"]}, {
+    "system": "fig1", "protocol": "brb", "policy": {"seed": 1, "fairness_bound": 3},
+    "adversary": {"name": "brb_byzantine", "args": {"sender": 4, "values": ["u", "v", "w"]}},
+    "requests": [{"at": 1, "node": 2, "op": "Broadcast", "value": "m"}],
+    "probes": ["brb_consistency"]}]
+
+
+@pytest.mark.parametrize("spec", ONE_CHOICE_POINT,
+                         ids=[*SCENARIO_NAMES, "check_spammer", "brb_byzantine"])
+def test_every_schedule_draw_goes_through_draws(spec):
+    _, trace, _ = run_scenario(spec)
+    # the systems are fixtures, so only the worlds' rngs are swapped
+    with mock.patch.object(sim, "random", SimpleNamespace(Random=StrictRandom)):
+        world, strict, _ = run_scenario(spec)
+    assert type(world.rng) is StrictRandom
+    assert strict.to_jsonl() == trace.to_jsonl()
+    events = trace.events
+    if spec == ONE_CHOICE_POINT[-2]:   # the spammer's broadcasts reach pick_tob
+        assert any(e["kind"] == "tob_order" for e in events)
+    if spec == ONE_CHOICE_POINT[-1]:   # fake votes draw their values
+        assert sum(e["kind"] == "apl" and e["src"] == 4 and e["msg"][0] == "Ready"
+                   for e in events) > 1
 
 
 class HookRecorder(Adversary):
