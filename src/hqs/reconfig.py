@@ -31,7 +31,7 @@ AC = "ac"
 PC = "pc"
 
 _EMPTY = frozenset()
-_FROZENSET = frozenset({frozenset})
+_CHECK_TAGS = frozenset({"LeaveCheck", "RemoveCheck"})
 # a ReconfigNode's snapshot fragment: its summary's keys in sorted order
 _FRAGMENT = '{"Q":%s,"frozen":%s,"tentative":%s,"tomb":%s}'
 
@@ -91,7 +91,7 @@ class ReconfigNode(Node):
     """``quorums`` is an iterable of quorums, or a ``Kept`` to adopt as it is."""
 
     def __init__(self, pid, quorums, followers=(), in_sink=None, mode=AC,
-                 combined_checks=True):
+                 combined_checks=True, verdicts=None):
         super().__init__(pid)
         # no touch(): run()'s first snapshot serialises a new node anyway
         self.quorums, self.sorted_q, self._q_json = (
@@ -102,6 +102,7 @@ class ReconfigNode(Node):
         self.combined_checks = combined_checks
         self.tomb = set()
         self._tomb = ("[]", _EMPTY)       # the tomb's JSON and the tomb frozen
+        self._verdicts = {} if verdicts is None else verdicts   # shared by a world's nodes
         self.tentative = set()            # (requester, q_c) pairs
         self.failed = {}                  # (requester, q_c) -> set of Fail senders
         self.succeeded = {}               # (requester, q_c) -> bool
@@ -208,22 +209,27 @@ class ReconfigNode(Node):
 
     def on_tob(self, api, src, payload):
         """The tob-ordered Check: every pair's intersection, minus the
-        requester and the tomb, must still block the requester."""
-        tag = payload[0]
-        if tag not in ("LeaveCheck", "RemoveCheck"):
+        requester and the tomb, must still block the requester.  A world's nodes
+        share one (payload, src, grown tomb, verdict) per payload and src (kept
+        there, so keyed by identity), tentative quorums and tomb (typed by its JSON)."""
+        if payload[0] not in _CHECK_TAGS:
             return
-        declared = payload[-1]   # a well-behaved requester's is a tuple of frozensets
-        if type(declared) is not tuple or not _FROZENSET.issuperset(map(type, declared)):
-            declared = tuple(map(frozenset, declared))
         extra = (frozenset(q for _, q in self.tentative)
                  if self.combined_checks and self.tentative else _EMPTY)
-        grown = _grown(self._frozen_tomb(), src)   # shared by every node
-        if not _check_passes(declared, extra, grown[1]):
+        # _frozen_tomb()'s test made inline: no frame unless a write outside a Check
+        tomb = self._tomb if self.tomb == self._tomb[1] else self._frozen_tomb()
+        key = (id(payload), id(src), extra, tomb)
+        seen = self._verdicts.get(key)
+        if seen is None:   # the first node of the world to meet it; list quorums read as sets
+            grown = _grown(tomb, src)
+            seen = self._verdicts[key] = (payload, src, grown, _check_passes(
+                tuple(map(frozenset, payload[-1])), extra, grown[1]))
+        if not seen[3]:
             if src == self.pid:   # its own Check: its request is still pending
                 self._finish(api, self.pending[0] + "Fail")
             return
         self.tomb.add(src)
-        self._tomb = grown
+        self._tomb = seen[2]
         self.touch()
         if src == self.pid:
             self._depart(api)

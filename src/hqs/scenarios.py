@@ -68,7 +68,10 @@ class _QuorumView:
     replaces that tuple only with a ``touch()``, so only the touched nodes
     are compared again, by identity.  Nothing is changed in place: a move
     replaces the dict (copy on write), bumps ``version`` and keeps the
-    moved pids in ``moved``; ``left`` too is replaced only when it changes.
+    moved pids in ``moved``; ``left`` too is replaced only when it changes,
+    and ``key``, (version, left), with either.  A probe refreshes the view
+    once per flush and at each call outside one: ``refresh`` stamps ``flush``
+    with ``world.probing``, the flush whose probes run, or None outside one.
     """
 
     def __init__(self, world):
@@ -77,25 +80,21 @@ class _QuorumView:
                         if pid in wb and isinstance(node, ReconfigNode)}
         self.left = frozenset(world.l_set)
         self.version, self.moved = 0, frozenset()
+        self.key, self.flush = (0, self.left), world.probing or None
 
-
-def _view(world) -> _QuorumView:
-    """The world's probe view, brought up to date: only the touched nodes
-    are compared again, so the later probes of a flush find nothing moved."""
-    view = world.probe_state.get(_QuorumView)
-    if view is None:   # a probe reads first once the world runs, so its nodes are fixed
-        view = world.probe_state[_QuorumView] = _QuorumView(world)
-        return view
-    moved, quorums, nodes = {}, view.quorums, world.nodes
-    for pid in world.touched:   # a loop, not a comprehension: no frame per call
-        if pid in quorums and nodes[pid].sorted_q is not quorums[pid]:
-            moved[pid] = nodes[pid].sorted_q
-    if moved:
-        view.quorums, view.moved = {**quorums, **moved}, frozenset(moved)
-        view.version += 1
-    if world.l_set != view.left:
-        view.left = frozenset(world.l_set)
-    return view
+    def refresh(self, world):
+        moved, quorums, nodes = {}, self.quorums, world.nodes
+        for pid in world.touched:   # a loop, not a comprehension: no frame per call
+            if pid in quorums and nodes[pid].sorted_q is not quorums[pid]:
+                moved[pid] = nodes[pid].sorted_q
+        if moved:
+            self.quorums, self.moved = {**quorums, **moved}, frozenset(moved)
+            self.version += 1
+        if world.l_set != self.left:
+            self.left = frozenset(world.l_set)
+        if moved or self.left is not self.key[1]:
+            self.key = (self.version, self.left)
+        self.flush = world.probing or None
 
 
 def _tentative(world) -> tuple:
@@ -109,17 +108,23 @@ def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
     changed)`` only when those inputs differ from the ones its last result
     was computed from; an unchanged violation is returned (and so recorded)
     again.  ``left`` is None unless ``reads_left``, ``tentative`` None unless
-    ``reads_tentative``.  A view is one world's, so a hit compares the view,
-    its version and ``left``.  After a clean result, ``changed`` names whose
-    quorums moved (at most one version ago) if nothing else did but, where
-    ``left_weakens``, a growing ``left``; else it is None.  ``check`` looks
-    its checker up when it runs."""
-    last_view = last_version = last_left = last_tentative = last_result = None
+    ``reads_tentative``.  A view is one world's, so unless ``tentative`` is
+    read a hit is one identity test on its ``key``, before any input is built.
+    After a clean result, ``changed`` names whose quorums moved (at most one
+    version ago) if nothing else did but, where ``left_weakens``, a growing
+    ``left``; else it is None.  ``check`` looks its checker up when it runs."""
+    last_key = last_view = last_version = last_left = last_tentative = last_result = None
 
     def fn(world):
-        nonlocal last_view, last_version, last_left, last_tentative, last_result
-        view = _view(world)
-        left = view.left if reads_left else None
+        nonlocal last_key, last_view, last_version, last_left, last_tentative, last_result
+        view = world.probe_state.get(_QuorumView)
+        if view is None:   # a probe reads first once the world runs, so its nodes are fixed
+            view = world.probe_state[_QuorumView] = _QuorumView(world)
+        elif view.flush != world.probing:
+            view.refresh(world)
+        if view.key is last_key and not reads_tentative:
+            return last_result
+        last_key, left = view.key, view.left if reads_left else None
         tentative = _tentative(world) if reads_tentative else None
         same = view is last_view and tentative == last_tentative
         if same and view.version == last_version and left is last_left:
@@ -398,14 +403,15 @@ def make_reconfig_world(qs, attack, policy, *, mode=AC, combined_checks=True,
                         joiners=()):
     sink = sink_members(qs) if sink_info == "oracle" else None
     fmap, kept = _reconfig_parts(qs)
+    verdicts = {}   # the Check verdicts the world's nodes share
     # quorums_of raises for an active process that declares nothing
     world = _world(qs, attack, policy, adversary, step_cap, lambda pid: ReconfigNode(
         pid, kept.get(pid) or qs.quorums_of(pid), followers=fmap.get(pid, ()),
         in_sink=(pid in sink) if sink is not None else None,
-        mode=mode, combined_checks=combined_checks))
+        mode=mode, combined_checks=combined_checks, verdicts=verdicts))
     for pid in sorted_ids(joiners):
         world.add_node(ReconfigNode(pid, (), mode=mode,
-                                    combined_checks=combined_checks))
+                                    combined_checks=combined_checks, verdicts=verdicts))
     return world
 
 
@@ -661,6 +667,10 @@ def run_scenario(spec, seed_override=None):
         if named is not None and outside:
             raise ScenarioError(f"adversary.args.{key}: {sorted_ids(outside)} name no "
                                 f"process of this system")
+    idle = sorted_ids(set(getattr(adversary, "declarations", ())) - attack.byzantine)
+    if idle:   # a JoinResponder sees only the probes sent to Byzantine ids
+        raise ScenarioError(f"adversary.args.declarations.{idle[0]}: {idle[0]!r} is "
+                            f"well-behaved; the script answers only for Byzantine processes")
 
     if protocol == "discovery":
         world = make_discovery_world(qs, attack, policy, adversary=adversary,

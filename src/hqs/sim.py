@@ -328,6 +328,7 @@ class World:
         self._tob_hints = list(policy.tob_order)
         self._router = None         # what _route reads, from its first message on
         self.touched = set()        # ids of nodes touched since the last flush
+        self.flushes = self.probing = 0   # state events so far; the flush whose probes run
         # snapshot cache: each node's serialised entry, in str(pid) order
         self._slot = None           # pid -> (index into _fragments, '"pid":'), once started
         self._fragments = []
@@ -614,7 +615,9 @@ class World:
 
     def _flush_dirty(self):
         """Probes, then a ``state`` event (its digest is hex); only when a node was touched."""
+        self.probing = self.flushes = self.flushes + 1   # the probes of a flush may share work
         self._run_probes()      # probes may read touched before it is cleared
+        self.probing = 0
         snap = self._snapshot_digest()
         self._write({"step": self.step, "kind": "state", "snap": snap},
                     "state", f'"{snap}"', repr(self.step))

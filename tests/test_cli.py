@@ -343,6 +343,14 @@ def test_malformed_system_file_is_input_error_naming_the_field(capsys, tmp_path,
      "adversary.args.success_first"),
     ({"adversary": {"name": "join_responder", "args": {"declarations": {"99": [[99]]}}}},
      "adversary.args.declarations"),
+    # a script answers only the probes sent to a Byzantine id: one declaring for
+    # a well-behaved or a joining process idled and the run passed
+    ({"adversary": {"name": "join_responder",
+                    "args": {"declarations": {"4": [[4]], "3": [[2, 3]]}}}},
+     "adversary.args.declarations.3"),
+    ({"adversary": {"name": "join_responder", "args": {"declarations": {"9": [[1, 9]]}}},
+      "requests": [{"node": 9, "op": "Join", "seed_set": [4]}]},
+     "adversary.args.declarations.9"),
 ])
 def test_malformed_scenario_file_is_input_error_naming_the_field(capsys, tmp_path,
                                                                  spec, path):
@@ -368,6 +376,23 @@ def test_a_script_acting_as_a_well_behaved_process_is_refused(capsys, tmp_path, 
     code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
     assert code == 2 and "PASS" not in out
     assert err == "error: adversary cannot send as well-behaved 2\n"
+
+
+def test_a_join_responder_declaring_for_a_well_behaved_process_is_refused(capsys, tmp_path):
+    # 2 is well-behaved, so no probe to it reaches the script: the Join timed
+    # out, the probes passed and the run exited 0
+    scenario = tmp_path / "s.json"
+    spec = {"system": "fig1", "policy": {"seed": 0},
+            "adversary": {"name": "join_responder", "args": {"declarations": {"2": [[1, 2]]}}},
+            "requests": [{"at": 1, "node": 9, "op": "Join", "seed_set": [2]}]}
+    scenario.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == ("error: adversary.args.declarations.2: 2 is well-behaved; "
+                   "the script answers only for Byzantine processes\n")
+    spec["adversary"]["args"]["declarations"] = {"4": [[1, 2, 4]]}   # 4 is Byzantine
+    scenario.write_text(json.dumps(spec))
+    assert run_cli(capsys, "simulate", "--scenario", str(scenario))[0] == 0
 
 
 def test_an_add_naming_an_inactive_process_is_an_input_error(capsys, tmp_path):

@@ -42,10 +42,11 @@ BRB_BUDGET = 10
 BRB_FLUSHES_PAST_A_CLASH = 3
 
 
-def criterion_05_worlds():
+def criterion_05_worlds(mode="ac"):
     """Criterion 05's worlds, in the order ``tests/test_acceptance.py``
     runs them: a generated outlived system, CheckSpammer, up to three Leave
-    or Remove requests and the three outlived probes."""
+    or Remove requests and the three outlived probes; ``mode`` "pc" runs the
+    same worlds under the policy-preserving protocol."""
     rng = random.Random(515151)
     for i in range(SYSTEMS):
         qs, attack, outlived = outlived_system(rng, n_max=6)
@@ -53,7 +54,7 @@ def criterion_05_worlds():
         for seed in range(SEEDS):
             picker = random.Random(i * 1009 + seed)
             world = make_reconfig_world(
-                qs, attack, SchedulePolicy(seed=seed, fairness_bound=4),
+                qs, attack, SchedulePolicy(seed=seed, fairness_bound=4), mode=mode,
                 adversary=CheckSpammer(), combined_checks=True)
             world.add_probe("intersection", probe_intersection(outlived))
             world.add_probe("active_inclusion", probe_active_inclusion(outlived))

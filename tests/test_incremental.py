@@ -11,7 +11,9 @@ the worlds of one system share breaks the reuse fence.  A delta re-check
 that skips a pair a change can break, or that is taken when ``l_set`` grew
 under a check it strengthens, breaks the delta fence.  A node-shared frozen
 tomb that misses a write from outside a Check, or that hands a tomb of 4.0
-the spelling of a tomb of 4, breaks the tomb tests.
+the spelling of a tomb of 4, breaks the tomb tests.  A flush count that
+misses a ``state`` event, a probe view refreshed more than once per flush,
+or one that misses a move made outside a flush breaks the flush tests.
 """
 
 import gc
@@ -19,6 +21,7 @@ import random
 import weakref
 from collections import Counter
 from contextlib import contextmanager
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -553,6 +556,38 @@ def test_persisting_violation_is_recorded_at_every_flush():
             assert kinds[i - 1] == "probe_violation"
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_flushes_count_the_state_events_of_each_named_scenario(name):
+    world, trace, _ = run_scenario(name)
+    assert world.flushes == [e["kind"] for e in trace.events].count("state") > 0
+
+
+def sampled_criterion_05_worlds():
+    """Every 40th of criterion 05's first 2,000 worlds, in AC and in PC."""
+    for mode in (AC, PC):
+        yield from islice(criterion_05_worlds(mode), 0, 2000, 40)
+
+
+def test_flushes_count_the_state_events_of_criterion_05_worlds():
+    counts = [([e["kind"] for e in world.run().events].count("state"), world.flushes)
+              for world in sampled_criterion_05_worlds()]
+    assert all(states == flushes for states, flushes in counts)
+    assert len(counts) == 100 and sum(states for states, _ in counts) == 970
+
+
+def test_the_probe_view_is_refreshed_once_per_flush():
+    # the first flush builds the view; each later one refreshes it once,
+    # whichever of the three outlived probes reads it first
+    with mock.patch.object(_QuorumView, "refresh", autospec=True,
+                           side_effect=_QuorumView.refresh) as refresh:
+        for world in sampled_criterion_05_worlds():
+            world.probes[:] = [(name, mock.Mock(wraps=fn)) for name, fn in world.probes]
+            refreshes = refresh.call_count
+            world.run()
+            assert [fn.call_count for _, fn in world.probes] == [world.flushes] * 3
+            assert refresh.call_count - refreshes == world.flushes - 1 > 0
+
+
 # (probe, the props function it runs, whether it reads l_set, whether it
 # reads tentative sets)
 PROBE_INPUTS = [
@@ -693,3 +728,21 @@ def test_a_delta_check_finds_each_kind_of_new_failure(name, check, make, at, pid
         got = probe(world)
     assert spy.call_args.kwargs["changed"] == {pid}
     assert got == witness == PROBES[name](at or outlived)(world)
+
+
+@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness", NEW_FAILURES)
+def test_a_probe_called_after_run_sees_each_later_move(name, check, make, at, pid,
+                                                      quorums, witness):
+    # the probe last ran inside the run's one flush; called after the run,
+    # outside any flush, it must see a move, and a second move of that node
+    world, outlived = make()
+    probe = PROBES[name](at or outlived)
+    world.add_probe(name, probe)
+    node = world.nodes[pid]
+    node.touch()   # a node touched before run() yields one flush
+    assert world.run().violations == [] and world.flushes == 1
+    before = node.quorums
+    node._set_quorums(quorums)
+    assert probe(world) == witness == PROBES[name](at or outlived)(world)
+    node._set_quorums(before)
+    assert probe(world) is None
