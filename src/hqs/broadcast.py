@@ -60,8 +60,9 @@ class BrbNode(Node):
             if (instance not in self.readied and self.quorums
                     and not any(map(readies.isdisjoint, self.quorums))):
                 self._ready(api, instance, value)
-            if instance not in self.delivered:
-                self._maybe_deliver(api, instance, value)
+            if instance not in self.delivered and any(map(readies.issuperset, self.quorums)):
+                self.delivered[instance] = value
+                self.touch()
 
     def _echo(self, api, instance, value):
         if instance in self.echoed:
@@ -77,12 +78,6 @@ class BrbNode(Node):
         self.readied[instance] = value
         self.touch()
         api.send_all(self.followers, ("Ready", instance, value))
-
-    def _maybe_deliver(self, api, instance, value):
-        """Deliver on a full quorum of readies; ``instance`` is not delivered yet."""
-        if any(map(self.ready_votes[instance, value].issuperset, self.quorums)):
-            self.delivered[instance] = value
-            self.touch()
 
     def state_summary(self) -> dict:
         return {

@@ -92,9 +92,3 @@ class DiscoveryNode(Node):
             "F": sorted_ids(self.followers),
         }
 
-
-def discovery_results(world) -> dict:
-    """Exported protocol output: per-node sink flags and follower sets."""
-    nodes = sorted(world.nodes.items(), key=lambda kv: str(kv[0]))
-    return {"in_sink": {str(pid): node.in_sink for pid, node in nodes},
-            "followers": {str(pid): sorted_ids(node.followers) for pid, node in nodes}}

@@ -93,11 +93,10 @@ def _wb_quorums(qs: QuorumSystem, attack: Attack) -> tuple:
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
 
-def consistency_witness(wb_quorums: Mapping, at_p: frozenset, changed=None):
+def consistency_witness(wb_quorums: Mapping, at_p: frozenset):
     """First pair of declarations, in declaration order, whose quorums'
     intersection misses ``at_p`` (a lone declaration pairs with itself);
-    else None.  Given ``changed`` (see :func:`inclusion_witness`; ``at_p``
-    unchanged), only the pairs that hold one of their quorums are tried first.
+    else None.
 
     A member of ``at_p`` that sits in every quorum makes every pair meet
     inside ``at_p``, so one pass over the quorums answers None without the
@@ -107,9 +106,7 @@ def consistency_witness(wb_quorums: Mapping, at_p: frozenset, changed=None):
     partner, so it can only be reached as the first distinct quorum; its
     witness partner is then the second declaration.
     """
-    every = [q for quorums in wb_quorums.values() for q in quorums]
-    if at_p.intersection(*every) or changed is not None and not any(
-            any(map((q & at_p).isdisjoint, every)) for p in changed for q in wb_quorums[p]):
+    if at_p.intersection(*[q for quorums in wb_quorums.values() for q in quorums]):
         return None
     decls = [q for p in sorted_ids(wb_quorums) for q in wb_quorums[p]]
     distinct = list(dict.fromkeys(decls))

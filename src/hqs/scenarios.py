@@ -2,9 +2,7 @@
 
 A scenario pins a system fixture, an attack, the outlived set, client
 requests, an adversary script and a seeded schedule policy; running it
-yields a trace plus a verdict listing every probe violation.  The
-trade-off demonstrations (which no protocol run can realize, per the
-impossibility arguments) are pure-state scenarios at the bottom.
+yields a trace plus a verdict listing every probe violation.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from itertools import cycle, repeat
 from .broadcast import Adopted, BrbNode
 from .core import (
     QuorumSystem,
-    add,
     choice,
     distinct_spellings,
     expect,
@@ -35,8 +32,6 @@ from .graph import sink_members
 from .props import (
     _per_system,
     active_availability_witness,
-    availability_witness,
-    check_consistency,
     consistency_witness,
     inclusion_witness,
 )
@@ -103,7 +98,7 @@ def _tentative(world) -> tuple:
                  if isinstance(node, ReconfigNode))
 
 
-def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
+def _memoized(check, reads_left=True, reads_tentative=False):
     """A probe that re-runs ``check(quorums, left, well_behaved, tentative,
     changed)`` only when those inputs differ from the ones its last result
     was computed from; an unchanged violation is returned (and so recorded)
@@ -111,8 +106,8 @@ def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
     ``reads_tentative``.  A view is one world's, so unless ``tentative`` is
     read a hit is one identity test on its ``key``, before any input is built.
     After a clean result, ``changed`` names whose quorums moved (at most one
-    version ago) if nothing else did but, where ``left_weakens``, a growing
-    ``left``; else it is None.  ``check`` looks its checker up when it runs."""
+    version ago) if nothing else did but a growing ``left``; else it is None.
+    ``check`` looks its checker up when it runs."""
     last_key = last_view = last_version = last_left = last_tentative = last_result = None
 
     def fn(world):
@@ -130,7 +125,7 @@ def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
         if same and view.version == last_version and left is last_left:
             return last_result
         delta = same and last_result is None and view.version - last_version < 2 and (
-            left is last_left or left_weakens and last_left <= left)
+            left is last_left or last_left <= left)
         w = check(view.quorums, left, world.well_behaved, tentative, (
             view.moved if view.version > last_version else frozenset()) if delta else None)
         last_view, last_version, last_left, last_tentative = view, view.version, left, tentative
@@ -143,7 +138,7 @@ def _memoized(check, reads_left=True, reads_tentative=False, left_weakens=True):
 def probe_intersection(outlived):
     outlived = frozenset(outlived)
     return _memoized(lambda quorums, left, wb, tentative, changed: consistency_witness(
-        quorums, outlived - left, changed=changed), left_weakens=False)
+        quorums, outlived - left))
 
 
 def probe_active_inclusion(outlived):
@@ -178,32 +173,29 @@ def probe_add_no_split(world):
 
 
 def probe_brb_consistency(world):
-    """An instance delivered with two values, as (instance, deliverers).
-    ``world.probe_state`` keeps the value first delivered per instance, folding
-    in the nodes touched since the last flush (a delivery comes with a ``touch()``;
-    the first call reads every node).  A second value makes that map None for
-    good, a sticky clash flag: then every call runs the scan that picks the witness."""
+    """An instance delivered with two values, as (instance, deliverers), in a
+    brb world, whose every node is a ``BrbNode``.  ``world.probe_state`` keeps
+    the value first delivered per instance, folding in the nodes touched since
+    the last flush (a delivery comes with a ``touch()``; the first call reads
+    every node).  A second value makes that map None for good, a sticky clash
+    flag: then every call runs the scan that picks the witness."""
     state, first = world.probe_state, "brb_values" not in world.probe_state
     seen = state.setdefault("brb_values", {})
     if seen is not None:
         for node in map(world.nodes.__getitem__, world.nodes if first else world.touched):
-            if isinstance(node, BrbNode):
-                for instance, value in node.delivered.items():
-                    old = seen.setdefault(instance, value)
-                    if old is not value and old != value:   # as a set tells them apart
-                        state["brb_values"] = None
+            for instance, value in node.delivered.items():
+                old = seen.setdefault(instance, value)
+                if old is not value and old != value:   # as a set tells them apart
+                    state["brb_values"] = None
         if state["brb_values"] is not None:
             return None
     per_instance = {}
     for pid, node in world.nodes.items():
-        if not isinstance(node, BrbNode):
-            continue
         for instance, value in node.delivered.items():
             per_instance.setdefault(instance, {})[pid] = value
     for instance, votes in per_instance.items():
         if len(set(votes.values())) > 1:
             return canon((instance, sorted_ids(votes)))
-    return None
 
 
 def probe_intersection_full(at_set):
@@ -211,7 +203,7 @@ def probe_intersection_full(at_set):
     policy-preserving protocols promise this at the full well-behaved set."""
     at_set = frozenset(at_set)
     return _memoized(lambda quorums, left, wb, tentative, changed: consistency_witness(
-        quorums, at_set, changed=changed), reads_left=False)
+        quorums, at_set), reads_left=False)
 
 
 PROBES = {
@@ -712,73 +704,3 @@ def run_scenario(spec, seed_override=None):
         verdict["notes"] = list(final.diagnostics)
     return world, trace, verdict
 
-
-# --- trade-off demonstrations -----------------------------------------------------
-
-
-def declared_quorums_by_process(qs: QuorumSystem) -> dict:
-    return {p: set(qs.quorums_of(p)) for p in sorted_ids(qs.active) if qs.declares(p)}
-
-
-def policy_violations(initial: QuorumSystem, completed_grants: dict, final_quorums: dict) -> dict:
-    """Processes holding a quorum they never declared nor gained via a
-    completed Add/Join; reconfiguration must not fabricate or shrink policies."""
-    declared = declared_quorums_by_process(initial)
-    out = {}
-    for p, quorums in final_quorums.items():
-        allowed = declared.get(p, set()) | completed_grants.get(p, set())
-        extra = {q for q in quorums if q not in allowed}
-        if extra:
-            out[p] = extra
-    return out
-
-
-def dilemma_leave_q1(mode: str, seed: int = 0):
-    """Fig. 4 first system: leaving process 2 forces availability against policy."""
-    qs, attack = resolve_system("fig4_q1_leave")
-    policy = SchedulePolicy(seed=seed)
-    world = make_reconfig_world(qs, attack, policy, mode=mode)
-    world.request(1, 2, ("Leave",))
-    trace = world.run()
-    final = {pid: set(node.quorums) for pid, node in world.nodes.items()}
-    avail = availability_witness({3: tuple(final[3])}, frozenset({3}),
-                                 attack.well_behaved - world.l_set) is None
-    violations = policy_violations(qs, {}, final)
-    return {
-        "responses": [r for (_, p, r) in trace.responses if p == 2],
-        "availability_for_3": avail,
-        "policy_violations": violations,
-    }
-
-
-def dilemma_add_q2():
-    """Fig. 4 second system: a terminating add forces either inconsistency or a
-    policy change at process 4.  This is a pure-state demonstration: a faithful
-    protocol run refuses the add, so the terminating branch is applied with the
-    reconfiguration oracle and then repaired the only way consistency allows."""
-    qs, attack = resolve_system("fig4_q2")
-    wb = attack.well_behaved
-    added = frozenset({1, 2})
-    after_add = add(qs, 2, added)
-    broken = check_consistency(after_add, attack, wb)
-    repaired_decls = {}
-    for p in sorted_ids(after_add.active):
-        if not after_add.declares(p):
-            continue
-        quorums = []
-        for q in after_add.quorums_of(p):
-            if p in wb and not (q & added & wb):
-                q = q | {2}  # the requester joins the conflicting quorum
-            quorums.append(q)
-        repaired_decls[p] = quorums
-    repaired = new_quorum_system(after_add.active, repaired_decls,
-                                 universe=after_add.universe,
-                                 byzantine=attack.byzantine)
-    violations = policy_violations(qs, {2: {added}},
-                                   declared_quorums_by_process(repaired))
-    return {
-        "completed": added in repaired.quorums_of(2),
-        "consistency_before_repair": broken.holds,
-        "consistency_after_repair": check_consistency(repaired, attack, wb).holds,
-        "policy_violations": violations,
-    }

@@ -7,7 +7,8 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` for the lines).
 
 import random
 
-from hqs.core import Attack, minimal_quorums, new_quorum_system, sorted_ids
+from hqs.core import (Attack, add, minimal_quorums, new_quorum_system, sorted_ids,
+                      system_from_json)
 from hqs.fixtures import load_fixture
 from hqs.gen import checked_sharing_system, outlived_system
 from hqs.graph import condense, build_graph, sink_components, well_behaved_sink
@@ -29,8 +30,6 @@ from hqs.scenarios import (
     JoinResponder,
     SinkDeceiver,
     current_system,
-    dilemma_add_q2,
-    dilemma_leave_q1,
     make_brb_world,
     make_discovery_world,
     make_reconfig_world,
@@ -210,20 +209,47 @@ def test_criterion_08_byzantine_requester_equivocation():
                "no split outcome over 100 seeds")
 
 
+def undeclared_quorums(initial, final, granted=None) -> dict:
+    """{p: the quorums p holds in ``final`` that it neither declared in
+    ``initial`` nor gained by a completed Add in ``granted``}, for each p that
+    holds one: reconfiguration must not fabricate or shrink policies."""
+    granted = granted or {}
+    out = {}
+    for p, quorums in final.quorum_map().items():
+        allowed = set(initial.quorums_of(p) if initial.declares(p) else ()) | granted.get(p, set())
+        extra = {q for q in quorums if q not in allowed}
+        if extra:
+            out[p] = extra
+    return out
+
+
 def test_criterion_09_trade_off_dilemmas():
-    ac = dilemma_leave_q1("ac")
-    assert ac["responses"] == ["LeaveComplete"]
-    assert ac["availability_for_3"] is True
-    assert 3 in ac["policy_violations"]
-    pc = dilemma_leave_q1("pc")
-    assert pc["responses"] == ["LeaveComplete"]
-    assert pc["availability_for_3"] is False
-    assert pc["policy_violations"] == {}
-    add = dilemma_add_q2()
-    assert add["completed"] is True
-    assert add["consistency_before_repair"] is False
-    assert add["consistency_after_repair"] is True
-    assert 4 in add["policy_violations"]
+    # fig. 4's first system: process 2's Leave forces 3's availability against
+    # its policy; the shipped AC and PC scenarios take the two sides
+    declared, _ = load_fixture("fig4_q1_leave")
+    for name, available, changed in (("ac_leave_fig4_q1", True, {3}),
+                                     ("pc_leave_fig4_q1", False, set())):
+        _, _, v = run_scenario(name)
+        assert [r for _, p, r in v["responses"] if p == "2"] == ["LeaveComplete"]
+        final, attack = system_from_json(v["final_system"])
+        assert check_availability(final, {3}, attack.well_behaved - {2}).holds is available
+        assert set(undeclared_quorums(declared, final)) == changed, name
+    # fig. 4's second system, in the pure state: a faithful protocol run refuses
+    # 2's Add, so the terminating branch is applied with the oracle and then
+    # repaired the only way consistency allows, by adding 2 to each well-behaved
+    # quorum that misses the added quorum's well-behaved part
+    qs, attack = load_fixture("fig4_q2")
+    wb, added = attack.well_behaved, fs(1, 2)
+    after_add = add(qs, 2, added)
+    assert not check_consistency(after_add, attack, wb).holds
+    repaired = new_quorum_system(
+        after_add.active,
+        {p: [q | {2} if p in wb and not q & added & wb else q for q in quorums]
+         for p, quorums in after_add.quorum_map().items()},
+        universe=after_add.universe, byzantine=attack.byzantine)
+    assert added in repaired.quorums_of(2)
+    assert check_consistency(repaired, attack, wb).holds
+    assert 4 in undeclared_quorums(qs, repaired, {2: {added}})
     verdict(9, "fig4 dilemmas: AC trades policy for availability, PC the reverse, "
                "the terminating add costs process 4 its policy")
 

@@ -154,9 +154,12 @@ def test_generated_outlived_fixtures_validity_and_totality():
 # --- the incremental agreement probe against a full scan --------------------------
 
 
-def hasty_deliver(self, api, instance, value):
-    """A broken BrbNode step: deliver on one ready vote, not a quorum of them."""
-    if instance not in self.delivered and self.ready_votes.get((instance, value)):
+def hasty_deliver(self, api, src, payload, on_message=BrbNode.on_message):
+    """A broken ``BrbNode.on_message``: the real handler, then a delivery on
+    one ready vote, not a quorum of them."""
+    on_message(self, api, src, payload)
+    tag, instance, value = payload[0], payload[1], payload[2]
+    if tag == "Ready" and instance not in self.delivered:
         self.delivered[instance] = value
         self.touch()
 
@@ -186,8 +189,8 @@ def test_brb_probe_matches_the_full_scan_at_every_flush(system_seed, seed, hasty
     qs, attack = checked_sharing_system(rng, n_max=7)
     byz = sorted_ids(attack.byzantine)
     wb = sorted_ids(qs.active & attack.well_behaved)
-    with mock.patch.object(BrbNode, "_maybe_deliver",
-                           hasty_deliver if hasty else BrbNode._maybe_deliver):
+    with mock.patch.object(BrbNode, "on_message",
+                           hasty_deliver if hasty else BrbNode.on_message):
         _, flushes = run_probe_against_oracle(
             qs, attack, [(1, rng.choice(wb), "v")], seed=seed,
             adversary=BrbByzantine(sender=byz[0] if byz else None))
@@ -207,7 +210,7 @@ def test_brb_probe_fires_on_a_node_that_delivers_on_too_few_readies():
     qs, attack = load_fixture("fig1")  # 4 is Byzantine
     trace, _ = run_probe_against_oracle(qs, attack, [], seed=0, adversary=SplitReadies())
     assert not trace.violations   # one Byzantine ready is not a quorum of them
-    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+    with mock.patch.object(BrbNode, "on_message", hasty_deliver):
         trace, _ = run_probe_against_oracle(qs, attack, [], seed=0,
                                             adversary=SplitReadies())
     assert trace.violations

@@ -150,6 +150,50 @@ def test_simulate_json_and_trace_formats(capsys):
     assert lines[-1]["kind"] == "end"
 
 
+# what `simulate --format json` prints of a reconfiguration run's end state:
+# once 2 leaves fig4_q1_leave, AC shrinks 3's policy to keep it available and
+# PC keeps it; a Remove of 2's only quorum leaves 2 none, and the notes say so
+REMOVE_2S_ONLY_QUORUM = {"system": "fig4_q1_leave", "protocol": "pc", "policy": {"seed": 0},
+                         "requests": [{"at": 1, "node": 2, "op": "Remove", "quorum": [2, 3]}]}
+FINAL_SYSTEMS = [
+    ("ac_leave_fig1",
+     {"active": [1, 2, 3, 4], "byzantine": [4], "universe": [1, 2, 3, 4, 5],
+      "quorums": {"1": [[1, 2, 4]], "2": [[2]], "3": [[2, 3]]}},
+     [], [[7, "5", "LeaveComplete"]]),
+    ("ac_leave_fig4_q1",
+     {"active": [1, 3, 4], "byzantine": [1], "universe": [1, 2, 3, 4],
+      "quorums": {"3": [[3]], "4": [[1, 3, 4]]}},
+     [], [[6, "2", "LeaveComplete"]]),
+    ("pc_leave_fig4_q1",
+     {"active": [1, 3, 4], "byzantine": [1], "universe": [1, 2, 3, 4],
+      "quorums": {"3": [[1, 3, 4]], "4": [[1, 3, 4]]}},
+     [], [[1, "2", "LeaveComplete"]]),
+    ("add_attack_concurrent",
+     {"active": [1, 2, 3, 4], "byzantine": [4], "universe": [1, 2, 3, 4],
+      "quorums": {"1": [[1, 2, 4]], "2": [[1, 2], [2, 3]], "3": [[2, 3]]}},
+     [], [[16, "3", "AddFail"], [27, "2", "AddFail"]]),
+    (REMOVE_2S_ONLY_QUORUM,
+     {"active": [1, 3, 4], "byzantine": [1], "universe": [1, 2, 3, 4],
+      "quorums": {"3": [[2, 3], [1, 3, 4]], "4": [[1, 3, 4]]}},
+     ["process 2 has no quorums left"], [[1, "2", "RemoveComplete"]]),
+]
+
+
+@pytest.mark.parametrize("scenario,final_system,notes,responses", FINAL_SYSTEMS)
+def test_simulate_json_prints_the_final_system_notes_and_responses(
+        capsys, tmp_path, scenario, final_system, notes, responses):
+    if isinstance(scenario, dict):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        scenario = str(path)
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", scenario, "--format", "json")
+    verdict = json.loads(out)
+    assert code == 0 and verdict["pass"] is True
+    assert verdict["final_system"] == final_system
+    assert verdict["notes"] == notes
+    assert verdict["responses"] == responses
+
+
 def test_simulate_text_prints_each_violation_and_exits_1(capsys, tmp_path):
     # attack_s5 is inconsistent from the start: the first flush trips the probe
     spec = {"system": "attack_s5", "policy": {"seed": 0}, "probes": ["intersection"],

@@ -122,7 +122,7 @@ def test_a_check_blind_to_the_tomb_breaks_intersection_within_the_budget():
 def test_a_brb_delivery_on_one_ready_breaks_consistency_within_the_budget():
     # one Ready vote for each of the equivocated values lets two
     # well-behaved nodes deliver different values
-    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+    with mock.patch.object(BrbNode, "on_message", hasty_deliver):
         first = next((index for index, world in
                       enumerate(islice(criterion_11_byzantine_worlds(), BRB_BUDGET))
                       if "brb_consistency" in probes_tripped(world)), None)
@@ -135,7 +135,7 @@ def test_the_brb_probe_reports_the_full_scan_witness_past_the_first_clash():
     # a clash persists (a delivery is never taken back), so each flush after
     # the first violation must report it again, as a scan of every node does
     past = 0
-    with mock.patch.object(BrbNode, "_maybe_deliver", hasty_deliver):
+    with mock.patch.object(BrbNode, "on_message", hasty_deliver):
         for world in islice(criterion_11_byzantine_worlds(), BRB_BUDGET):
             got = []
 

@@ -1,7 +1,7 @@
 import pytest
 
 from hqs.core import Attack, followers, minimal_quorums, new_quorum_system
-from hqs.discovery import DiscoveryNode, discovery_results, oracle_validq, threshold_validq
+from hqs.discovery import DiscoveryNode, oracle_validq, threshold_validq
 from hqs.errors import ScenarioError
 from hqs.fixtures import load_fixture
 from hqs.graph import sink_members
@@ -147,10 +147,9 @@ def test_followers_collected_from_exchanges():
 def test_results_export_shape():
     qs, attack = load_fixture("fig2")
     world = run_discovery(qs, attack)
-    res = discovery_results(world)
-    assert set(res) == {"in_sink", "followers"}
-    assert res["in_sink"]["1"] is True
-    assert res["followers"]["1"]
+    # the protocol's output is each node's sink flag and follower set
+    assert world.nodes[1].in_sink is True
+    assert world.nodes[1].followers
 
 
 def test_single_node_discovers_itself():

@@ -663,10 +663,10 @@ def fence_probes(world, at, seen):
 # (mode, probes at every active well-behaved process, calls compared, violations
 # seen) over 300 worlds, three per system.  In scratch copies, an inclusion delta
 # that skips a changed node as p2 inside an unchanged quorum fails 144 and 146
-# of the PC rows' worlds (the first at world 0), and a consistency delta taken
-# when l_set grew fails 130 of each (the first at world 6); neither fails an AC
-# world.  One that skips the changed nodes' own quorums fails none of these
-# worlds, only the top_world case below.
+# of the PC rows' worlds (the first at world 0); it fails no AC world.  One that
+# skips the changed nodes' own quorums fails none of these worlds, only the
+# top_world case below.  Consistency takes no delta, so no consistency mutant
+# of that kind is left to catch.
 DELTA_FENCE = [
     (AC, False, 11_877, 0),
     (PC, False, 5_652, 1_829),
@@ -694,45 +694,46 @@ def top_world():
 
 
 # (probe, the props function it runs, world, probe set, changed node, its new
-# quorums, the witness): each failure lies in a pair that a changed quorum or a
-# changed node is in
+# quorums, the witness, the ``changed`` the function is given): each failure
+# lies in a pair that a changed quorum or a changed node is in.  Consistency
+# has no delta: it runs its full walk whenever its pivot test fails
 NEW_FAILURES = [
     # a changed node as p2 inside an unchanged quorum: 2 drops {1, 2}, and 1's
     # {1, 2} holds 2 with no quorum of 2's inside it
     ("active_inclusion", "inclusion_witness", chain_world, None, 2, [fs(2, 3)],
-     [[1, 2], 2]),
+     [[1, 2], 2], fs(2)),
     # a new quorum as q: 1's {1, 3} holds 3 with no quorum of 3's inside it
     ("active_inclusion", "inclusion_witness", top_world, None, 1, [fs(1, 3)],
-     [[1, 3], 3]),
+     [[1, 3], 3], fs(1)),
     ("tentative_inclusion", "inclusion_witness", chain_world, None, 2, [fs(2, 3)],
-     [[1, 2], 2]),
+     [[1, 2], 2], fs(2)),
     # a new quorum that misses another one
     ("intersection", "consistency_witness", chain_world, None, 3, [fs(3)],
-     [[1, 2], [3]]),
+     [[1, 2], [3]], None),
     ("intersection_full", "consistency_witness", chain_world, None, 3, [fs(3)],
-     [[1, 2], [3]]),
+     [[1, 2], [3]], None),
     # a changed node with no quorum left inside the set
     ("active_availability", "active_availability_witness", chain_world, fs(1, 2), 2,
-     [fs(2, 3)], [2]),
+     [fs(2, 3)], [2], fs(2)),
 ]
 
 
-@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness", NEW_FAILURES)
+@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness,changed", NEW_FAILURES)
 def test_a_delta_check_finds_each_kind_of_new_failure(name, check, make, at, pid,
-                                                     quorums, witness):
+                                                     quorums, witness, changed):
     world, outlived = make()
     probe = PROBES[name](at or outlived)
     with mock.patch.object(scenarios, check, wraps=getattr(scenarios, check)) as spy:
         assert probe(world) is None
         world.nodes[pid]._set_quorums(quorums)
         got = probe(world)
-    assert spy.call_args.kwargs["changed"] == {pid}
+    assert spy.call_args.kwargs.get("changed") == changed
     assert got == witness == PROBES[name](at or outlived)(world)
 
 
-@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness", NEW_FAILURES)
+@pytest.mark.parametrize("name,check,make,at,pid,quorums,witness,changed", NEW_FAILURES)
 def test_a_probe_called_after_run_sees_each_later_move(name, check, make, at, pid,
-                                                      quorums, witness):
+                                                      quorums, witness, changed):
     # the probe last ran inside the run's one flush; called after the run,
     # outside any flush, it must see a move, and a second move of that node
     world, outlived = make()
