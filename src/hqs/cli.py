@@ -46,7 +46,7 @@ def cmd_check(args) -> int:
         reports.append(check_consistency(qs, attack, at))
     if args.inside:
         reports.append(check_available_inside(qs, _ids(args.inside)))
-    if args.inclusion or args.all:
+    if args.inclusion is not None or args.all:
         p_set = _ids(args.inclusion) if args.inclusion else attack.well_behaved
         reports.append(check_quorum_inclusion(qs, attack, p_set))
     if args.sharing or args.all:

@@ -85,10 +85,10 @@ def _per_system(fn):
 
 @_per_system
 def _wb_quorums(qs: QuorumSystem, attack: Attack) -> tuple:
-    """(W, W's quorum map) for W the active well-behaved set; the map is
-    unordered: every witness walks processes in id order itself."""
-    w_set = qs.active & attack.well_behaved
-    return w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set}
+    """(wb, W, W's quorum map): the well-behaved set, read once, its active
+    part and an unordered map: every witness walks ids in order itself."""
+    w_set = qs.active & (wb := attack.well_behaved)
+    return wb, w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set}
 
 
 # --- raw predicates over plain maps (process -> iterable of frozensets) ---
@@ -135,11 +135,13 @@ def active_availability_witness(quorums: Mapping, inside_p: frozenset, left: fro
     return availability_witness(quorums, inside_p - left, inside_p | left, changed)
 
 
-def _first_failure(quorums: Mapping, within, candidates: Mapping):
-    """First (q, p2) such that no set in ``candidates[p2]`` lies inside q,
-    walking processes in id order, each one's quorums in their own order and
-    the members of ``q & within`` (all of q if ``within`` is None) in id
-    order; else None.
+def _first_failure(quorums: Mapping, candidates: Mapping, within=None, keep=None):
+    """First (q, p2) such that no set c in ``candidates[p2]`` fits q, walking
+    processes in id order, each one's quorums in their own order and the
+    members of q in id order; else None.  c fits q when c <= q.  Given
+    ``within`` and ``keep`` (inclusion), only the members of ``q & within``
+    are walked, and c fits q when its part in ``keep`` lies inside q, tested
+    as ``keep.isdisjoint(c - q)``: one set difference, and no cut copy of c.
 
     Almost every check holds, so each distinct quorum is first walked once,
     in any order and without a sort or a call per member.  Only a failure
@@ -147,22 +149,39 @@ def _first_failure(quorums: Mapping, within, candidates: Mapping):
     alone would.
     """
     get = candidates.get
-    for q in {q for qs in quorums.values() for q in qs}:
-        for p2 in (q if within is None else q & within):
-            for c in get(p2, ()):
-                if c <= q:
+    distinct = {q for qs in quorums.values() for q in qs}
+    if within is None:
+        for q in distinct:
+            for p2 in q:
+                for c in get(p2, ()):
+                    if c <= q:
+                        break
+                else:
+                    break   # p2 has no candidate inside q
+            else:
+                continue
+            break           # a failure: the ordered walk below names the first one
+        else:
+            return None
+    else:
+        disjoint = keep.isdisjoint
+        for q in distinct:
+            for p2 in q & within:
+                for c in get(p2, ()):
+                    if disjoint(c - q):
+                        break
+                else:
                     break
             else:
-                break   # p2 has no candidate inside q
+                continue
+            break
         else:
-            continue
-        break           # a failure: the ordered walk below names the first one
-    else:
-        return None
+            return None
     for p in sorted_ids(quorums):
         for q in quorums[p]:
+            fits = q.__ge__ if within is None else (lambda c: keep.isdisjoint(c - q))
             for p2 in sorted_ids(q if within is None else q & within):
-                if not any(map(q.__ge__, get(p2, ()))):
+                if not any(map(fits, get(p2, ()))):
                     return q, p2
 
 
@@ -174,45 +193,45 @@ def inclusion_witness(wb_quorums: Mapping, p_set: frozenset, wb: frozenset,
     ``left`` weakens the check to the active variant: departed members owe
     no witness, and a witness quorum only needs its well-behaved active part
     inside the enclosing quorum.  ``tentative`` extends the witness
-    candidates per process.  The candidates of ``p_set - left`` are cut to
-    that part once per call, and :func:`_first_failure` looks for a failure
-    before it orders anything, so the witness is the one the ordered loop
-    alone names.  ``changed``: whose quorums alone moved since a check held
-    (``left`` may have grown, which only lifts obligations); only pairs with
-    their quorums, or with them as p2, are tried first.
+    candidates per process.  :func:`_first_failure` tests each candidate
+    against q with ``keep = wb - left``, cutting none, and looks for a
+    failure before it orders anything, so the witness is the one the ordered
+    loop alone names.  ``changed``: whose quorums alone moved since a check
+    held (``left`` may have grown, which only lifts obligations); only pairs
+    with their quorums, or with them as p2, are tried first.
     """
-    within, cut = p_set - left, (wb - left).__rand__
-
-    def cuts(owing) -> dict:
-        cs = {p2: list(map(cut, wb_quorums[p2])) for p2 in owing if p2 in wb_quorums}
-        for p2, pairs in (tentative or {}).items():
-            cs.setdefault(p2, []).extend(cut(tq) for _, tq in pairs)
-        return cs
-
+    within, keep = p_set - left, wb - left
+    candidates = dict(wb_quorums) if tentative else wb_quorums
+    for p2, pairs in (tentative or {}).items():
+        candidates[p2] = (*candidates.get(p2, ()), *[tq for _, tq in pairs])
     if changed is not None:
         fresh, mine = {p: wb_quorums[p] for p in changed}, within & changed
-        near = cuts(mine.union(*[q & within for qs in fresh.values() for q in qs]))
-        if not (_first_failure(fresh, within, near)
-                or mine and _first_failure(wb_quorums, mine, near)):
+        if not (_first_failure(fresh, candidates, within, keep)
+                or mine and _first_failure(wb_quorums, candidates, mine, keep)):
             return None
-    return _first_failure(wb_quorums, within, cuts(within))
+    return _first_failure(wb_quorums, candidates, within, keep)
 
 
 def sharing_witness(quorums: Mapping):
     """Witness (q, p2): a member p2 of q none of whose quorums lies inside
     q, else None; found as in :func:`_first_failure`."""
-    return _first_failure(quorums, None, quorums)
+    return _first_failure(quorums, quorums)
 
 
 # --- PropertyReport front ends -------------------------------------------
 
+_HOLDS = {name: PropertyReport(name, True) for name in (   # one frozen report per property
+    CONSISTENCY, AVAILABILITY, AVAILABLE_INSIDE, INCLUSION, SHARING, OUTLIVED,
+    ACTIVE_INCLUSION, ACTIVE_AVAILABILITY, TENTATIVE_INCLUSION)}
+
+
 def _report(name: str, witness) -> PropertyReport:
-    return PropertyReport(name, witness is None, witness)
+    return _HOLDS[name] if witness is None else PropertyReport(name, False, witness)
 
 
 def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
     p_set = frozenset(p_set)
-    if not p_set <= attack.well_behaved:
+    if not (p_set <= attack.universe and p_set.isdisjoint(attack.byzantine)):
         raise BadSubset(f"{what} must be well-behaved; offending ids: "
                         f"{sorted_ids(p_set - attack.well_behaved)}")
     return p_set
@@ -220,7 +239,7 @@ def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
 
 @_per_system
 def _consistency(qs: QuorumSystem, attack: Attack, at_p: frozenset):
-    return consistency_witness(_wb_quorums(qs, attack)[1], at_p)
+    return consistency_witness(_wb_quorums(qs, attack)[2], at_p)
 
 
 @_per_system
@@ -233,7 +252,8 @@ def _availability(qs: QuorumSystem, for_p: frozenset, at_p: frozenset):
 
 @_per_system
 def _quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set: frozenset):
-    return inclusion_witness(_wb_quorums(qs, attack)[1], p_set, attack.well_behaved)
+    wb, _, wb_quorums = _wb_quorums(qs, attack)
+    return inclusion_witness(wb_quorums, p_set, wb)
 
 
 @_per_system
@@ -271,8 +291,8 @@ def _weak_inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
                     tentative: Mapping = None) -> PropertyReport:
     # inclusion_witness weakened by left or tentative; only W's map is memoized
     p_set = _well_behaved(p_set, attack, "inclusion set")
-    return _report(name, inclusion_witness(_wb_quorums(qs, attack)[1], p_set,
-                                           attack.well_behaved, frozenset(left), tentative))
+    wb, _, wb_quorums = _wb_quorums(qs, attack)
+    return _report(name, inclusion_witness(wb_quorums, p_set, wb, frozenset(left), tentative))
 
 
 def check_active_inclusion(qs: QuorumSystem, attack: Attack, p_set, left) -> PropertyReport:
@@ -316,14 +336,14 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     declares a quorum.  The first drop asks inclusion at W, the active
     well-behaved set (a lookup right after :func:`check_quorum_inclusion`
     at W); when it holds, no member of W fails it and the scan is skipped.
+    The scan tests each candidate c as ``wb.isdisjoint(c - q)``, cutting none.
     """
-    w_set, wb_quorums = _wb_quorums(qs, attack)
+    wb, w_set, wb_quorums = _wb_quorums(qs, attack)
     o = set(wb_quorums)
     if _quorum_inclusion(qs, attack, w_set) is not None:
-        wb = attack.well_behaved
-        cuts = {p: list(map(wb.__rand__, quorums)) for p, quorums in wb_quorums.items()}
+        disjoint = wb.isdisjoint   # applied to q.__rsub__(c), that is c - q
         o -= {p2 for q in {q for quorums in wb_quorums.values() for q in quorums}
-              for p2 in q if not any(map(q.__ge__, cuts.get(p2, ())))}
+              for p2 in q if not any(map(disjoint, map(q.__rsub__, wb_quorums.get(p2, ()))))}
     while (inside := {p for p in o if any(map(o.__ge__, wb_quorums[p]))}) != o:
         o = inside
     o = frozenset(o)

@@ -120,6 +120,41 @@ def test_enumerate_fig1_and_fig2(capsys):
     assert json.loads(out)["minimal_quorums"] == [[1, 2], [1, 3, 5]]
 
 
+MAXIMAL_OUTLIVED = {
+    "attack_s5": [], "dqs": [[1, 2, 3]], "draft_cycle": [], "draft_impl2": [[1, 2, 3]],
+    "fig1": [[2, 3, 5]], "fig2": [[1, 2, 4, 6]], "fig4_q1_leave": [[2, 3]],
+    "fig4_q1_remove": [], "fig4_q2": [[2, 3]], "pbqs_sample": [[1, 2, 3, 4]],
+    "s5_base": [[2, 3]],
+}
+
+
+@pytest.mark.parametrize("system", FIXTURE_NAMES)
+def test_enumerate_prints_the_maximal_outlived_set_of_every_fixture(capsys, system):
+    code, out, _ = run_cli(capsys, "enumerate", "--system", system)
+    assert (code, json.loads(out)["maximal_outlived_sets"]) == (0, MAXIMAL_OUTLIVED[system])
+
+
+@pytest.mark.parametrize("system, witness", [
+    ("attack_s5", [[1, 3], 1]), ("draft_cycle", [[1, 3], 3]),
+    ("fig4_q1_remove", [[1, 2, 4], 4])])
+def test_check_inclusion_names_the_first_failing_quorum_and_member(capsys, system, witness):
+    _, attack = load_fixture(system)
+    wb = ",".join(map(str, sorted_ids(attack.well_behaved)))
+    code, out, _ = run_cli(capsys, "check", "--system", system, "--inclusion", wb)
+    assert (code, json.loads(out)) == (
+        1, {"holds": False, "property": "Inclusion", "witness": witness})
+
+
+def test_a_bare_inclusion_flag_checks_the_well_behaved_set(capsys):
+    failing = {"holds": False, "property": "Inclusion", "witness": [[1, 2, 4], 4]}
+    code, out, _ = run_cli(capsys, "check", "--system", "fig4_q1_remove",
+                           "--consistency", "--inclusion")
+    assert (code, [json.loads(line) for line in out.splitlines()]) == (1, [
+        {"holds": True, "property": "Consistency", "witness": None}, failing])
+    code, out, err = run_cli(capsys, "check", "--system", "fig4_q1_remove", "--inclusion")
+    assert (code, json.loads(out), err) == (1, failing, "")
+
+
 def test_enumerate_blocking_k_zero_omits_blocking(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--system", "fig1")
     assert "blocking_sets" not in json.loads(out)

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hqs.errors import BadSubset, HqsError, UnknownProcess
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system, sharing_system
 from hqs.props import (
+    ACTIVE_AVAILABILITY,
     ACTIVE_INCLUSION,
     AVAILABILITY,
     AVAILABLE_INSIDE,
@@ -18,6 +20,7 @@ from hqs.props import (
     OUTLIVED,
     SHARING,
     TENTATIVE_INCLUSION,
+    PropertyReport,
     check_active_availability,
     check_active_inclusion,
     check_availability,
@@ -165,6 +168,14 @@ def test_maximal_outlived_sets_fig1_and_dqs():
                                                  4: [{1, 4}, {3, 4}]}, byzantine=[3])
     assert maximal_outlived_sets(byz_member, Attack.of(range(1, 5), [3])) == \
         [frozenset({1, 2, 4})]
+    # 4 fails inclusion at W inside 1's {1, 2, 4}, so the first drop runs;
+    # 2 survives it only through {2, 3}, cut to {2} without Byzantine 3
+    cut_drop = new_quorum_system(range(1, 6), {1: [{1, 2, 4}], 2: [{2, 3}, {2, 5}],
+                                               3: [{3, 4}], 4: [{1, 2, 4, 5}], 5: [{2, 5}]},
+                                 byzantine=[3])
+    attack = Attack.of(range(1, 6), [3])
+    assert maximal_outlived_sets(cut_drop, attack) == [frozenset({2, 5})] == \
+        oracles.oracle_maximal_outlived_sets(cut_drop, attack)
 
 
 def _generated(make, rng, n):
@@ -382,6 +393,36 @@ def test_report_serialization_round_trip():
     assert '"holds": false' in blob and '"property": "Consistency"' in blob
 
 
+def test_holding_reports_are_frozen_and_equal_fresh_ones():
+    qs, attack = load_fixture("fig1")
+    o = frozenset({2, 3, 5})
+    held = [check_consistency(qs, attack, o), check_availability(qs, o, o),
+            check_available_inside(qs, o), check_quorum_inclusion(qs, attack, o),
+            check_outlived(qs, attack, o), check_active_inclusion(qs, attack, o, {5}),
+            check_active_availability(qs, o, {5}),
+            check_tentative_inclusion(qs, attack, o, {2: {(4, frozenset({2, 3}))}})]
+    assert [r.property for r in held] == [CONSISTENCY, AVAILABILITY, AVAILABLE_INSIDE,
+                                          INCLUSION, OUTLIVED, ACTIVE_INCLUSION,
+                                          ACTIVE_AVAILABILITY, TENTATIVE_INCLUSION]
+    for rep in held:
+        fresh = PropertyReport(rep.property, True, None)
+        assert rep == fresh and report_to_json(rep) == report_to_json(fresh)
+        with pytest.raises(FrozenInstanceError):
+            rep.holds = False
+        with pytest.raises(FrozenInstanceError):
+            rep.witness = (o,)
+    assert check_consistency(qs, attack, o) == PropertyReport(CONSISTENCY, True, None)
+
+
+def test_failing_reports_each_keep_their_own_witness():
+    reports = []
+    for name in ("attack_s5", "draft_cycle"):
+        qs, attack = load_fixture(name)
+        reports.append(check_quorum_inclusion(qs, attack, attack.well_behaved))
+    assert [(r.holds, r.witness) for r in reports] == [
+        (False, (frozenset({1, 3}), 1)), (False, (frozenset({1, 3}), 3))]
+
+
 def test_consistency_witness_covers_single_quorum_case():
     # a lone quorum missing the at-set is itself a violation (q paired with q)
     w = consistency_witness({1: (frozenset({1, 2}),)}, frozenset({3}))
@@ -474,10 +515,29 @@ def test_inclusion_and_sharing_witnesses_match_their_oracles_on_generated_system
     assert 0 < failed < 300   # both paths ran
 
 
+def _inclusion_mistake(cut):
+    """oracles.oracle_inclusion_witness with each candidate c cut to
+    ``cut(c, wb)`` instead of its well-behaved active part: a negative
+    control for inclusion_witness's candidate test."""
+    def witness(wb_quorums, p_set, wb, left=frozenset()):
+        for p in sorted_ids(wb_quorums):
+            for q in wb_quorums[p]:
+                for p2 in sorted_ids((q & p_set) - left):
+                    if not any(cut(c, wb) <= q for c in wb_quorums.get(p2, ())):
+                        return q, p2
+        return None
+    return witness
+
+
+INCLUSION_MISTAKES = {"cut by wb only, left ignored": _inclusion_mistake(frozenset.__and__),
+                      "not cut at all": _inclusion_mistake(lambda c, wb: c)}
+
+
 def test_inclusion_and_sharing_witnesses_match_their_oracles_past_12_processes():
     rng = random.Random(53)
     failed = 0
     checked = 0
+    told_apart = dict.fromkeys(INCLUSION_MISTAKES, 0)
     while checked < 60:
         qs, attack = sharing_system(rng, n_max=40)
         wb = attack.well_behaved
@@ -496,7 +556,11 @@ def test_inclusion_and_sharing_witnesses_match_their_oracles_past_12_processes()
             w = inclusion_witness(wb_quorums, wb, wb, *args)
             assert w == oracles.oracle_inclusion_witness(wb_quorums, wb, wb, *args)
             failed += w is not None
+            for name, mistake in INCLUSION_MISTAKES.items():
+                told_apart[name] += mistake(wb_quorums, wb, wb, *args) != w
     assert 0 < failed < 120   # both paths ran
+    # the population catches either mistake, on these many of its 120 calls
+    assert told_apart == {"cut by wb only, left ignored": 3, "not cut at all": 27}
 
 
 # --- every front end answers as a fresh call would --------------------------
