@@ -42,16 +42,17 @@ def cmd_check(args) -> int:
         print(f"note: {note}", file=sys.stderr)
     reports = []
     if args.consistency or args.all:
-        at = _ids(args.at) if args.at else attack.well_behaved
+        at = _ids(args.at) if args.at is not None else attack.well_behaved
         reports.append(check_consistency(qs, attack, at))
-    if args.inside:
+    if args.inside is not None:
         reports.append(check_available_inside(qs, _ids(args.inside)))
     if args.inclusion is not None or args.all:
-        p_set = _ids(args.inclusion) if args.inclusion else attack.well_behaved
+        p_set = (attack.well_behaved if args.inclusion in (None, True)
+                 else _ids(args.inclusion))
         reports.append(check_quorum_inclusion(qs, attack, p_set))
     if args.sharing or args.all:
         reports.append(check_quorum_sharing(qs))
-    if args.outlived:
+    if args.outlived is not None:
         reports.append(check_outlived(qs, attack, _ids(args.outlived)))
     if not reports:
         print("nothing to check; pass --all or a property flag", file=sys.stderr)
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
     p_check.add_argument("--consistency", action="store_true")
     p_check.add_argument("--at", help="set for the consistency check")
     p_check.add_argument("--inside", help="availability-inside set")
-    p_check.add_argument("--inclusion", nargs="?", const="", default=None,
+    p_check.add_argument("--inclusion", nargs="?", const=True, default=None,
                          help="quorum-inclusion set (default: well-behaved)")
     p_check.add_argument("--sharing", action="store_true")
     p_check.add_argument("--outlived", help="candidate outlived set")

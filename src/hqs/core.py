@@ -192,7 +192,7 @@ def new_quorum_system(
         members.update(*per)
         normalized = antichain(per)
         if normalized:
-            if p not in frozenset().union(*normalized):
+            if not any(p in q for q in normalized):
                 diagnostics.append(f"process {p!r} is not a member of any of its own quorums")
             quorums[p] = normalized
     if missing := active - byz - quorums.keys():

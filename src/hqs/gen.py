@@ -33,8 +33,8 @@ def arbitrary_system(rng: random.Random, n_max: int = 7):
             q.add(p)
             quorums.append(frozenset(q))
         decls[p] = quorums
-    qs = new_quorum_system(universe, decls, universe=universe, byzantine=byz)
-    return qs, Attack.of(universe, byz)
+    ids = frozenset(universe)   # one object: the universe, the active set, the attack's
+    return new_quorum_system(ids, decls, universe=ids, byzantine=byz), Attack(ids, byz)
 
 
 def sharing_system(rng: random.Random, n_max: int = 7):
@@ -69,8 +69,8 @@ def sharing_system(rng: random.Random, n_max: int = 7):
             decls[p] = [q | {p} for q in picks]
     byz = frozenset(p for p in universe
                     if p != pivot and rng.random() < 0.25)
-    qs = new_quorum_system(universe, decls, universe=universe, byzantine=byz)
-    return qs, Attack.of(universe, byz)
+    ids = frozenset(universe)   # one object: the universe, the active set, the attack's
+    return new_quorum_system(ids, decls, universe=ids, byzantine=byz), Attack(ids, byz)
 
 
 def checked_sharing_system(rng: random.Random, n_max: int = 7):

@@ -155,6 +155,24 @@ def test_a_bare_inclusion_flag_checks_the_well_behaved_set(capsys):
     assert (code, json.loads(out), err) == (1, failing, "")
 
 
+@pytest.mark.parametrize("system, flags, code, report", [
+    # an explicit empty value is the empty set, not a missing flag: no two
+    # quorums meet inside it, and nothing inside it owes a quorum
+    ("fig1", ["--consistency", "--outlived", ""], 1,
+     {"holds": False, "property": "Outlived", "witness": ["Consistency", [1, 2, 4], [1, 2]]}),
+    ("fig1", ["--inside", ""], 0,
+     {"holds": True, "property": "AvailableInside", "witness": None}),
+    ("fig1", ["--consistency", "--at", ""], 1,
+     {"holds": False, "property": "Consistency", "witness": [[1, 2, 4], [1, 2]]}),
+    # a bare --inclusion fails here (see above); the empty set has no member to fail
+    ("fig4_q1_remove", ["--inclusion", ""], 0,
+     {"holds": True, "property": "Inclusion", "witness": None}),
+])
+def test_an_empty_set_value_checks_the_empty_set(capsys, system, flags, code, report):
+    got, out, err = run_cli(capsys, "check", "--system", system, *flags)
+    assert (got, json.loads(out.splitlines()[-1]), err) == (code, report, "")
+
+
 def test_enumerate_blocking_k_zero_omits_blocking(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--system", "fig1")
     assert "blocking_sets" not in json.loads(out)

@@ -34,10 +34,12 @@ from hqs.errors import (
     UnknownMember,
     UnknownProcess,
 )
+from hqs import gen
 from hqs.fixtures import load_fixture
 from hqs.gen import arbitrary_system
 
 import oracles
+from test_golden import GENERATED, NoEmptyDraws
 
 
 def quorum_set(qs, p):
@@ -109,7 +111,7 @@ def test_constructor_raises_one_error_per_malformed_declaration(active, decls, k
 
 def test_self_membership_warning_diagnostic():
     qs = new_quorum_system([1, 2], {1: [{2}], 2: [{2}]})
-    assert any("1" in d for d in qs.diagnostics)
+    assert qs.diagnostics == ("process 1 is not a member of any of its own quorums",)
 
 
 def test_fig1_minimal_quorums_match_paper():
@@ -199,6 +201,14 @@ def test_join_op_adds_member():
     joined = join(qs, 9, [{2, 9}])
     assert quorum_set(joined, 9) == {frozenset({2, 9})}
     assert 9 in joined.active
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GENERATED}))
+def test_a_generated_system_and_its_attack_hold_one_universe_object(name):
+    for n_max in sorted(n for g, n in GENERATED if g == name):
+        for seed in range(50):
+            qs, attack, *_ = getattr(gen, name)(NoEmptyDraws(seed), n_max=n_max)
+            assert qs.universe is qs.active is attack.universe, (n_max, seed)
 
 
 @pytest.mark.parametrize("call, error, message", [
