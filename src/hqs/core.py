@@ -58,15 +58,23 @@ def sorted_quorums(qs: Iterable[Quorum]) -> list:
 
 
 def canon_quorums(qs: Iterable[Quorum]) -> tuple:
-    """Deduplicated quorums in a stable order (by size, then members)."""
+    """Deduplicated quorums in a stable order (by size, then members).  A
+    lone quorum is already both, so it pays for no set and no sort."""
+    if type(qs) is not list and type(qs) is not tuple:
+        qs = list(qs)
+    if len(qs) == 1:
+        return (frozenset(qs[0]),)
     return tuple(ordered(set(map(frozenset, qs)), lambda q: (len(q), sorted(q)),
                          lambda q: (len(q), quorum_key(q))))
 
 
 def antichain(qs: Iterable[Quorum]) -> tuple:
     """Drop every quorum that is a strict superset of a kept one (it sorts later)."""
+    canon = canon_quorums(qs)
+    if len(canon) < 2:
+        return canon
     kept = []
-    for q in canon_quorums(qs):
+    for q in canon:
         if not any(map(q.__gt__, kept)):
             kept.append(q)
     return tuple(kept)
@@ -184,7 +192,7 @@ def new_quorum_system(
         if p not in active:
             raise UnknownProcess(f"declaration for inactive process {p!r}")
         per = []
-        for raw in decls[p]:
+        for raw in decls[p]:   # each quorum is checked before the next is converted
             q = frozenset(raw)
             if not q:
                 raise EmptyQuorum(f"process {p!r} declared an empty quorum")
@@ -192,7 +200,10 @@ def new_quorum_system(
         members.update(*per)
         normalized = antichain(per)
         if normalized:
-            if not any(p in q for q in normalized):
+            for q in normalized:
+                if p in q:
+                    break
+            else:
                 diagnostics.append(f"process {p!r} is not a member of any of its own quorums")
             quorums[p] = normalized
     if missing := active - byz - quorums.keys():

@@ -29,9 +29,9 @@ def arbitrary_system(rng: random.Random, n_max: int = 7):
         quorums = []
         for _ in range(count):
             size = 1 + rng._randbelow(n)
-            q = set(rng.sample(universe, size))
-            q.add(p)
-            quorums.append(frozenset(q))
+            # from a set, not a list: a frozenset copied from a set gets a table
+            # sized to fit, where one grown by adding keeps 5-7 ids in 32 slots
+            quorums.append(frozenset({p, *rng.sample(universe, size)}))
         decls[p] = quorums
     ids = frozenset(universe)   # one object: the universe, the active set, the attack's
     return new_quorum_system(ids, decls, universe=ids, byzantine=byz), Attack(ids, byz)
@@ -60,13 +60,21 @@ def sharing_system(rng: random.Random, n_max: int = 7):
     # drop nested cores so they really are minimal
     minimal = [q for q in minimal if not any(o < q for o in minimal)]
     core = set().union(*minimal)
+    m = len(minimal)
+    randbelow = rng._randbelow
     decls = {}
     for p in universe:
         if p in core:
             decls[p] = [q for q in minimal if p in q]
         else:
-            picks = rng.sample(minimal, 1 + rng._randbelow(len(minimal)))
-            decls[p] = [q | {p} for q in picks]
+            # rng.sample(minimal, k), drawn as its pool branch draws it (m <= 3):
+            # pick the j-th unpicked core, then move the last unpicked into the gap
+            pool = minimal[:]
+            decl = decls[p] = []
+            for i in range(1 + randbelow(m)):
+                j = randbelow(m - i)
+                decl.append(pool[j] | {p})
+                pool[j] = pool[m - i - 1]
     byz = frozenset(p for p in universe
                     if p != pivot and rng.random() < 0.25)
     ids = frozenset(universe)   # one object: the universe, the active set, the attack's

@@ -83,11 +83,15 @@ def _per_system(fn):
     return per_system
 
 
+# The memoized helpers below take an attack as its universe and Byzantine
+# set: CPython caches a frozenset's hash, while a frozen dataclass hashes
+# its fields anew in a Python frame on every lookup.
+
 @_per_system
-def _wb_quorums(qs: QuorumSystem, attack: Attack) -> tuple:
+def _wb_quorums(qs: QuorumSystem, universe: frozenset, byzantine: frozenset) -> tuple:
     """(wb, W, W's quorum map): the well-behaved set, read once, its active
     part and an unordered map: every witness walks ids in order itself."""
-    w_set = qs.active & (wb := attack.well_behaved)
+    w_set = qs.active & (wb := universe - byzantine)
     return wb, w_set, {p: decl for p, decl in qs._quorums.items() if p in w_set}
 
 
@@ -238,8 +242,9 @@ def _well_behaved(p_set, attack: Attack, what: str) -> frozenset:
 
 
 @_per_system
-def _consistency(qs: QuorumSystem, attack: Attack, at_p: frozenset):
-    return consistency_witness(_wb_quorums(qs, attack)[2], at_p)
+def _consistency(qs: QuorumSystem, universe: frozenset, byzantine: frozenset,
+                 at_p: frozenset):
+    return consistency_witness(_wb_quorums(qs, universe, byzantine)[2], at_p)
 
 
 @_per_system
@@ -251,8 +256,9 @@ def _availability(qs: QuorumSystem, for_p: frozenset, at_p: frozenset):
 
 
 @_per_system
-def _quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set: frozenset):
-    wb, _, wb_quorums = _wb_quorums(qs, attack)
+def _quorum_inclusion(qs: QuorumSystem, universe: frozenset, byzantine: frozenset,
+                      p_set: frozenset):
+    wb, _, wb_quorums = _wb_quorums(qs, universe, byzantine)
     return inclusion_witness(wb_quorums, p_set, wb)
 
 
@@ -264,7 +270,7 @@ def _sharing(qs: QuorumSystem):
 
 def check_consistency(qs: QuorumSystem, attack: Attack, at_p) -> PropertyReport:
     at_p = _well_behaved(at_p, attack, "consistency set")
-    return _report(CONSISTENCY, _consistency(qs, attack, at_p))
+    return _report(CONSISTENCY, _consistency(qs, attack.universe, attack.byzantine, at_p))
 
 
 def check_availability(qs: QuorumSystem, for_p, at_p) -> PropertyReport:
@@ -284,14 +290,15 @@ def check_active_availability(qs: QuorumSystem, p_set, left) -> PropertyReport:
 
 def check_quorum_inclusion(qs: QuorumSystem, attack: Attack, p_set) -> PropertyReport:
     p_set = _well_behaved(p_set, attack, "inclusion set")
-    return _report(INCLUSION, _quorum_inclusion(qs, attack, p_set))
+    return _report(INCLUSION,
+                   _quorum_inclusion(qs, attack.universe, attack.byzantine, p_set))
 
 
 def _weak_inclusion(name: str, qs: QuorumSystem, attack: Attack, p_set, left=(),
                     tentative: Mapping = None) -> PropertyReport:
     # inclusion_witness weakened by left or tentative; only W's map is memoized
     p_set = _well_behaved(p_set, attack, "inclusion set")
-    wb, _, wb_quorums = _wb_quorums(qs, attack)
+    wb, _, wb_quorums = _wb_quorums(qs, attack.universe, attack.byzantine)
     return _report(name, inclusion_witness(wb_quorums, p_set, wb, frozenset(left), tentative))
 
 
@@ -317,9 +324,10 @@ def check_outlived(qs: QuorumSystem, attack: Attack, outlived_set) -> PropertyRe
     for O.  All three parts are evaluated, in this order, before the first
     failure is named, so an inactive member of O always raises."""
     o = _well_behaved(outlived_set, attack, "outlived set")
-    parts = ((CONSISTENCY, _consistency(qs, attack, o)),
+    uni, byz = attack.universe, attack.byzantine
+    parts = ((CONSISTENCY, _consistency(qs, uni, byz, o)),
              (AVAILABLE_INSIDE, _availability(qs, o, o)),
-             (INCLUSION, _quorum_inclusion(qs, attack, o)))
+             (INCLUSION, _quorum_inclusion(qs, uni, byz, o)))
     return _report(OUTLIVED, next(((name, *w) for name, w in parts if w is not None), None))
 
 
@@ -338,13 +346,14 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     at W); when it holds, no member of W fails it and the scan is skipped.
     The scan tests each candidate c as ``wb.isdisjoint(c - q)``, cutting none.
     """
-    wb, w_set, wb_quorums = _wb_quorums(qs, attack)
+    uni, byz = attack.universe, attack.byzantine
+    wb, w_set, wb_quorums = _wb_quorums(qs, uni, byz)
     o = set(wb_quorums)
-    if _quorum_inclusion(qs, attack, w_set) is not None:
+    if _quorum_inclusion(qs, uni, byz, w_set) is not None:
         disjoint = wb.isdisjoint   # applied to q.__rsub__(c), that is c - q
         o -= {p2 for q in {q for quorums in wb_quorums.values() for q in quorums}
               for p2 in q if not any(map(disjoint, map(q.__rsub__, wb_quorums.get(p2, ()))))}
     while (inside := {p for p in o if any(map(o.__ge__, wb_quorums[p]))}) != o:
         o = inside
     o = frozenset(o)
-    return [o] if _consistency(qs, attack, o) is None else []
+    return [o] if _consistency(qs, uni, byz, o) is None else []

@@ -48,6 +48,29 @@ def oracle_antichain(quorums):
                                                       for p in _id_order(q)])))
 
 
+def oracle_sharing_system(rng, n_max):
+    """gen.sharing_system's draws, with each non-core process's cores drawn
+    by ``rng.sample``: (its declarations as drawn, its Byzantine set)."""
+    n = 3 + rng._randbelow(n_max - 2)
+    universe = list(range(1, n + 1))
+    pivot = universe[rng._randbelow(n)]
+    core_pool = [p for p in universe if p != pivot]
+    rng.shuffle(core_pool)
+    drawn = []
+    for _ in range(1 + rng._randbelow(min(3, n - 1))):
+        extra = 1 + rng._randbelow(min(2, len(core_pool)))
+        drawn.append(frozenset([pivot, *rng.sample(core_pool, extra)]))
+    minimal = [q for q in drawn if not any(o < q for o in drawn)]
+    decls = {}
+    for p in universe:
+        if any(p in q for q in minimal):
+            decls[p] = [q for q in minimal if p in q]
+        else:
+            decls[p] = [q | {p} for q in rng.sample(minimal, 1 + rng._randbelow(len(minimal)))]
+    byz = frozenset(p for p in universe if p != pivot and rng.random() < 0.25)
+    return decls, byz
+
+
 def oracle_is_blocking(quorums, candidate):
     for q in quorums:
         if not set(q) & set(candidate):

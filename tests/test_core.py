@@ -98,6 +98,8 @@ def test_constructor_rejects_member_outside_universe():
     # missing ones, then the universe
     ([1, 2, 3], {3: [set()], 4: [{4}]}, {}, EmptyQuorum,
      "process 3 declared an empty quorum"),
+    # each quorum is checked before the next is converted: frozenset(5) would raise TypeError
+    ([1], {1: [set(), 5]}, {}, EmptyQuorum, "process 1 declared an empty quorum"),
     ([2, 3], {1: [{1}], 3: [set()]}, {}, UnknownProcess,
      "declaration for inactive process 1"),
     ([1, 2], {1: [{1, 9}]}, {"universe": [1, 2]}, EmptyDeclaration,
@@ -112,6 +114,46 @@ def test_constructor_raises_one_error_per_malformed_declaration(active, decls, k
 def test_self_membership_warning_diagnostic():
     qs = new_quorum_system([1, 2], {1: [{2}], 2: [{2}]})
     assert qs.diagnostics == ("process 1 is not a member of any of its own quorums",)
+    for decls, diagnostics in [
+            ({"a": [["b"]], "b": [("b",)]},
+             ("process 'a' is not a member of any of its own quorums",)),
+            ({"a": [{1}], 1: [{1}, {1, "a"}]},
+             ("process 'a' is not a member of any of its own quorums",)),
+            ({1: [{2}, {3}], 2: [{2}], 3: [{1, 3}]},
+             ("process 1 is not a member of any of its own quorums",)),
+            ({1: [{2, 1}], 2: [{2}, {1}], 3: [{3}]}, ())]:
+        assert new_quorum_system(decls, decls).diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("spell", [set, list, frozenset, lambda q: (p for p in q)],
+                         ids=["set", "list", "frozenset", "generator"])
+def test_a_lone_quorum_in_any_spelling_normalises_to_its_frozenset(spell):
+    q = frozenset({1, "a", 2})
+    qs = new_quorum_system([1, 2, "a"], {p: [spell(q)] for p in (1, 2, "a")})
+    for p in (1, 2, "a"):
+        assert type(qs.quorums_of(p)) is tuple and qs.quorums_of(p) == (q,)
+    assert antichain([spell(q)]) == canon_quorums([spell(q)]) == (q,)
+    assert antichain(iter([spell(q)])) == (q,)
+
+
+def test_a_lone_frozenset_quorum_keeps_its_identity():
+    q = frozenset({1, 2})
+    assert new_quorum_system([1, 2], {1: [q], 2: (q,)}).quorums_of(1)[0] is q
+    assert antichain([q])[0] is q and antichain((q,))[0] is q and antichain({q})[0] is q
+
+
+small_declarations = st.lists(
+    st.frozensets(st.integers(1, 4), min_size=1, max_size=4)
+    | st.frozensets(st.sampled_from("abc"), min_size=1, max_size=3)
+    | st.frozensets(st.integers(1, 3) | st.sampled_from("ab"), min_size=1, max_size=4),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_declarations)
+def test_antichain_of_one_to_four_quorums_matches_the_oracle(quorums):
+    assert antichain(quorums) == oracles.oracle_antichain(quorums)
+    assert antichain(iter(quorums)) == oracles.oracle_antichain(quorums)
 
 
 def test_fig1_minimal_quorums_match_paper():

@@ -434,3 +434,43 @@ def test_generated_system_digest(name, n_max):
 def test_a_generator_bound_below_its_least_size_is_a_value_error(name, n_max):
     with pytest.raises(ValueError):
         getattr(gen, name)(NoEmptyDraws(0), n_max=n_max)
+
+
+def inline_picks(rng, pool, k, pick):
+    """k cores picked as gen.sharing_system picks a non-core process's:
+    ``pick(pool, m, j)`` is the core taken at the j-th draw's turn, then
+    the last unpicked core moves into the gap."""
+    m, pool, picks = len(pool), list(pool), []
+    for i in range(k):
+        j = rng._randbelow(m - i)
+        picks.append(pick(pool, m, j))
+        pool[j] = pool[m - i - 1]
+    return picks
+
+
+@pytest.mark.parametrize("rng_type", [random.Random, NoEmptyDraws])
+def test_the_inline_core_picks_are_the_draws_of_sample(rng_type):
+    def agrees(pick):
+        for seed in range(1000):
+            for m in (1, 2, 3):
+                pop = [frozenset({0, c}) for c in range(1, m + 1)]
+                for k in range(1, m + 1):
+                    ours, theirs = rng_type(seed), rng_type(seed)
+                    if (inline_picks(ours, pop, k, pick) != theirs.sample(pop, k)
+                            or ours.getstate() != theirs.getstate()):
+                        return False
+        return True
+
+    assert agrees(lambda pool, m, j: pool[j])
+    # negative control: the same draws taken from the pool's other end
+    assert not agrees(lambda pool, m, j: pool[m - 1 - j])
+
+
+@pytest.mark.parametrize("n_max", [7, 80])
+def test_sharing_system_draws_as_it_did_with_sample(n_max):
+    for seed in range(1000):
+        ours, theirs = NoEmptyDraws(seed), NoEmptyDraws(seed)
+        qs, attack = gen.sharing_system(ours, n_max=n_max)
+        decls, byz = oracles.oracle_sharing_system(theirs, n_max)
+        assert qs.quorum_map() == {p: oracles.oracle_antichain(d) for p, d in decls.items()}
+        assert attack.byzantine == byz and ours.getstate() == theirs.getstate(), seed
