@@ -258,6 +258,13 @@ def _availability(qs: QuorumSystem, for_p: frozenset, at_p: frozenset):
 @_per_system
 def _quorum_inclusion(qs: QuorumSystem, universe: frozenset, byzantine: frozenset,
                       p_set: frozenset):
+    """Inclusion for ``p_set`` (a subset of wb); sharing implies it.  Under
+    sharing every member of an active quorum declares, so it is active; a
+    member p2 of ``p_set`` is then in W, its W-map candidates are its
+    declarations, and one lies inside q, so ``keep.isdisjoint(c - q)`` holds
+    for every ``keep``.  Otherwise the walk names the witness it always did."""
+    if _sharing(qs) is None:
+        return None
     wb, _, wb_quorums = _wb_quorums(qs, universe, byzantine)
     return inclusion_witness(wb_quorums, p_set, wb)
 
@@ -343,7 +350,9 @@ def maximal_outlived_sets(qs: QuorumSystem, attack: Attack) -> list:
     The empty set is outlived only when no active well-behaved process
     declares a quorum.  The first drop asks inclusion at W, the active
     well-behaved set (a lookup right after :func:`check_quorum_inclusion`
-    at W); when it holds, no member of W fails it and the scan is skipped.
+    at W, or after :func:`check_quorum_sharing` where sharing holds, as on
+    every generated sharing system); when it holds, no member of W fails it
+    and the scan is skipped.
     The scan tests each candidate c as ``wb.isdisjoint(c - q)``, cutting none.
     """
     uni, byz = attack.universe, attack.byzantine

@@ -718,6 +718,16 @@ NEW_FAILURES = [
 ]
 
 
+def test_a_delta_check_names_the_first_failure_a_changed_quorum_shows():
+    # only 1 moved, and its {1, 2} holds 2, whose {2, 3} pokes out of it; 1 as
+    # p2 finds nothing, so the changed quorum's failure alone sends the check
+    # on to the full walk
+    quorums = {1: [fs(1, 2)], 2: [fs(2, 3)], 3: [fs(2, 3)]}
+    ids = fs(1, 2, 3)
+    assert props.inclusion_witness(quorums, ids, ids, changed={1}) == (fs(1, 2), 2) == \
+        props.inclusion_witness(quorums, ids, ids)
+
+
 @pytest.mark.parametrize("name,check,make,at,pid,quorums,witness,changed", NEW_FAILURES)
 def test_a_delta_check_finds_each_kind_of_new_failure(name, check, make, at, pid,
                                                      quorums, witness, changed):

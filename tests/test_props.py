@@ -64,6 +64,14 @@ def test_consistency_singleton_and_bad_subset():
         check_consistency(qs, attack, {2})
 
 
+def test_a_bad_subset_names_the_offending_ids():
+    qs, attack = load_fixture("fig1")   # 4 is Byzantine
+    for at_p, offending in (({1, 4}, [4]), ({1, 99}, [99])):   # 99 is outside the universe
+        with pytest.raises(BadSubset) as raised:
+            check_consistency(qs, attack, at_p)
+        assert f"offending ids: {offending}" in str(raised.value)
+
+
 def test_availability_examples():
     qs, attack = load_fixture("fig1")
     assert check_availability(qs, {2, 3, 5}, {2, 3, 5}).holds
@@ -801,3 +809,96 @@ def test_maximal_outlived_sets_answer_alike_after_inclusion_at_w_hypothesis(syst
     assert after == alone
     if len(qs.universe) <= 8:
         assert alone == sorted(oracles.oracle_maximal_outlived_sets(qs, attack), key=sorted)
+
+
+# --- sharing implies inclusion ----------------------------------------------
+
+def _with_str_ids(qs, attack, rng):
+    """qs and attack with about half of their ids renamed to strings."""
+    name = {p: f"p{p}" if rng.random() < 0.5 else p for p in qs.universe}
+    decls = {name[p]: [frozenset(map(name.get, q)) for q in qs.quorums_of(p)]
+             for p in qs.active if qs.declares(p)}
+    byz = frozenset(map(name.get, attack.byzantine))
+    universe = frozenset(name.values())
+    return (new_quorum_system(map(name.get, qs.active), decls, universe=universe,
+                              byzantine=byz), Attack(universe, byz))
+
+
+def _p_sets(wb, rng, samples=16):
+    """Every subset of wb when it has at most 8 members, else wb, the empty
+    set and ``samples`` drawn subsets."""
+    ids = sorted_ids(wb)
+    if len(ids) <= 8:
+        return [frozenset(c) for c in oracles.powerset(ids)]
+    return [wb, frozenset()] + [frozenset(rng.sample(ids, rng.randrange(len(ids) + 1)))
+                                for _ in range(samples)]
+
+
+def _sharing_implies_inclusion(qs, attack, rng):
+    """Whether the active map shares; if it does, the raw inclusion_witness
+    is None at every P inside wb that _p_sets offers."""
+    quorums = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
+    if sharing_witness(quorums) is not None:
+        return False
+    wb = attack.well_behaved
+    wb_quorums = {p: q for p, q in quorums.items() if p in wb}
+    for p_set in _p_sets(wb, rng):
+        assert inclusion_witness(wb_quorums, p_set, wb) is None, (qs, attack, p_set)
+    return True
+
+
+@pytest.mark.parametrize("make,n_max,count,at_least", [
+    (arbitrary_system, 6, 400, 60),   # the arbitrary systems that happen to share
+    (sharing_system, 12, 150, 150),
+    (sharing_system, 80, 20, 20),
+])
+def test_sharing_implies_inclusion_at_every_well_behaved_set(make, n_max, count, at_least):
+    rng = random.Random(71 + n_max)
+    shared = mixed = 0
+    for i in range(count):
+        qs, attack = make(rng, n_max=n_max)
+        if i % 2:
+            qs, attack = _with_str_ids(qs, attack, rng)
+            mixed += any(isinstance(p, str) for p in qs.universe)
+        shared += _sharing_implies_inclusion(qs, attack, rng)
+    assert shared >= at_least and mixed >= count // 4, (shared, mixed)
+
+
+def _with_an_idle_id(qs, attack):
+    """qs and attack with one more id: well-behaved, inactive, in no quorum."""
+    idle = max(qs.universe) + 1
+    universe = qs.universe | {idle}
+    decls = {p: qs.quorums_of(p) for p in qs.active if qs.declares(p)}
+    return (new_quorum_system(qs.active, decls, universe=universe,
+                              byzantine=attack.byzantine), Attack(universe, attack.byzantine))
+
+
+def test_inclusion_front_end_matches_the_oracles_in_every_memo_state():
+    """check_quorum_inclusion on a cold memo, after check_quorum_sharing and
+    after check_consistency, at sets that hold inactive well-behaved ids:
+    the answer is the oracles' whether sharing holds or not."""
+    rng = random.Random(73)
+    seen = {True: 0, False: 0}
+    for i in range(120):
+        qs, attack = (arbitrary_system, sharing_system)[i % 2](rng, n_max=7)
+        qs, attack = _with_an_idle_id(qs, attack)
+        if i % 3 == 0:
+            qs, attack = _with_str_ids(qs, attack, rng)
+        wb = attack.well_behaved
+        seen[check_quorum_sharing(qs).holds] += 1
+        subsets = _p_sets(wb, rng)
+        for p_set in [wb, *rng.sample(subsets, min(len(subsets), 12))]:
+            p_set |= wb - qs.active
+            want = _oracle_outcome("inclusion", qs, attack, p_set, frozenset())
+            assert want[1] is oracles.oracle_inclusion(qs, attack, p_set)
+
+            def call():
+                return check_quorum_inclusion(qs, attack, p_set)
+            assert _fresh(call) == want, (qs, attack, p_set)
+            for first in (lambda: check_quorum_sharing(qs),
+                          lambda: check_consistency(qs, attack, wb)):
+                check_quorum_sharing(_UNRELATED)
+                first()
+                assert _outcome(call) == want, (qs, attack, p_set)
+    assert min(seen.values()) >= 30, seen
+
